@@ -37,7 +37,6 @@ from .profit import (
 from .rng import RandomSource
 from .selection import (
     SELECTORS,
-    GainRatioPair,
     SelectionOutcome,
     TraceEntry,
     baseline_clustering_coefficient,

@@ -11,11 +11,14 @@ The Monte Carlo sampler used by the estimators supports two arc-sampling
 strategies with identical outcome distributions: per-arc Bernoulli draws, and
 geometric gaps between successes for uniform-probability graphs (one draw per
 success instead of one per arc, which is what makes the experiment protocol
-affordable at small probabilities).
+affordable at small probabilities).  :func:`sample_live_graphs` draws whole
+live graphs with the same two strategies, for the greedy selectors' snapshot
+estimator.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import log
 
@@ -29,6 +32,8 @@ __all__ = [
     "observe_until",
     "enumerate_live_graphs",
     "reachable_set",
+    "LiveSample",
+    "sample_live_graphs",
 ]
 
 # geometric gap sampling beats per-arc draws only when successes are sparse
@@ -257,3 +262,82 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     return samples
+
+
+@dataclass(frozen=True)
+class LiveSample:
+    """``replications`` sampled live graphs of one graph view, in two flat arrays.
+
+    Node ``u`` of snapshot ``r`` has the flat id ``u * replications + r``, so
+    one node's copies are contiguous.  The kept arcs out of flat id ``x`` are
+    ``targets[offsets[x]:offsets[x + 1]]``, themselves flat ids of the same
+    snapshot; the kept arcs of ``u`` in every snapshot are therefore the single
+    range ``offsets[u * replications]:offsets[(u + 1) * replications]``.
+    """
+
+    node_count: int
+    replications: int
+    offsets: array
+    targets: array
+
+
+def sample_live_graphs(g: SocialGraph, replications: int, rnd, mode="auto") -> LiveSample:
+    """Draw ``replications`` independent live graphs of ``g``.
+
+    Arcs with a removed endpoint are never kept.  Arcs are visited node-major:
+    each node, each snapshot, each out-arc in adjacency order.  Geometric mode
+    jumps between kept positions of that sequence; Bernoulli mode draws once
+    per surviving arc.
+    """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    mode = _pick_mode(g, mode)
+    offsets, targets, probs, uniform_p = g._engine()
+    blocked = g._blocked_template()
+    n, R = g.base_node_count, replications
+    # kept arcs arrive in flat-id order, so each flat id's range opens when its
+    # first arc arrives; ids without arcs share the next one's start
+    starts = [0]
+    opened = 1  # len(starts)
+    kept = array("q")
+    append = kept.append
+    rand = rnd.random
+
+    if mode == "geometric":
+        if uniform_p is None or uniform_p >= 1.0:
+            raise ValueError("geometric sampling requires a uniform probability below 1")
+        inv_log_q = 1.0 / log(1.0 - uniform_p)
+        i = int(log(1.0 - rand()) * inv_log_q)
+        for u in range(n):
+            lo = offsets[u]
+            d = offsets[u + 1] - lo
+            span = d * R
+            while i < span:
+                r, k = divmod(i, d)
+                v = targets[lo + k]
+                if not blocked[u] and not blocked[v]:
+                    x = u * R + r
+                    if opened <= x:
+                        starts += [len(kept)] * (x + 1 - opened)
+                        opened = x + 1
+                    append(v * R + r)
+                i += 1 + int(log(1.0 - rand()) * inv_log_q)
+            i -= span
+    elif mode == "bernoulli":
+        for u in range(n):
+            if blocked[u]:
+                continue
+            arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])
+                    if not blocked[targets[i]]]
+            for r in range(R):
+                x = u * R + r
+                for v, p in arcs:
+                    if rand() < p:
+                        if opened <= x:
+                            starts += [len(kept)] * (x + 1 - opened)
+                            opened = x + 1
+                        append(v * R + r)
+    else:
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    starts += [len(kept)] * (n * R + 1 - opened)
+    return LiveSample(n, R, array("q", starts), kept)

@@ -14,7 +14,7 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .graph import SocialGraph
@@ -100,6 +100,9 @@ class BatchConfig:
             raise ValueError("at least one budget is required")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.selection_replications < 1:
+            raise ValueError(
+                f"selection_replications must be >= 1, got {self.selection_replications}")
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -192,7 +195,6 @@ def _run_cell(args):
     two = run_two_phase(phase_cfg, g, econ)
     _, single_est = run_single_phase(phase_cfg, g, econ)
     elapsed = time.perf_counter() - started
-    two = replace(two, single_phase_profit=single_est.mean)
     best = two.observations[two.best_index]
     # profits carry the emitted 4-decimal precision so CSV rows round-trip
     # exactly; the difference column derives from the emitted operands

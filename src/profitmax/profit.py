@@ -11,6 +11,11 @@ used inside selection loops.
 phase-two protocol uses them for organically activated frontiers.  A
 ``universe`` restricts which nodes' benefits are counted, without changing
 diffusion dynamics.
+
+The greedy selectors estimate on a fixed sample of live graphs instead
+(:class:`SnapshotCoverage`, :class:`SnapshotReachCounts`): there benefit is
+exact weighted coverage, so a seed set's mean profit over the sample is a
+submodular coverage term minus a modular cost.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ __all__ = [
     "exact_benefit",
     "exact_profit",
     "marginal_profit_gain",
+    "SnapshotCoverage",
+    "SnapshotReachCounts",
 ]
 
 
@@ -45,7 +52,6 @@ class ProfitEstimate:
 @dataclass(frozen=True)
 class EstimatorConfig:
     replications: int = 100
-    enumeration_limit: int = 20
     common_random_numbers: bool = True
 
     def __post_init__(self):
@@ -174,3 +180,106 @@ def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, cfg: Est
     with_u = estimate_profit(g, econ, seed_list + [u], cfg, rng_with, universe, free_seeds)
     without_u = estimate_profit(g, econ, seed_list, cfg, rng_without, universe, free_seeds)
     return with_u.mean - without_u.mean
+
+
+# -- snapshot estimator --------------------------------------------------------
+
+
+def _walk(sample, u, enter):
+    """Flat ids reached from ``u``'s kept arcs, in every snapshot of ``sample``.
+
+    ``u``'s own copies are never entered.  ``enter(y)`` decides whether the
+    walk enters (and reports) flat id ``y``; a refused node is not expanded.
+    """
+    R = sample.replications
+    offsets, targets = sample.offsets, sample.targets
+    x, end = u * R, (u + 1) * R
+    seen = set()
+    stack = targets[offsets[x]:offsets[end]]
+    while stack:
+        y = stack.pop()
+        if y in seen or x <= y < end or not enter(y):
+            continue
+        seen.add(y)
+        stack.extend(targets[offsets[y]:offsets[y + 1]])
+    return seen
+
+
+class SnapshotCoverage:
+    """Benefit that a growing seed set covers on every live graph of a sample.
+
+    ``total / replications - seed_cost`` is the set's mean profit on the
+    sample.  A node's gain can only shrink as seeds join, and with integer
+    benefits every gain is an exact integer.
+    """
+
+    __slots__ = ("sample", "value", "covered", "total")
+
+    def __init__(self, sample, value):
+        self.sample = sample
+        self.value = value
+        self.covered = bytearray(sample.node_count * sample.replications)
+        self.total = 0
+
+    def gain(self, u):
+        """Benefit, summed over snapshots, that adding ``u`` would newly cover."""
+        return self._reach(u, mark=False)
+
+    def add(self, u):
+        """Add ``u`` to the seed set; returns its gain."""
+        gained = self._reach(u, mark=True)
+        self.total += gained
+        return gained
+
+    def _reach(self, u, mark):
+        R = self.sample.replications
+        covered, value = self.covered, self.value
+        x = u * R
+        # covered sets are closed under reachability: never walk into one
+        reached = _walk(self.sample, u, lambda y: not covered[y])
+        gained = value[u] * covered[x:x + R].count(0) + sum(value[y // R] for y in reached)
+        if mark:
+            covered[x:x + R] = b"\x01" * R
+            for y in reached:
+                covered[y] = 1
+        return gained
+
+
+class SnapshotReachCounts:
+    """For each node of each live graph, how many members of a set reach it.
+
+    The set only shrinks.  ``loss(u)`` is the benefit that only member ``u``
+    covers, so it equals coverage(T) - coverage(T - {u}) without recomputing
+    either.  A stored count leaves out the node's own membership.
+    """
+
+    __slots__ = ("sample", "value", "member", "count")
+
+    def __init__(self, sample, value, members):
+        self.sample = sample
+        self.value = value
+        self.member = bytearray(sample.node_count)
+        self.count = [0] * (sample.node_count * sample.replications)
+        for u in members:
+            self.member[u] = 1
+            self._spread(u, 1)
+
+    def loss(self, u):
+        """Benefit, summed over snapshots, that removing member ``u`` would uncover."""
+        R = self.sample.replications
+        count, member, value = self.count, self.member, self.value
+        x = u * R
+        # a node another member reaches, or a member itself, shields everything
+        # below it, so the walk stays on nodes that only u reaches
+        reached = _walk(self.sample, u, lambda y: count[y] == 1 and not member[y // R])
+        return value[u] * count[x:x + R].count(0) + sum(value[y // R] for y in reached)
+
+    def remove(self, u):
+        """Take ``u`` out of the set."""
+        self.member[u] = 0
+        self._spread(u, -1)
+
+    def _spread(self, u, delta):
+        count = self.count
+        for y in _walk(self.sample, u, lambda y: True):
+            count[y] += delta

@@ -1,26 +1,38 @@
 """Budgeted seed-set selectors.
 
-The two greedy selectors pick by estimated profit gain per unit cost; the four
-baselines order candidates by randomness, degree, clustering coefficient, or
-discounted degree.  Every selector works on whatever (possibly restricted)
-graph it is handed, never picks a node twice, and returns an audit trace of
-each examined candidate.
+The two greedy selectors pick by profit gain per unit cost; the four baselines
+order candidates by randomness, degree, clustering coefficient, or discounted
+degree.  Every selector works on whatever (possibly restricted) graph it is
+handed, never picks a node twice, and returns an audit trace of each examined
+candidate.
 
-Gain estimates inside a selection use common random numbers by default: all
-estimates of one decision context re-derive the identical stream, so candidate
-comparisons share their simulation noise and the audit trace can be replayed
-bit-for-bit from the same random source.
+The greedy selectors sample ``cfg.replications`` live graphs of their graph
+once per call, from a stream derived from their own source, and score every
+candidate exactly on that sample: benefit is weighted coverage, so a gain is
+coverage gained minus the node's cost.  Single greedy evaluates lazily (CELF):
+a ratio computed in an earlier round bounds the current one from above, so
+only candidates that reach the top of the queue are evaluated again, and the
+seeds equal those of the eager loop on the same sample.  Its trace holds one
+``evaluated`` entry per ratio computed, ``unaffordable`` when a candidate
+leaves the pool for good, and the round's ``accepted`` node or the final
+``rejected_gain`` one.  The baselines' gain gates still call
+:func:`~profitmax.profit.marginal_profit_gain`, whose two estimates share one
+stream when ``cfg.common_random_numbers`` is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heapreplace
+from math import inf
 
+from .diffusion import sample_live_graphs
 from .graph import NodeEconomics, SocialGraph, clustering_coefficient, degree, seed_cost
-from .profit import EstimatorConfig, estimate_profit, marginal_profit_gain
+from .profit import EstimatorConfig, SnapshotCoverage, SnapshotReachCounts, marginal_profit_gain
+# unused here, but the benchmark's tracer patches this name on this module
+from .profit import estimate_profit  # noqa: F401
 
 __all__ = [
-    "GainRatioPair",
     "TraceEntry",
     "SelectionOutcome",
     "single_greedy",
@@ -33,14 +45,6 @@ __all__ = [
     "SELECTORS",
     "select",
 ]
-
-
-@dataclass(frozen=True)
-class GainRatioPair:
-    """Grow-side and shrink-side gain ratios of one double-greedy decision."""
-
-    add_ratio: float
-    remove_ratio: float
 
 
 @dataclass(frozen=True)
@@ -71,148 +75,103 @@ def _check_budget(g, econ, budget):
     econ.check_covers(g)
 
 
-def _round_mean(g, econ, seeds, cfg, round_src, key):
-    if cfg.common_random_numbers:
-        rng = round_src.generator()
-    else:
-        rng = round_src.stream("candidate", key)
-    return estimate_profit(g, econ, seeds, cfg, rng).mean
+def _snapshots(g, cfg, source):
+    return sample_live_graphs(g, cfg.replications, source.stream("snapshots"))
 
 
 def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
                   cfg: EstimatorConfig, source) -> SelectionOutcome:
     """Iterated best gain-per-cost selection until gains turn non-positive.
 
-    Each round evaluates every still-affordable candidate against the current
-    seed set and accepts the one with the highest profit-gain-to-cost ratio
-    (ties to the lowest id).  Candidates whose cost exceeds the remaining
-    budget can never become affordable again and leave the pool permanently,
-    which also guarantees termination.
+    Each round accepts the affordable candidate with the highest ratio
+    (coverage gain / replications - cost) / cost on the sample, ties to the
+    lowest id.  Candidates whose cost exceeds the remaining budget can never
+    become affordable again and leave the pool permanently, which also
+    guarantees termination.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
-    pool = g.nodes
+    replications = cfg.replications
+    cover = SnapshotCoverage(_snapshots(g, cfg, source), econ.benefit)
+
+    def ratio(u):
+        return (cover.gain(u) / replications - cost[u]) / cost[u]
+
+    # no ratio is known yet, so round 0 evaluates every node in id order; a
+    # sorted list is already a heap
+    queue = [(-inf, u, -1) for u in g.nodes]
+    trace = []
     selected = []
     remaining = budget
-    trace = []
     round_no = 0
-    while True:
-        affordable = []
-        for u in pool:
-            if cost[u] <= remaining:
-                affordable.append(u)
-            else:
-                trace.append(TraceEntry(round_no, u, "unaffordable"))
-        pool = affordable
-        if not pool:
+    while queue:
+        neg_ratio, u, evaluated_in = queue[0]
+        if cost[u] > remaining:
+            heappop(queue)
+            trace.append(TraceEntry(round_no, u, "unaffordable"))
+        elif evaluated_in != round_no:
+            r = ratio(u)
+            trace.append(TraceEntry(round_no, u, "evaluated", r))
+            heapreplace(queue, (-r, u, round_no))
+        elif neg_ratio >= 0.0:
+            trace.append(TraceEntry(round_no, u, "rejected_gain", -neg_ratio))
             break
-        round_src = source.child("round", round_no)
-        base = _round_mean(g, econ, selected, cfg, round_src, -1)
-        best_u = None
-        best_ratio = None
-        ratios = []
-        for u in pool:
-            mean_with = _round_mean(g, econ, selected + [u], cfg, round_src, u)
-            ratio = (mean_with - base) / cost[u]
-            ratios.append((u, ratio))
-            if best_ratio is None or ratio > best_ratio:
-                best_u, best_ratio = u, ratio
-        if best_ratio <= 0.0:
-            for u, ratio in ratios:
-                tag = "rejected_gain" if u == best_u else "passed"
-                trace.append(TraceEntry(round_no, u, tag, ratio))
-            break
-        for u, ratio in ratios:
-            tag = "accepted" if u == best_u else "passed"
-            trace.append(TraceEntry(round_no, u, tag, ratio))
-        selected.append(best_u)
-        remaining -= cost[best_u]
-        pool.remove(best_u)
-        round_no += 1
+        else:
+            heappop(queue)
+            trace.append(TraceEntry(round_no, u, "accepted", -neg_ratio))
+            cover.add(u)
+            selected.append(u)
+            remaining -= cost[u]
+            round_no += 1
     return _outcome(econ, budget, selected, trace)
 
 
 def replay_single_greedy(g: SocialGraph, econ: NodeEconomics, cfg: EstimatorConfig,
                          source, outcome: SelectionOutcome) -> bool:
-    """Recompute a single-greedy audit trace and verify every recorded choice.
+    """Re-run single greedy from ``source`` and compare with a recorded outcome.
 
-    Re-derives each round's streams from ``source``, recomputes each evaluated
-    candidate's ratio, and checks the recorded value matches exactly and that
-    the accepted node carried the maximal ratio (ties to lowest id).
+    True when the seeds, the spend and every trace entry (node, decision and
+    ratio) match exactly.
     """
-    rounds = {}
-    for entry in outcome.trace:
-        rounds.setdefault(entry.round, []).append(entry)
-    selected = []
-    for round_no in sorted(rounds):
-        evaluated = [e for e in rounds[round_no] if e.decision != "unaffordable"]
-        if not evaluated:
-            continue
-        round_src = source.child("round", round_no)
-        base = _round_mean(g, econ, selected, cfg, round_src, -1)
-        for entry in evaluated:
-            mean_with = _round_mean(g, econ, selected + [entry.node], cfg, round_src, entry.node)
-            ratio = (mean_with - base) / econ.cost[entry.node]
-            if ratio != entry.ratio:
-                return False
-        accepted = [e for e in evaluated if e.decision == "accepted"]
-        if accepted:
-            top = max(e.ratio for e in evaluated)
-            winner = min(e.node for e in evaluated if e.ratio == top)
-            if accepted[0].node != winner or accepted[0].ratio != top:
-                return False
-            selected.append(accepted[0].node)
-    return tuple(sorted(selected)) == outcome.seeds
+    budget = outcome.spent + outcome.remaining_budget
+    return single_greedy(g, econ, budget, cfg, source) == outcome
 
 
 def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
                   cfg: EstimatorConfig, source) -> SelectionOutcome:
     """Single pass keeping a growing set S and a shrinking set T; ends with S == T.
 
-    For each node the grow-side ratio compares profit with and without the
-    node added to S, the shrink-side ratio (negated) compares profit with and
-    without the node removed from T.  The node joins S when the grow side wins
-    and its cost still fits the budget; otherwise it leaves T.
+    For each node the grow-side ratio is its profit gain when added to S, and
+    the shrink-side ratio (negated) its profit change when removed from T, both
+    per unit cost and exact on the sample.  The node joins S when the grow side
+    wins and its cost still fits the budget; otherwise it leaves T.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
     nodes = g.nodes
-    grow = []
-    grow_set = set()
-    shrink = set(nodes)
+    replications = cfg.replications
+    sample = _snapshots(g, cfg, source)
+    grow = SnapshotCoverage(sample, econ.benefit)
+    shrink = SnapshotReachCounts(sample, econ.benefit, nodes)
+    selected = []
     remaining = budget
     trace = []
-    eval_src = source.child("evaluations")
-    counter = [0]
-
-    def mean_of(seeds):
-        counter[0] += 1
-        return _round_mean(g, econ, seeds, cfg, eval_src, counter[0])
-
-    phi_grow = mean_of(grow)
-    phi_shrink = mean_of(sorted(shrink))
     for idx, u in enumerate(nodes):
         c = cost[u]
-        phi_grow_with = mean_of(grow + [u])
-        shrink_without = sorted(shrink - {u})
-        phi_shrink_without = mean_of(shrink_without)
-        pair = GainRatioPair(
-            add_ratio=(phi_grow_with - phi_grow) / c,
-            remove_ratio=-((phi_shrink_without - phi_shrink) / c),
-        )
-        if pair.add_ratio >= pair.remove_ratio and c <= remaining:
-            grow.append(u)
-            grow_set.add(u)
+        add_ratio = (grow.gain(u) / replications - c) / c
+        remove_ratio = (shrink.loss(u) / replications - c) / c
+        if add_ratio >= remove_ratio and c <= remaining:
+            grow.add(u)
+            selected.append(u)
             remaining -= c
-            phi_grow = phi_grow_with
             decision = "added"
         else:
             shrink.remove(u)
-            phi_shrink = phi_shrink_without
-            decision = "dropped_budget" if pair.add_ratio >= pair.remove_ratio else "dropped_ratio"
-        trace.append(TraceEntry(idx, u, decision, pair.add_ratio, pair.remove_ratio))
-    assert grow_set == shrink, "grow and shrink sets must coincide at termination"
-    return _outcome(econ, budget, grow, trace)
+            decision = "dropped_budget" if add_ratio >= remove_ratio else "dropped_ratio"
+        trace.append(TraceEntry(idx, u, decision, add_ratio, remove_ratio))
+    assert [u for u in nodes if shrink.member[u]] == selected, \
+        "grow and shrink sets must coincide at termination"
+    return _outcome(econ, budget, selected, trace)
 
 
 def baseline_random(g: SocialGraph, econ: NodeEconomics, budget: int, source) -> SelectionOutcome:

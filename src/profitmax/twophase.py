@@ -17,7 +17,7 @@ monotonicity, modularity, additivity) all run against this oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import fsum, sqrt
 
@@ -61,6 +61,9 @@ class PhaseConfig:
             raise ValueError("observation step must be >= 1")
         if self.phase1_observations < 1 or self.phase2_runs_per_observation < 1:
             raise ValueError("replication counts must be >= 1")
+        if self.selection_replications < 1:
+            raise ValueError(
+                f"selection replications must be >= 1, got {self.selection_replications}")
         if self.algorithm not in SELECTORS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
@@ -98,8 +101,6 @@ class TwoPhaseResult:
     std_total_profit: float
     total_seed_count: int
     total_cost: int
-    # filled by harnesses that also run the one-phase comparison
-    single_phase_profit: float = field(default=None)
 
 
 def _selection_cfg(cfg: PhaseConfig) -> EstimatorConfig:

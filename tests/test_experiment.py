@@ -76,6 +76,11 @@ def test_parse_config_errors(tmp_path):
     with pytest.raises(ValueError, match="unknown algorithm"):
         parse_config(bad_alg)
 
+    no_samples = tmp_path / "samples.txt"
+    no_samples.write_text("dataset = x\nalgorithms = random\nbudgets = 5\nselection_replications = 0\n")
+    with pytest.raises(ValueError, match="selection_replications must be >= 1"):
+        parse_config(no_samples)
+
 
 def test_resolve_dataset_sources(tmp_path, monkeypatch):
     g = resolve_dataset("pa:10:2:4", directed=False, probability=0.1)

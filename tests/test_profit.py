@@ -1,6 +1,9 @@
+import math
+import random
+
 import pytest
 
-from profitmax.diffusion import enumerate_live_graphs, reachable_set
+from profitmax.diffusion import enumerate_live_graphs, reachable_set, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
 from profitmax.profit import (
     EstimatorConfig,
@@ -10,6 +13,7 @@ from profitmax.profit import (
     exact_benefit,
     exact_profit,
     marginal_profit_gain,
+    SnapshotCoverage,
 )
 from profitmax.rng import RandomSource
 
@@ -166,3 +170,47 @@ def test_invalid_seed_rejected():
     econ = NodeEconomics((1, 1), (2, 2))
     with pytest.raises(ValueError):
         estimate_profit(g, econ, {5}, CFG, RandomSource(0).stream("p"))
+
+
+def _snapshot_profit(g, econ, seeds, replications, rng, mode):
+    """Mean and standard error of a seed set's profit over sampled live graphs."""
+    sample = sample_live_graphs(g, replications, rng, mode)
+    cover = SnapshotCoverage(sample, econ.benefit)
+    for u in seeds:
+        cover.add(u)
+    per_snapshot = [sum(econ.benefit[u] for u in g.nodes
+                        if cover.covered[u * replications + r])
+                    for r in range(replications)]
+    mean = sum(per_snapshot) / replications
+    assert mean == cover.total / replications
+    var = sum((x - mean) ** 2 for x in per_snapshot) / (replications - 1)
+    return mean - seed_cost(econ, seeds), math.sqrt(var / replications), sample
+
+
+def test_snapshot_profit_matches_enumeration_oracle():
+    rnd = random.Random(20240917)
+    source = RandomSource(4)
+    replications = 20_000
+    levels = [round(0.1 * k, 1) for k in range(1, 10)]
+    for k in range(12):
+        n = rnd.randint(3, 6)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        chosen = rnd.sample(pairs, rnd.randint(1, min(12, len(pairs))))
+        uniform = rnd.choice(levels) if k % 2 == 0 else None
+        g = build_graph([(u, v, uniform or rnd.choice(levels)) for u, v in chosen], directed=True)
+        size = g.base_node_count
+        econ = NodeEconomics(tuple(rnd.randint(50, 100) for _ in range(size)),
+                             tuple(rnd.randint(800, 1000) for _ in range(size)))
+        removed = set(rnd.sample(range(size), 1)) if k % 3 == 0 else set()
+        view = exclude_nodes(g, removed)
+        seeds = sorted(rnd.sample(view.nodes, rnd.randint(1, 2)))
+        truth = exact_profit(view, econ, seeds)
+        modes = ("bernoulli", "geometric") if uniform is not None else ("bernoulli",)
+        for mode in modes:
+            mean, se, sample = _snapshot_profit(view, econ, seeds, replications,
+                                                source.stream(mode, k), mode)
+            assert abs(mean - truth) <= 3 * se + 1e-9, (k, mode, mean, truth, se)
+            for u in removed:
+                assert all(y // replications != u for y in sample.targets)
+                x = u * replications
+                assert sample.offsets[x] == sample.offsets[x + replications]

@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
-from profitmax.profit import EstimatorConfig
+from profitmax.profit import EstimatorConfig, SnapshotCoverage, SnapshotReachCounts
 from profitmax.rng import RandomSource
 from profitmax.selection import (
     SELECTORS,
+    _snapshots,
     baseline_clustering_coefficient,
     baseline_high_degree,
     baseline_random,
@@ -58,6 +60,102 @@ def test_single_greedy_trace_replays():
     source = RandomSource(42)
     out = single_greedy(g, econ, 9, CFG, source)
     assert replay_single_greedy(g, econ, CFG, source, out)
+
+
+def test_single_greedy_replay_rejects_altered_outcomes():
+    g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)], directed=True)
+    econ = NodeEconomics((4, 5, 6, 7), (12, 3, 14, 5))
+    source = RandomSource(3)
+    out = single_greedy(g, econ, 12, CFG, source)
+    assert out.seeds and replay_single_greedy(g, econ, CFG, source, out)
+    trace = list(out.trace)
+    k = next(i for i, e in enumerate(trace) if e.decision == "evaluated")
+    trace[k] = replace(trace[k], ratio=trace[k].ratio + 1e-9)
+    assert not replay_single_greedy(g, econ, CFG, source, replace(out, trace=tuple(trace)))
+    trace = list(out.trace)
+    k = next(i for i, e in enumerate(trace) if e.decision == "accepted")
+    other = next(u for u in g.nodes if u != trace[k].node)
+    trace[k] = replace(trace[k], node=other)
+    assert not replay_single_greedy(g, econ, CFG, source, replace(out, trace=tuple(trace)))
+
+
+def test_single_greedy_ties_go_to_lowest_id():
+    g, econ = isolated_nodes([2, 2, 2, 2], [5, 5, 5, 5])
+    out = single_greedy(g, econ, 4, CFG, RandomSource(0))
+    assert out.seeds == (0, 1)
+    assert [e.node for e in out.trace if e.decision == "accepted"] == [0, 1]
+
+
+def _small_instance(rnd):
+    """Tiny graph, economics and budget, often with tied ratios; sometimes a view."""
+    n = rnd.randint(2, 7)
+    uniform = rnd.choice([None, 0.1, 0.2, 0.5])
+    edges = [(u, v, uniform or rnd.choice([0.3, 0.5, 1.0]))
+             for u in range(n) for v in range(n) if u != v and rnd.random() < 0.35]
+    if not edges:
+        edges = [(0, n - 1, uniform or 1.0)]
+    g = build_graph(edges, directed=True)
+    size = g.base_node_count
+    econ = NodeEconomics(tuple(rnd.randint(1, 3) for _ in range(size)),
+                         tuple(rnd.randint(1, 4) for _ in range(size)))
+    if rnd.random() < 0.5:
+        g = exclude_nodes(g, rnd.sample(range(size), rnd.randint(1, size - 1)))
+    return g, econ, rnd.randint(0, 12)
+
+
+def _eager_single_greedy(g, econ, budget, cfg, source):
+    # reference: re-score every affordable candidate each round on the same sample
+    cost = econ.cost
+    cover = SnapshotCoverage(_snapshots(g, cfg, source), econ.benefit)
+    pool, accepted, remaining = g.nodes, [], budget
+    while True:
+        pool = [u for u in pool if cost[u] <= remaining]
+        if not pool:
+            break
+        scored = [((cover.gain(u) / cfg.replications - cost[u]) / cost[u], u) for u in pool]
+        ratio, best = max(scored, key=lambda t: (t[0], -t[1]))
+        if ratio <= 0.0:
+            break
+        cover.add(best)
+        accepted.append((best, ratio))
+        remaining -= cost[best]
+        pool.remove(best)
+    return accepted
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_lazy_single_greedy_matches_eager_loop(seed, replications):
+    g, econ, budget = _small_instance(random.Random(seed))
+    cfg = EstimatorConfig(replications=replications)
+    source = RandomSource(seed)
+    out = single_greedy(g, econ, budget, cfg, source)
+    accepted = [(e.node, e.ratio) for e in out.trace if e.decision == "accepted"]
+    assert accepted == _eager_single_greedy(g, econ, budget, cfg, source)
+    assert out.seeds == tuple(sorted(u for u, _ in accepted))
+
+
+def _coverage(sample, value, members):
+    cover = SnapshotCoverage(sample, value)
+    for u in members:
+        cover.add(u)
+    return cover.total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_shrink_loss_equals_coverage_difference(seed, replications):
+    rnd = random.Random(seed)
+    g, econ, _ = _small_instance(rnd)
+    sample = _snapshots(g, EstimatorConfig(replications=replications), RandomSource(seed))
+    members = set(g.nodes)
+    counts = SnapshotReachCounts(sample, econ.benefit, sorted(members))
+    for u in rnd.sample(sorted(members), rnd.randint(0, len(members))):
+        counts.remove(u)
+        members.discard(u)
+    full = _coverage(sample, econ.benefit, members)
+    for u in members:
+        assert counts.loss(u) == full - _coverage(sample, econ.benefit, members - {u})
 
 
 def test_double_greedy_empty_universe():

@@ -29,6 +29,11 @@ def cfg(**kw):
     return PhaseConfig(**base)
 
 
+def test_config_rejects_no_selection_replications():
+    with pytest.raises(ValueError, match="selection replications"):
+        cfg(selection_replications=0)
+
+
 def test_config_validation_and_split():
     c = cfg(total_budget=10, split_fraction=0.6)
     assert c.budget_phase1 == 6 and c.budget_phase2 == 4

@@ -39,7 +39,7 @@ def _cmd_inspect(args) -> int:
     print(f"arcs stored:  {g.arc_count}")
     print(f"max degree:   {max(degrees)}")
     print(f"avg degree:   {sum(degrees) / len(degrees):.2f}")
-    if getattr(g, "self_loops_dropped", 0):
+    if g.self_loops_dropped:
         print(f"self-loops dropped:   {g.self_loops_dropped}")
     if g.duplicates_collapsed:
         print(f"duplicates collapsed: {g.duplicates_collapsed}")

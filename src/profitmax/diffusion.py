@@ -123,80 +123,94 @@ def enumerate_live_graphs(g: SocialGraph, enumeration_limit: int = 20):
     Oracle-only: refuses graphs above ``enumeration_limit`` arcs.  Arc indices
     refer to positions in ``g.arc_list()``.
     """
-    arcs = g.arc_list()
-    m = len(arcs)
-    if m > enumeration_limit:
-        raise ValueError(
-            f"graph has {m} arcs, above the enumeration limit {enumeration_limit}"
-        )
-    arc_probs = [p for _, _, p in arcs]
-    for mask in range(1 << m):
-        prob = 1.0
-        kept = []
-        for i, p in enumerate(arc_probs):
-            if mask >> i & 1:
-                prob *= p
-                kept.append(i)
-            else:
-                prob *= 1.0 - p
-        yield LiveGraph(frozenset(kept), prob)
+    index, worlds = _live_worlds(g, enumeration_limit)
+    arc_ids = range(len(index.targets))
+    for mask, prob in worlds:
+        yield LiveGraph(frozenset(i for i in arc_ids if mask >> i & 1), prob)
 
 
 def reachable_set(live: LiveGraph, g: SocialGraph, seeds) -> frozenset:
     """Nodes reachable from ``seeds`` using only the live graph's kept arcs."""
     seed_list = _check_seeds(g, seeds)
-    arcs = g.arc_list()
-    adj = {}
-    for i in live.kept_arcs:
-        u, v, _ = arcs[i]
-        adj.setdefault(u, []).append(v)
-    active = set(seed_list)
-    stack = list(seed_list)
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in active:
-                active.add(v)
-                stack.append(v)
-    return frozenset(active)
+    mask = sum(1 << i for i in live.kept_arcs)
+    return frozenset(_ArcIndex(g).reach(mask, seed_list))
 
 
-# -- mask-based oracle internals (shared by the exact estimators) -------------
+# -- live-graph enumeration core (shared by the exact estimators) -------------
 
 
-def _arc_index_out(arcs, n):
-    """Arc indices grouped by source node, in adjacency order."""
-    out = [[] for _ in range(n)]
-    for i, (u, _, _) in enumerate(arcs):
-        out[u].append(i)
-    return out
+class _ArcIndex:
+    """The surviving arcs of a graph grouped by source, for walks over live graphs.
+
+    A live graph is a bitmask: bit i keeps arc i of ``g.arc_list()``.
+    ``out[u]`` lists the indices of the arcs out of ``u`` in adjacency order
+    and ``targets[i]`` is the head of arc i.
+    """
+
+    __slots__ = ("out", "targets", "probs")
+
+    def __init__(self, g: SocialGraph):
+        arcs = g.arc_list()
+        self.out = [[] for _ in range(g.base_node_count)]
+        for i, (u, _, _) in enumerate(arcs):
+            self.out[u].append(i)
+        self.targets = [v for _, v, _ in arcs]
+        self.probs = [p for _, _, p in arcs]
+
+    def reach(self, mask, seeds, blocked=frozenset()):
+        """Nodes reachable from ``seeds`` over the kept arcs, never entering ``blocked``."""
+        out, targets = self.out, self.targets
+        active = set(seeds)
+        stack = list(seeds)
+        while stack:
+            u = stack.pop()
+            for i in out[u]:
+                if mask >> i & 1:
+                    v = targets[i]
+                    if v not in active and v not in blocked:
+                        active.add(v)
+                        stack.append(v)
+        return active
 
 
-def _mask_reach(out_idx, arc_targets, mask, seeds):
-    """Reachable set from ``seeds`` over arcs whose bit is set in ``mask``."""
-    active = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for i in out_idx[u]:
-            if mask >> i & 1:
-                v = arc_targets[i]
-                if v not in active:
-                    active.add(v)
-                    stack.append(v)
-    return active
+def _live_worlds(g: SocialGraph, enumeration_limit: int):
+    """The arc index of ``g`` and an iterator over all its live graphs.
+
+    The iterator yields every ``(mask, probability)`` pair of the index's
+    bitmask encoding.  Refuses, at call time, graphs above
+    ``enumeration_limit`` arcs: 2^m worlds is an oracle's budget only.
+    """
+    index = _ArcIndex(g)
+    m = len(index.targets)
+    if m > enumeration_limit:
+        raise ValueError(
+            f"graph has {m} arcs, above the enumeration limit {enumeration_limit}"
+        )
+
+    def worlds():
+        for mask in range(1 << m):
+            prob = 1.0
+            for i, p in enumerate(index.probs):
+                prob *= p if mask >> i & 1 else 1.0 - p
+            yield mask, prob
+
+    return index, worlds()
 
 
 # -- Monte Carlo sampling core -------------------------------------------------
 
 
 def _pick_mode(g: SocialGraph, mode: str) -> str:
-    if mode != "auto":
-        return mode
+    """Resolve ``auto``, and check that ``g`` supports the mode asked for."""
     _, _, _, uniform_p = g._engine()
-    if uniform_p is not None and uniform_p < GEOMETRIC_P_CUTOFF:
-        return "geometric"
-    return "bernoulli"
+    if mode == "auto":
+        geometric = uniform_p is not None and uniform_p < GEOMETRIC_P_CUTOFF
+        return "geometric" if geometric else "bernoulli"
+    if mode == "geometric" and (uniform_p is None or uniform_p >= 1.0):
+        raise ValueError("geometric sampling requires a uniform probability below 1")
+    if mode not in ("geometric", "bernoulli"):
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    return mode
 
 
 def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"):
@@ -218,8 +232,6 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
     rand = rnd.random
 
     if mode == "geometric":
-        if uniform_p is None or uniform_p >= 1.0:
-            raise ValueError("geometric sampling requires a uniform probability below 1")
         inv_log_q = 1.0 / log(1.0 - uniform_p)
         for _ in range(replications):
             state = template[:]
@@ -242,7 +254,7 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
                 nxt.sort()
                 frontier = nxt
             append(gain)
-    elif mode == "bernoulli":
+    else:
         for _ in range(replications):
             state = template[:]
             frontier = active0
@@ -259,8 +271,6 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
                 nxt.sort()
                 frontier = nxt
             append(gain)
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
     return samples
 
 
@@ -304,8 +314,6 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd, mode="auto") -> L
     rand = rnd.random
 
     if mode == "geometric":
-        if uniform_p is None or uniform_p >= 1.0:
-            raise ValueError("geometric sampling requires a uniform probability below 1")
         inv_log_q = 1.0 / log(1.0 - uniform_p)
         i = int(log(1.0 - rand()) * inv_log_q)
         for u in range(n):
@@ -323,7 +331,7 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd, mode="auto") -> L
                     append(v * R + r)
                 i += 1 + int(log(1.0 - rand()) * inv_log_q)
             i -= span
-    elif mode == "bernoulli":
+    else:
         for u in range(n):
             if blocked[u]:
                 continue
@@ -337,7 +345,5 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd, mode="auto") -> L
                             starts += [len(kept)] * (x + 1 - opened)
                             opened = x + 1
                         append(v * R + r)
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
     starts += [len(kept)] * (n * R + 1 - opened)
     return LiveSample(n, R, array("q", starts), kept)

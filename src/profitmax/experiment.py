@@ -14,8 +14,9 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .graph import SocialGraph
 from .loader import AttributeSpec, generate_attributes, load_snap_edge_list, preferential_attachment_graph
@@ -36,31 +37,19 @@ __all__ = [
 
 DATA_DIR_ENV = "PROFITMAX_DATA_DIR"
 
-RESULT_COLUMNS = [
-    "dataset",
-    "algorithm",
-    "budget",
-    "split",
-    "observation_step",
-    "phase1_seed_count",
-    "phase2_seed_count",
-    "total_seed_count",
-    "one_phase_profit",
-    "two_phase_profit_max",
-    "two_phase_profit_mean",
-    "profit_difference",
-    "master_seed",
-]
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One result row: a (dataset, algorithm, budget) cell."""
+    """One result row: a (dataset, algorithm, budget) cell.
+
+    The fields that take part in comparison are the ``results.csv`` columns,
+    in order; a field's ``format`` metadata overrides how it is written.
+    """
 
     dataset: str
     algorithm: str
     budget: int
-    split: float
+    split: float = field(metadata={"format": repr})  # a config echo, written exactly
     observation_step: int
     phase1_seed_count: int
     phase2_seed_count: int
@@ -71,6 +60,12 @@ class ExperimentRecord:
     profit_difference: float
     master_seed: int
     wall_clock_seconds: float = field(default=0.0, compare=False)
+
+
+_RESULT_FIELDS = [f for f in fields(ExperimentRecord) if f.compare]
+RESULT_COLUMNS = [f.name for f in _RESULT_FIELDS]
+# resolves the string annotations to the types that parse each column back
+_RESULT_TYPES = get_type_hints(ExperimentRecord)
 
 
 @dataclass(frozen=True)
@@ -255,27 +250,16 @@ def write_outputs(output_dir, records):
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.dataset, r.algorithm, r.budget, repr(r.split), r.observation_step,
-                r.phase1_seed_count, r.phase2_seed_count, r.total_seed_count,
-                _fmt(r.one_phase_profit), _fmt(r.two_phase_profit_max),
-                _fmt(r.two_phase_profit_mean), _fmt(r.profit_difference), r.master_seed,
-            ])
-    with open(out / "plot_seed_cardinality.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "budget", "total_seed_count"])
-        for r in records:
-            writer.writerow([r.algorithm, r.budget, r.total_seed_count])
-    with open(out / "plot_profit_difference.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "budget", "profit_difference"])
-        for r in records:
-            writer.writerow([r.algorithm, r.budget, _fmt(r.profit_difference)])
-    with open(out / "timings.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "budget", "wall_clock_seconds"])
-        for r in records:
-            writer.writerow([r.algorithm, r.budget, _fmt(r.wall_clock_seconds)])
+            writer.writerow([f.metadata.get("format", _fmt)(getattr(r, f.name))
+                             for f in _RESULT_FIELDS])
+    for name, column in (("plot_seed_cardinality.csv", "total_seed_count"),
+                         ("plot_profit_difference.csv", "profit_difference"),
+                         ("timings.csv", "wall_clock_seconds")):
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["algorithm", "budget", column])
+            for r in records:
+                writer.writerow([r.algorithm, r.budget, _fmt(getattr(r, column))])
 
 
 def parse_experiment_csv(path):
@@ -287,18 +271,5 @@ def parse_experiment_csv(path):
             raise ValueError(f"{path}: unexpected CSV columns {reader.fieldnames}")
         for row in reader:
             records.append(ExperimentRecord(
-                dataset=row["dataset"],
-                algorithm=row["algorithm"],
-                budget=int(row["budget"]),
-                split=float(row["split"]),
-                observation_step=int(row["observation_step"]),
-                phase1_seed_count=int(row["phase1_seed_count"]),
-                phase2_seed_count=int(row["phase2_seed_count"]),
-                total_seed_count=int(row["total_seed_count"]),
-                one_phase_profit=float(row["one_phase_profit"]),
-                two_phase_profit_max=float(row["two_phase_profit_max"]),
-                two_phase_profit_mean=float(row["two_phase_profit_mean"]),
-                profit_difference=float(row["profit_difference"]),
-                master_seed=int(row["master_seed"]),
-            ))
+                **{name: _RESULT_TYPES[name](row[name]) for name in RESULT_COLUMNS}))
     return records

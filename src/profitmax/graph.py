@@ -26,9 +26,11 @@ class SocialGraph:
     """Directed or undirected influence graph over dense 0-based node ids.
 
     Undirected input edges are stored as two directed arcs with equal
-    probability.  A restricted view is the same class with a non-empty
-    ``removed`` set; it exposes only surviving nodes and arcs while sharing
-    the base arrays.
+    probability.  ``uniform_p`` is the probability every arc shares, or None;
+    :func:`build_graph` works it out once per base graph.  A restricted view
+    is the same class with a non-empty ``removed`` set; it exposes only
+    surviving nodes and arcs while sharing the base arrays and their
+    ``uniform_p``.
     """
 
     __slots__ = (
@@ -45,19 +47,19 @@ class SocialGraph:
         "_blocked_cache",
     )
 
-    def __init__(self, base_node_count, directed, offsets, targets, probs,
-                 removed=frozenset(), original_ids=None, duplicates_collapsed=0):
+    def __init__(self, base_node_count, directed, offsets, targets, probs, uniform_p,
+                 removed=frozenset(), original_ids=None, duplicates_collapsed=0,
+                 self_loops_dropped=0):
         self.base_node_count = base_node_count
         self.directed = directed
         self.removed = frozenset(removed)
         self.original_ids = original_ids
         self.duplicates_collapsed = duplicates_collapsed
-        self.self_loops_dropped = 0
+        self.self_loops_dropped = self_loops_dropped
         self._offsets = offsets
         self._targets = targets
         self._probs = probs
-        first = probs[0] if probs else None
-        self._uniform_p = first if all(p == first for p in probs) else None
+        self._uniform_p = uniform_p
         self._blocked_cache = None
 
     # -- node and arc access ------------------------------------------------
@@ -154,14 +156,15 @@ class NodeEconomics:
             )
 
 
-def build_graph(edges, directed: bool) -> SocialGraph:
+def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) -> SocialGraph:
     """Build a :class:`SocialGraph` from (source, target, probability) triples.
 
     Probabilities must lie in (0, 1]; self-loops are rejected.  Duplicate
     (source, target) pairs are collapsed keeping the first occurrence, with
     the collapse count recorded on the graph.  For undirected graphs a pair
     and its reverse are the same edge, and each surviving edge is stored as
-    two directed arcs.
+    two directed arcs.  ``original_ids`` and ``self_loops_dropped`` record
+    what a loader did to its input before building; they are kept as given.
     """
     adj = {}
     seen = set()
@@ -194,8 +197,11 @@ def build_graph(edges, directed: bool) -> SocialGraph:
         for v, p in out:
             targets.append(v)
             probs.append(p)
-    return SocialGraph(n, directed, offsets, targets, probs,
-                       duplicates_collapsed=duplicates)
+    first = probs[0] if probs else None
+    uniform_p = first if all(p == first for p in probs) else None
+    return SocialGraph(n, directed, offsets, targets, probs, uniform_p,
+                       original_ids=original_ids, duplicates_collapsed=duplicates,
+                       self_loops_dropped=self_loops_dropped)
 
 
 def seed_cost(econ: NodeEconomics, seeds) -> int:
@@ -220,9 +226,9 @@ def exclude_nodes(g: SocialGraph, removed) -> SocialGraph:
     if not removed:
         return g
     return SocialGraph(
-        g.base_node_count, g.directed, g._offsets, g._targets, g._probs,
+        g.base_node_count, g.directed, g._offsets, g._targets, g._probs, g._uniform_p,
         removed=g.removed | removed, original_ids=g.original_ids,
-        duplicates_collapsed=g.duplicates_collapsed,
+        duplicates_collapsed=g.duplicates_collapsed, self_loops_dropped=g.self_loops_dropped,
     )
 
 

@@ -54,9 +54,7 @@ def load_snap_edge_list(path, directed: bool, uniform_probability: float = 0.01)
             edges.append((remap[a], remap[b], uniform_probability))
     if not edges:
         log.warning("%s: no edges found, building an empty graph", path)
-    g = build_graph(edges, directed)
-    g.original_ids = tuple(original)
-    g.self_loops_dropped = self_loops
+    g = build_graph(edges, directed, original_ids=tuple(original), self_loops_dropped=self_loops)
     if self_loops:
         log.warning("%s: dropped %d self-loop line(s)", path, self_loops)
     if g.duplicates_collapsed:

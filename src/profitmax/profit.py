@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum, sqrt
 
-from .diffusion import _arc_index_out, _check_seeds, _gain_samples, _mask_reach
+from .diffusion import _check_seeds, _gain_samples, _live_worlds
 from .graph import NodeEconomics, SocialGraph, seed_cost
 
 __all__ = [
@@ -52,7 +52,6 @@ class ProfitEstimate:
 @dataclass(frozen=True)
 class EstimatorConfig:
     replications: int = 100
-    common_random_numbers: bool = True
 
     def __post_init__(self):
         if self.replications < 1:
@@ -130,26 +129,12 @@ def exact_benefit(g: SocialGraph, econ: NodeEconomics, seeds, universe=None,
     """
     econ.check_covers(g)
     _, initial = _initial_active(g, seeds, free_seeds)
-    arcs = g.arc_list()
-    m = len(arcs)
-    if m > enumeration_limit:
-        raise ValueError(
-            f"graph has {m} arcs, above the enumeration limit {enumeration_limit}"
-        )
+    index, worlds = _live_worlds(g, enumeration_limit)
     if not initial:
         return 0.0
     value = _value_table(g, econ, universe)
-    out_idx = _arc_index_out(arcs, g.base_node_count)
-    arc_targets = [v for _, v, _ in arcs]
-    arc_probs = [p for _, _, p in arcs]
-    terms = []
-    for mask in range(1 << m):
-        prob = 1.0
-        for i, p in enumerate(arc_probs):
-            prob *= p if mask >> i & 1 else 1.0 - p
-        reach = _mask_reach(out_idx, arc_targets, mask, initial)
-        terms.append(prob * fsum(value[v] for v in reach))
-    return fsum(terms)
+    return fsum(prob * fsum(value[v] for v in index.reach(mask, initial))
+                for mask, prob in worlds)
 
 
 def exact_profit(g: SocialGraph, econ: NodeEconomics, seeds, universe=None,
@@ -164,19 +149,16 @@ def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, cfg: Est
                          source, universe=None, free_seeds=()) -> float:
     """Signed profit delta from adding ``u`` to ``seeds``.
 
-    ``source`` is a :class:`~profitmax.rng.RandomSource`; with common random
-    numbers both profit terms re-derive the identical stream so shared
-    simulation noise cancels.  Negative gains are returned as-is; selectors
-    apply their own positivity filters.
+    ``source`` is a :class:`~profitmax.rng.RandomSource`; both profit terms
+    re-derive its one stream (common random numbers), so shared simulation
+    noise cancels.  Negative gains are returned as-is; selectors apply their
+    own positivity filters.
     """
     seed_list = _check_seeds(g, seeds)
     if u in seed_list:
         raise ValueError(f"node {u!r} is already in the seed set")
     g._require(u)
-    if cfg.common_random_numbers:
-        rng_with, rng_without = source.generator(), source.generator()
-    else:
-        rng_with, rng_without = source.stream("with"), source.stream("without")
+    rng_with, rng_without = source.generator(), source.generator()
     with_u = estimate_profit(g, econ, seed_list + [u], cfg, rng_with, universe, free_seeds)
     without_u = estimate_profit(g, econ, seed_list, cfg, rng_without, universe, free_seeds)
     return with_u.mean - without_u.mean

@@ -15,15 +15,16 @@ only candidates that reach the top of the queue are evaluated again, and the
 seeds equal those of the eager loop on the same sample.  Its trace holds one
 ``evaluated`` entry per ratio computed, ``unaffordable`` when a candidate
 leaves the pool for good, and the round's ``accepted`` node or the final
-``rejected_gain`` one.  The baselines' gain gates still call
-:func:`~profitmax.profit.marginal_profit_gain`, whose two estimates share one
-stream when ``cfg.common_random_numbers`` is set.
+``rejected_gain`` one.  High degree, clustering coefficient and single
+discount share one scored scan, whose gain gate calls
+:func:`~profitmax.profit.marginal_profit_gain`; its two estimates share one
+stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
 
 from .diffusion import sample_live_graphs
@@ -193,9 +194,10 @@ def baseline_random(g: SocialGraph, econ: NodeEconomics, budget: int, source) ->
     return _outcome(econ, budget, selected, trace)
 
 
-def _scored_scan(g, econ, budget, cfg, source, order) -> SelectionOutcome:
+def _scored_scan(g, econ, budget, cfg, source, order, on_accept=None) -> SelectionOutcome:
     # shared scan for the score-ordered baselines: take a node when it fits
-    # the budget and its estimated profit gain is non-negative
+    # the budget and its estimated profit gain is non-negative; ``on_accept``
+    # hears of each taken node before ``order`` yields the next one
     cost = econ.cost
     selected = []
     remaining = budget
@@ -210,6 +212,8 @@ def _scored_scan(g, econ, budget, cfg, source, order) -> SelectionOutcome:
             selected.append(u)
             remaining -= cost[u]
             trace.append(TraceEntry(i, u, "accepted", ratio))
+            if on_accept is not None:
+                on_accept(u)
         else:
             trace.append(TraceEntry(i, u, "rejected_gain", ratio))
     return _outcome(econ, budget, selected, trace)
@@ -233,35 +237,33 @@ def baseline_clustering_coefficient(g: SocialGraph, econ: NodeEconomics, budget:
 
 def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
                              cfg: EstimatorConfig, source) -> SelectionOutcome:
-    """Degree scan where each selection discounts its neighbors' degrees by one."""
+    """Degree scan where each selection discounts its neighbors' degrees by one.
+
+    The next node is the unexamined one of highest effective degree, ties to
+    the lowest id, with the same gates as high degree (the SingleDiscount
+    heuristic of Chen, Wang & Yang, KDD 2009).
+    """
     _check_budget(g, econ, budget)
-    cost = econ.cost
     effective = {u: degree(g, u) for u in g.nodes}
-    pool = set(effective)
-    selected = []
-    remaining = budget
-    trace = []
-    i = 0
-    while pool:
-        u = min(pool, key=lambda v: (-effective[v], v))
-        pool.remove(u)
-        if cost[u] > remaining:
-            trace.append(TraceEntry(i, u, "unaffordable"))
-            i += 1
-            continue
-        gain = marginal_profit_gain(g, econ, selected, u, cfg, source.child("evaluate", i))
-        ratio = gain / cost[u]
-        if gain >= 0.0:
-            selected.append(u)
-            remaining -= cost[u]
-            trace.append(TraceEntry(i, u, "accepted", ratio))
-            for v, _ in g.out_arcs(u):
-                if v in effective:
-                    effective[v] -= 1
-        else:
-            trace.append(TraceEntry(i, u, "rejected_gain", ratio))
-        i += 1
-    return _outcome(econ, budget, selected, trace)
+    # one heap entry per unexamined node; effective degrees only go down, so a
+    # stored degree is never below the current one and a top entry whose degree
+    # is current is the true maximum; a stale one is pushed back, updated
+    queue = [(-d, u) for u, d in effective.items()]
+    heapify(queue)
+
+    def order():
+        while queue:
+            neg_degree, u = heappop(queue)
+            if -neg_degree == effective[u]:
+                yield u
+            else:
+                heappush(queue, (-effective[u], u))
+
+    def discount(u):
+        for v, _ in g.out_arcs(u):
+            effective[v] -= 1
+
+    return _scored_scan(g, econ, budget, cfg, source, order(), discount)
 
 
 SELECTORS = {

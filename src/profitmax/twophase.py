@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import fsum, sqrt
 
-from .diffusion import _arc_index_out, _check_seeds, observe_until, PartialObservation
+from .diffusion import _check_seeds, _live_worlds, observe_until, PartialObservation
 from .graph import NodeEconomics, SocialGraph, exclude_nodes, seed_cost
 from .profit import EstimatorConfig, ProfitEstimate, estimate_profit
 from .rng import RandomSource
@@ -244,20 +244,6 @@ def _observe_on_mask(out_idx, arc_targets, mask, seeds, d):
     return active, newly, tuple(examined)
 
 
-def _mask_reach_blocked(out_idx, arc_targets, mask, seeds, blocked):
-    active = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for i in out_idx[u]:
-            if mask >> i & 1:
-                v = arc_targets[i]
-                if v not in active and v not in blocked:
-                    active.add(v)
-                    stack.append(v)
-    return active
-
-
 def exact_two_phase_profit(g: SocialGraph, econ: NodeEconomics, phase1_seeds,
                            observation_step: int, budget_phase2: int,
                            enumeration_limit: int = 20) -> float:
@@ -274,27 +260,17 @@ def exact_two_phase_profit(g: SocialGraph, econ: NodeEconomics, phase1_seeds,
     if budget_phase2 < 0:
         raise ValueError("phase-two budget must be >= 0")
     seeds = _check_seeds(g, phase1_seeds)
-    arcs = g.arc_list()
-    m = len(arcs)
-    if m > enumeration_limit:
-        raise ValueError(
-            f"graph has {m} arcs, above the enumeration limit {enumeration_limit}"
-        )
-    out_idx = _arc_index_out(arcs, g.base_node_count)
-    arc_targets = [v for _, v, _ in arcs]
-    arc_probs = [p for _, _, p in arcs]
+    index, worlds = _live_worlds(g, enumeration_limit)
     nodes = g.nodes
     cost, benefit = econ.cost, econ.benefit
     phase1_cost = seed_cost(econ, seeds)
 
     groups = {}
-    for mask in range(1 << m):
-        prob = 1.0
-        for i, p in enumerate(arc_probs):
-            prob *= p if mask >> i & 1 else 1.0 - p
+    for mask, prob in worlds:
         if prob == 0.0:
             continue
-        active, frontier, examined = _observe_on_mask(out_idx, arc_targets, mask, seeds, observation_step)
+        active, frontier, examined = _observe_on_mask(index.out, index.targets, mask, seeds,
+                                                      observation_step)
         entry = groups.get(examined)
         if entry is None:
             groups[examined] = entry = (frozenset(active), frozenset(frontier), [])
@@ -307,7 +283,6 @@ def exact_two_phase_profit(g: SocialGraph, econ: NodeEconomics, phase1_seeds,
         if len(candidates) > 16:
             raise ValueError("too many phase-two candidates for exact enumeration")
         blocked = already - frontier
-        frontier_list = sorted(frontier)
         best = None
         for size in range(len(candidates) + 1):
             for combo in combinations(candidates, size):
@@ -317,10 +292,7 @@ def exact_two_phase_profit(g: SocialGraph, econ: NodeEconomics, phase1_seeds,
                 reseed = sorted(set(combo) | frontier)
                 gained = []
                 for mask, prob in members:
-                    if reseed:
-                        reach = _mask_reach_blocked(out_idx, arc_targets, mask, reseed, blocked)
-                    else:
-                        reach = ()
+                    reach = index.reach(mask, reseed, blocked)
                     gained.append(prob * fsum(benefit[v] for v in reach if v not in already))
                 value = fsum(gained) / observation_prob - combo_cost
                 if best is None or value > best:

@@ -11,6 +11,7 @@ from profitmax.experiment import (
     resolve_dataset,
     run_batch,
 )
+from profitmax.selection import SELECTORS
 
 DATA = Path(__file__).parent / "data"
 
@@ -172,3 +173,28 @@ def test_cli_oracle(capsys):
 def test_cli_oracle_missing_file(capsys):
     assert main(["oracle", "nope.txt", "--seeds", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_desk_outputs_match_golden_copy(tmp_path):
+    # the config of scripts/run_desk_experiment.py at desk scale; the pinned
+    # files change only with a change that moves results on purpose
+    cfg = BatchConfig(
+        dataset="pa:200:3:7",
+        algorithms=tuple(sorted(SELECTORS)),
+        budgets=(500, 1000, 1500, 2000, 2500),
+        probability=0.01,
+        split=0.6,
+        observation_step=3,
+        cost_range=(50, 100),
+        benefit_range=(800, 1000),
+        attribute_seed=11,
+        master_seed=31,
+        output_dir=str(tmp_path),
+        workers=1,
+        observations=5,
+        phase2_runs=5,
+        selection_replications=10,
+    )
+    run_batch(cfg)
+    for name in ("results.csv", "plot_seed_cardinality.csv", "plot_profit_difference.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / "desk_golden" / name).read_bytes(), name

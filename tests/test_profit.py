@@ -152,11 +152,17 @@ def test_common_random_numbers_cancel_noise():
     g = build_graph([(0, 1, 0.3), (1, 2, 0.3), (2, 3, 0.3)], directed=True)
     econ = NodeEconomics((1, 1, 1, 1), (100, 100, 100, 100))
     # node 3 is disconnected downstream of S={0}; its true gain is constant
-    crn = EstimatorConfig(replications=50, common_random_numbers=True)
-    indep = EstimatorConfig(replications=50, common_random_numbers=False)
+    cfg = EstimatorConfig(replications=50)
     src = RandomSource(13)
-    crn_gains = [marginal_profit_gain(g, econ, {0}, 3, crn, src.child("crn", i)) for i in range(30)]
-    ind_gains = [marginal_profit_gain(g, econ, {0}, 3, indep, src.child("ind", i)) for i in range(30)]
+
+    def independent_gain(source):
+        # the same two estimates as marginal_profit_gain, on separate streams
+        with_u = estimate_profit(g, econ, {0, 3}, cfg, source.stream("with"))
+        without_u = estimate_profit(g, econ, {0}, cfg, source.stream("without"))
+        return with_u.mean - without_u.mean
+
+    crn_gains = [marginal_profit_gain(g, econ, {0}, 3, cfg, src.child("crn", i)) for i in range(30)]
+    ind_gains = [independent_gain(src.child("ind", i)) for i in range(30)]
 
     def spread(xs):
         mean = sum(xs) / len(xs)

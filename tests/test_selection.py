@@ -4,11 +4,18 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
-from profitmax.profit import EstimatorConfig, SnapshotCoverage, SnapshotReachCounts
+from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
+from profitmax.profit import (
+    EstimatorConfig,
+    SnapshotCoverage,
+    SnapshotReachCounts,
+    marginal_profit_gain,
+)
 from profitmax.rng import RandomSource
 from profitmax.selection import (
     SELECTORS,
+    SelectionOutcome,
+    TraceEntry,
     _snapshots,
     baseline_clustering_coefficient,
     baseline_high_degree,
@@ -251,6 +258,66 @@ def test_single_discount_no_edges_scans_by_id():
     out = baseline_single_discount(g, econ, 5, CFG, RandomSource(0))
     assert [e.node for e in out.trace] == [0, 1, 2]
     assert out.seeds == (0, 1)  # third node hits the budget gate
+
+
+def _min_scan_single_discount(g, econ, budget, cfg, source):
+    # reference: the whole-pool min() loop with its own gates and trace
+    cost = econ.cost
+    effective = {u: degree(g, u) for u in g.nodes}
+    pool = set(effective)
+    selected = []
+    remaining = budget
+    trace = []
+    i = 0
+    while pool:
+        u = min(pool, key=lambda v: (-effective[v], v))
+        pool.remove(u)
+        if cost[u] > remaining:
+            trace.append(TraceEntry(i, u, "unaffordable"))
+            i += 1
+            continue
+        gain = marginal_profit_gain(g, econ, selected, u, cfg, source.child("evaluate", i))
+        ratio = gain / cost[u]
+        if gain >= 0.0:
+            selected.append(u)
+            remaining -= cost[u]
+            trace.append(TraceEntry(i, u, "accepted", ratio))
+            for v, _ in g.out_arcs(u):
+                if v in effective:
+                    effective[v] -= 1
+        else:
+            trace.append(TraceEntry(i, u, "rejected_gain", ratio))
+        i += 1
+    spent = seed_cost(econ, selected)
+    return SelectionOutcome(tuple(sorted(selected)), spent, budget - spent, tuple(trace))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31))
+def test_single_discount_matches_min_scan(seed):
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 9)
+    if rnd.random() < 0.3:
+        # a ring: every degree ties until the first acceptance
+        edges = [(u, (u + 1) % n, 0.3) for u in range(n)]
+        directed = False
+    else:
+        edges = [(u, v, rnd.choice([0.1, 0.4, 0.8]))
+                 for u in range(n) for v in range(n) if u != v and rnd.random() < 0.35]
+        directed = rnd.random() < 0.5
+    edges = edges or [(0, n - 1, 0.5)]
+    g = build_graph(edges, directed)
+    size = g.base_node_count
+    econ = NodeEconomics(tuple(rnd.randint(1, 9) for _ in range(size)),
+                         tuple(rnd.randint(1, 12) for _ in range(size)))
+    if rnd.random() < 0.5:
+        g = exclude_nodes(g, rnd.sample(range(size), rnd.randint(1, size - 1)))
+    # tight budgets: from nothing up to a few typical costs
+    budget = rnd.randint(0, 20)
+    cfg = EstimatorConfig(replications=8)
+    source = RandomSource(seed)
+    assert baseline_single_discount(g, econ, budget, cfg, source) == \
+        _min_scan_single_discount(g, econ, budget, cfg, source)
 
 
 def test_select_dispatch_and_unknown_name():

@@ -25,6 +25,9 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, workers=args.workers)
     records = run_batch(cfg)
     print(f"wrote {len(records)} result rows to {cfg.output_dir}/results.csv")
+    for r in records:
+        print(f"  {r.algorithm:24s} B={r.budget:5d}  seeds={r.total_seed_count:3d}  "
+              f"two-phase={r.two_phase_profit_max:12.2f}  diff={r.profit_difference:10.2f}")
     return 0
 
 

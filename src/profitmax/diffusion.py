@@ -38,6 +38,8 @@ __all__ = [
 
 # geometric gap sampling beats per-arc draws only when successes are sparse
 GEOMETRIC_P_CUTOFF = 0.25
+# the exact oracles expand 2^m live graphs: an oracle's budget, not a run's
+ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -117,13 +119,13 @@ def observe_until(g: SocialGraph, seeds, d: int, rng) -> PartialObservation:
     return PartialObservation(d, trace.final_active, newly)
 
 
-def enumerate_live_graphs(g: SocialGraph, enumeration_limit: int = 20):
+def enumerate_live_graphs(g: SocialGraph):
     """Yield all 2^m live graphs of ``g`` with generation probabilities.
 
-    Oracle-only: refuses graphs above ``enumeration_limit`` arcs.  Arc indices
+    Oracle-only: refuses graphs above ``ENUMERATION_LIMIT`` arcs.  Arc indices
     refer to positions in ``g.arc_list()``.
     """
-    index, worlds = _live_worlds(g, enumeration_limit)
+    index, worlds = _live_worlds(g)
     arc_ids = range(len(index.targets))
     for mask, prob in worlds:
         yield LiveGraph(frozenset(i for i in arc_ids if mask >> i & 1), prob)
@@ -173,18 +175,18 @@ class _ArcIndex:
         return active
 
 
-def _live_worlds(g: SocialGraph, enumeration_limit: int):
+def _live_worlds(g: SocialGraph):
     """The arc index of ``g`` and an iterator over all its live graphs.
 
     The iterator yields every ``(mask, probability)`` pair of the index's
     bitmask encoding.  Refuses, at call time, graphs above
-    ``enumeration_limit`` arcs: 2^m worlds is an oracle's budget only.
+    ``ENUMERATION_LIMIT`` arcs.
     """
     index = _ArcIndex(g)
     m = len(index.targets)
-    if m > enumeration_limit:
+    if m > ENUMERATION_LIMIT:
         raise ValueError(
-            f"graph has {m} arcs, above the enumeration limit {enumeration_limit}"
+            f"graph has {m} arcs, above the enumeration limit {ENUMERATION_LIMIT}"
         )
 
     def worlds():

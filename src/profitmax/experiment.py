@@ -14,14 +14,13 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .graph import SocialGraph
 from .loader import AttributeSpec, generate_attributes, load_snap_edge_list, preferential_attachment_graph
 from .rng import RandomSource
-from .selection import SELECTORS
 from .twophase import PhaseConfig, run_single_phase, run_two_phase
 
 __all__ = [
@@ -70,9 +69,11 @@ _RESULT_TYPES = get_type_hints(ExperimentRecord)
 
 @dataclass(frozen=True)
 class BatchConfig:
+    """The config keys, as init fields; construction builds and checks every cell."""
+
     dataset: str
-    algorithms: tuple
-    budgets: tuple
+    algorithms: tuple[str, ...]
+    budgets: tuple[int, ...]
     directed: bool = False
     probability: float = 0.01
     split: float = 0.6
@@ -80,46 +81,57 @@ class BatchConfig:
     observations: int = 100
     phase2_runs: int = 100
     selection_replications: int = 100
-    cost_range: tuple = (50, 100)
-    benefit_range: tuple = (800, 1000)
+    cost_range: tuple[int, int] = (50, 100)
+    benefit_range: tuple[int, int] = (800, 1000)
     attribute_seed: int = 1
     master_seed: int = 0
     output_dir: str = "out"
     workers: int = 1
+    attributes: AttributeSpec = field(init=False, repr=False, compare=False)
+    cells: tuple[PhaseConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in self.algorithms:
-            if name not in SELECTORS:
-                raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(sorted(SELECTORS))}")
-        if not self.budgets:
-            raise ValueError("at least one budget is required")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.selection_replications < 1:
             raise ValueError(
                 f"selection_replications must be >= 1, got {self.selection_replications}")
+        source = RandomSource(self.master_seed)
+        object.__setattr__(self, "attributes", AttributeSpec(
+            self.cost_range, self.benefit_range, self.attribute_seed))
+        object.__setattr__(self, "cells", tuple(
+            PhaseConfig(
+                total_budget=budget,
+                split_fraction=self.split,
+                observation_step=self.observation_step,
+                phase1_observations=self.observations,
+                phase2_runs_per_observation=self.phase2_runs,
+                algorithm=algorithm,
+                master_seed=source.child(algorithm, budget).seed64(),
+                selection_replications=self.selection_replications,
+            )
+            for algorithm in self.algorithms for budget in self.budgets))
+        if not self.cells:
+            raise ValueError("at least one algorithm and one budget are required")
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
-_PARSERS = {
-    "dataset": str,
-    "algorithms": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    "budgets": lambda v: tuple(int(s) for s in v.split(",")),
-    "directed": lambda v: _BOOL[v.lower()],
-    "probability": float,
-    "split": float,
-    "observation_step": int,
-    "observations": int,
-    "phase2_runs": int,
-    "selection_replications": int,
-    "cost_range": lambda v: tuple(int(s) for s in v.split(",")),
-    "benefit_range": lambda v: tuple(int(s) for s in v.split(",")),
-    "attribute_seed": int,
-    "master_seed": int,
-    "output_dir": str,
-    "workers": int,
-}
+
+def _value_parser(hint):
+    # every list: comma-separated items, blanks stripped, empty items dropped
+    if get_origin(hint) is tuple:
+        item = _value_parser(get_args(hint)[0])
+        return lambda v: tuple(item(s.strip()) for s in v.split(",") if s.strip())
+    if hint is bool:
+        return lambda v: _BOOL[v.lower()]
+    return hint
+
+
+_CONFIG_TYPES = get_type_hints(BatchConfig)
+_CONFIG_KEYS = {f.name: _value_parser(_CONFIG_TYPES[f.name])
+                for f in fields(BatchConfig) if f.init}
+_REQUIRED_KEYS = {f.name for f in fields(BatchConfig) if f.init and f.default is MISSING}
 
 
 def parse_config(path) -> BatchConfig:
@@ -134,13 +146,13 @@ def parse_config(path) -> BatchConfig:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _PARSERS:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _PARSERS[key](value)
+                values[key] = _CONFIG_KEYS[key](value)
             except (ValueError, KeyError):
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-    missing = {"dataset", "algorithms", "budgets"} - values.keys()
+    missing = _REQUIRED_KEYS - values.keys()
     if missing:
         raise ValueError(f"{path}: missing required config keys: {', '.join(sorted(missing))}")
     return BatchConfig(**values)
@@ -175,17 +187,7 @@ def dataset_label(spec: str) -> str:
 
 
 def _run_cell(args):
-    g, econ, label, algorithm, budget, cfg = args
-    phase_cfg = PhaseConfig(
-        total_budget=budget,
-        split_fraction=cfg.split,
-        observation_step=cfg.observation_step,
-        phase1_observations=cfg.observations,
-        phase2_runs_per_observation=cfg.phase2_runs,
-        algorithm=algorithm,
-        master_seed=RandomSource(cfg.master_seed).child(algorithm, budget).seed64(),
-        selection_replications=cfg.selection_replications,
-    )
+    g, econ, label, master_seed, phase_cfg = args
     started = time.perf_counter()
     two = run_two_phase(phase_cfg, g, econ)
     _, single_est = run_single_phase(phase_cfg, g, econ)
@@ -198,10 +200,10 @@ def _run_cell(args):
     two_phase_max = quantize(two.best_total_profit)
     return ExperimentRecord(
         dataset=label,
-        algorithm=algorithm,
-        budget=budget,
-        split=cfg.split,
-        observation_step=cfg.observation_step,
+        algorithm=phase_cfg.algorithm,
+        budget=phase_cfg.total_budget,
+        split=phase_cfg.split_fraction,
+        observation_step=phase_cfg.observation_step,
         phase1_seed_count=len(two.phase1.seeds),
         phase2_seed_count=len(best.phase2_selection.seeds),
         total_seed_count=two.total_seed_count,
@@ -209,30 +211,28 @@ def _run_cell(args):
         two_phase_profit_max=two_phase_max,
         two_phase_profit_mean=quantize(two.mean_total_profit),
         profit_difference=quantize(two_phase_max - one_phase),
-        master_seed=cfg.master_seed,
+        master_seed=master_seed,
         wall_clock_seconds=elapsed,
     )
 
 
-def run_batch(cfg: BatchConfig, write: bool = True):
-    """Run every (algorithm, budget) cell and optionally write the output files.
+def run_batch(cfg: BatchConfig):
+    """Run every cell of ``cfg`` and write the output files.
 
     Rows come back in config order whatever the worker count; each cell draws
     from streams derived only from names and the master seed, so scheduling
     cannot change any result.
     """
     g = resolve_dataset(cfg.dataset, cfg.directed, cfg.probability)
-    econ = generate_attributes(g, AttributeSpec(cfg.cost_range, cfg.benefit_range, cfg.attribute_seed))
+    econ = generate_attributes(g, cfg.attributes)
     label = dataset_label(cfg.dataset)
-    cells = [(g, econ, label, algorithm, budget, cfg)
-             for algorithm in cfg.algorithms for budget in cfg.budgets]
+    cells = [(g, econ, label, cfg.master_seed, phase_cfg) for phase_cfg in cfg.cells]
     if cfg.workers == 1:
         records = [_run_cell(cell) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_run_cell, cells))
-    if write:
-        write_outputs(cfg.output_dir, records)
+    write_outputs(cfg.output_dir, records)
     return records
 
 

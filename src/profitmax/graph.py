@@ -243,13 +243,13 @@ def clustering_coefficient(g: SocialGraph, u) -> float:
     0.0 for nodes with fewer than two neighbors.  On undirected graphs the
     doubled-arc storage makes this equal the usual undirected coefficient.
     """
-    neighbors = {v for v, _ in g.out_arcs(u)}
+    g._require(u)
+    offsets, targets = g._offsets, g._targets
+    neighbors = set(targets[offsets[u]:offsets[u + 1]]) - g.removed
     k = len(neighbors)
     if k < 2:
         return 0.0
-    among = 0
-    for w in neighbors:
-        for x, _ in g.out_arcs(w):
-            if x != w and x in neighbors:
-                among += 1
+    # build_graph keeps no self-loops or duplicate arcs: sizes count arcs
+    among = sum(len(neighbors.intersection(targets[offsets[w]:offsets[w + 1]]))
+                for w in neighbors)
     return among / (k * (k - 1))

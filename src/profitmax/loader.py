@@ -68,14 +68,14 @@ def load_snap_edge_list(path, directed: bool, uniform_probability: float = 0.01)
 class AttributeSpec:
     """Integer ranges for per-node incentive cost and earnable benefit."""
 
-    cost_range: tuple = (50, 100)
-    benefit_range: tuple = (800, 1000)
+    cost_range: tuple[int, int] = (50, 100)
+    benefit_range: tuple[int, int] = (800, 1000)
     attribute_seed: int = 0
 
     def __post_init__(self):
-        for name, (lo, hi) in (("cost", self.cost_range), ("benefit", self.benefit_range)):
-            if not 1 <= lo <= hi:
-                raise ValueError(f"invalid {name} range [{lo}, {hi}]")
+        for name, bounds in (("cost", self.cost_range), ("benefit", self.benefit_range)):
+            if [type(b) for b in bounds] != [int, int] or not 1 <= bounds[0] <= bounds[1]:
+                raise ValueError(f"invalid {name} range {list(bounds)}: need two integers 1 <= lo <= hi")
 
 
 def generate_attributes(g: SocialGraph, spec: AttributeSpec) -> NodeEconomics:

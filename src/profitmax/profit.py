@@ -121,15 +121,15 @@ def estimate_profit(g: SocialGraph, econ: NodeEconomics, seeds, cfg: EstimatorCo
 
 
 def exact_benefit(g: SocialGraph, econ: NodeEconomics, seeds, universe=None,
-                  enumeration_limit: int = 20, free_seeds=()) -> float:
+                  free_seeds=()) -> float:
     """Exact expected benefit by summing over every live graph.
 
-    Refuses graphs above ``enumeration_limit`` arcs; this is the oracle side
+    Refuses graphs above ``ENUMERATION_LIMIT`` arcs; this is the oracle side
     of the estimator checks, not a production path.
     """
     econ.check_covers(g)
     _, initial = _initial_active(g, seeds, free_seeds)
-    index, worlds = _live_worlds(g, enumeration_limit)
+    index, worlds = _live_worlds(g)
     if not initial:
         return 0.0
     value = _value_table(g, econ, universe)
@@ -138,10 +138,10 @@ def exact_benefit(g: SocialGraph, econ: NodeEconomics, seeds, universe=None,
 
 
 def exact_profit(g: SocialGraph, econ: NodeEconomics, seeds, universe=None,
-                 enumeration_limit: int = 20, free_seeds=()) -> float:
+                 free_seeds=()) -> float:
     """Exact expected profit: enumerated benefit minus priced seed cost."""
     seed_list = _check_seeds(g, seeds)
-    benefit = exact_benefit(g, econ, seed_list, universe, enumeration_limit, free_seeds)
+    benefit = exact_benefit(g, econ, seed_list, universe, free_seeds)
     return benefit - seed_cost(econ, seed_list)
 
 

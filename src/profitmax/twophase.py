@@ -65,7 +65,7 @@ class PhaseConfig:
             raise ValueError(
                 f"selection replications must be >= 1, got {self.selection_replications}")
         if self.algorithm not in SELECTORS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; known: {', '.join(sorted(SELECTORS))}")
 
     @property
     def budget_phase1(self) -> int:
@@ -86,13 +86,11 @@ class ObservationRecord:
     phase2_selection: SelectionOutcome
     phase2_budget: int
     phase2_profit: ProfitEstimate
-    phase1_component: float
     total_profit: float
 
 
 @dataclass(frozen=True)
 class TwoPhaseResult:
-    config: PhaseConfig
     phase1: SelectionOutcome
     observations: tuple
     best_index: int
@@ -100,7 +98,6 @@ class TwoPhaseResult:
     mean_total_profit: float
     std_total_profit: float
     total_seed_count: int
-    total_cost: int
 
 
 def _selection_cfg(cfg: PhaseConfig) -> EstimatorConfig:
@@ -158,7 +155,6 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
         phase2_selection=outcome,
         phase2_budget=budget,
         phase2_profit=est,
-        phase1_component=phase1_component,
         total_profit=phase1_component + est.mean,
     )
 
@@ -185,7 +181,6 @@ def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics) -> TwoP
     best = records[best_index]
     combined = set(phase1_outcome.seeds) | set(best.phase2_selection.seeds)
     return TwoPhaseResult(
-        config=cfg,
         phase1=phase1_outcome,
         observations=tuple(records),
         best_index=best_index,
@@ -193,7 +188,6 @@ def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics) -> TwoP
         mean_total_profit=mean_total,
         std_total_profit=std_total,
         total_seed_count=len(combined),
-        total_cost=phase1_outcome.spent + best.phase2_selection.spent,
     )
 
 
@@ -245,14 +239,13 @@ def _observe_on_mask(out_idx, arc_targets, mask, seeds, d):
 
 
 def exact_two_phase_profit(g: SocialGraph, econ: NodeEconomics, phase1_seeds,
-                           observation_step: int, budget_phase2: int,
-                           enumeration_limit: int = 20) -> float:
+                           observation_step: int, budget_phase2: int) -> float:
     """Exact expected two-phase profit of a phase-one seed set.
 
     Enumerates every live graph, groups worlds by what the observation step
     reveals, and per group brute-forces the affordable phase-two seed set that
     maximizes conditional expected profit over untouched nodes.  Worth it only
-    on tiny instances; refuses anything above ``enumeration_limit`` arcs.
+    on tiny instances; refuses anything above ``ENUMERATION_LIMIT`` arcs.
     """
     econ.check_covers(g)
     if observation_step < 0:
@@ -260,7 +253,7 @@ def exact_two_phase_profit(g: SocialGraph, econ: NodeEconomics, phase1_seeds,
     if budget_phase2 < 0:
         raise ValueError("phase-two budget must be >= 0")
     seeds = _check_seeds(g, phase1_seeds)
-    index, worlds = _live_worlds(g, enumeration_limit)
+    index, worlds = _live_worlds(g)
     nodes = g.nodes
     cost, benefit = econ.cost, econ.benefit
     phase1_cost = seed_cost(econ, seeds)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from profitmax.diffusion import (
+    ENUMERATION_LIMIT,
     _gain_samples,
     enumerate_live_graphs,
     observe_until,
@@ -84,9 +85,9 @@ def test_live_graph_enumeration():
 
 
 def test_enumeration_limit_refused():
-    g = build_graph([(i, i + 1, 0.5) for i in range(5)], directed=True)
-    with pytest.raises(ValueError):
-        list(enumerate_live_graphs(g, enumeration_limit=3))
+    g = build_graph([(i, i + 1, 0.5) for i in range(ENUMERATION_LIMIT + 1)], directed=True)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        list(enumerate_live_graphs(g))
 
 
 def test_reachable_set_examples():

@@ -1,19 +1,19 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from profitmax.cli import main
 from profitmax.experiment import (
-    BatchConfig,
     RESULT_COLUMNS,
     parse_config,
     parse_experiment_csv,
     resolve_dataset,
     run_batch,
 )
-from profitmax.selection import SELECTORS
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def write_config(path, **overrides):
@@ -81,6 +81,22 @@ def test_parse_config_errors(tmp_path):
     no_samples.write_text("dataset = x\nalgorithms = random\nbudgets = 5\nselection_replications = 0\n")
     with pytest.raises(ValueError, match="selection_replications must be >= 1"):
         parse_config(no_samples)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("split", "1.5"), ("budgets", "-5"), ("observations", "0"),
+    ("cost_range", "50"), ("benefit_range", "1,2,3"),
+])
+def test_parse_config_rejects_bad_values_before_loading(tmp_path, key, value):
+    # the dataset does not exist, so the refusal cannot come from loading it
+    path = write_config(tmp_path / "c.txt", dataset=str(tmp_path / "absent.txt"), **{key: value})
+    with pytest.raises(ValueError):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    parse_config(path)
 
 
 def test_resolve_dataset_sources(tmp_path, monkeypatch):
@@ -176,25 +192,9 @@ def test_cli_oracle_missing_file(capsys):
 
 
 def test_desk_outputs_match_golden_copy(tmp_path):
-    # the config of scripts/run_desk_experiment.py at desk scale; the pinned
-    # files change only with a change that moves results on purpose
-    cfg = BatchConfig(
-        dataset="pa:200:3:7",
-        algorithms=tuple(sorted(SELECTORS)),
-        budgets=(500, 1000, 1500, 2000, 2500),
-        probability=0.01,
-        split=0.6,
-        observation_step=3,
-        cost_range=(50, 100),
-        benefit_range=(800, 1000),
-        attribute_seed=11,
-        master_seed=31,
-        output_dir=str(tmp_path),
-        workers=1,
-        observations=5,
-        phase2_runs=5,
-        selection_replications=10,
-    )
+    # the desk config at desk scale; the pinned files change only with a
+    # change that moves results on purpose
+    cfg = replace(parse_config(CONFIGS / "desk.cfg"), output_dir=str(tmp_path), workers=1)
     run_batch(cfg)
     for name in ("results.csv", "plot_seed_cardinality.csv", "plot_profit_difference.csv"):
         assert (tmp_path / name).read_bytes() == (DATA / "desk_golden" / name).read_bytes(), name

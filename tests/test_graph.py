@@ -160,3 +160,27 @@ def test_seed_cost_additive_over_disjoint_sets(costs, data):
     a = data.draw(st.sets(st.sampled_from(ids)))
     b = data.draw(st.sets(st.sampled_from(ids))) - a
     assert seed_cost(econ, a | b) == seed_cost(econ, a) + seed_cost(econ, b)
+
+
+def _clustering_by_arc_scan(g, u):
+    # the per-neighbor out_arcs scan that the set intersection replaced
+    neighbors = {v for v, _ in g.out_arcs(u)}
+    k = len(neighbors)
+    if k < 2:
+        return 0.0
+    among = 0
+    for w in neighbors:
+        for x, _ in g.out_arcs(w):
+            if x != w and x in neighbors:
+                among += 1
+    return among / (k * (k - 1))
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+       st.booleans(), st.sets(st.integers(0, 7)))
+def test_clustering_matches_arc_scan(pairs, directed, removed):
+    g = build_graph([(u, v, 0.5) for u, v in pairs if u != v], directed)
+    view = exclude_nodes(g, removed & set(g.nodes))
+    for h in (g, view):
+        for u in h.nodes:
+            assert clustering_coefficient(h, u) == _clustering_by_arc_scan(h, u)

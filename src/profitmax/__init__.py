@@ -14,6 +14,7 @@ from .graph import (
     SocialGraph,
     build_graph,
     clustering_coefficient,
+    clustering_coefficients,
     degree,
     exclude_nodes,
     seed_cost,

@@ -54,7 +54,6 @@ class DiffusionTrace:
 class PartialObservation:
     """Activation status after watching a cascade up to a step horizon."""
 
-    horizon: int
     already_active: frozenset
     newly_active: frozenset
 
@@ -116,7 +115,7 @@ def observe_until(g: SocialGraph, seeds, d: int, rng) -> PartialObservation:
         raise ValueError(f"observation step must be >= 0, got {d}")
     trace = simulate_ic(g, seeds, rng, horizon=d)
     newly = trace.steps[d] if len(trace.steps) > d else frozenset()
-    return PartialObservation(d, trace.final_active, newly)
+    return PartialObservation(trace.final_active, newly)
 
 
 def enumerate_live_graphs(g: SocialGraph):

@@ -19,6 +19,7 @@ __all__ = [
     "exclude_nodes",
     "degree",
     "clustering_coefficient",
+    "clustering_coefficients",
 ]
 
 
@@ -27,10 +28,12 @@ class SocialGraph:
 
     Undirected input edges are stored as two directed arcs with equal
     probability.  ``uniform_p`` is the probability every arc shares, or None;
-    :func:`build_graph` works it out once per base graph.  A restricted view
-    is the same class with a non-empty ``removed`` set; it exposes only
-    surviving nodes and arcs while sharing the base arrays and their
-    ``uniform_p``.
+    :func:`build_graph` works it out once per base graph.  ``among`` is the
+    base graph's per-node count of neighbour pairs joined by an arc, an empty
+    list until the first clustering query fills it.  A restricted view is the
+    same class with a non-empty ``removed`` set; it exposes only surviving
+    nodes and arcs while sharing the base arrays, their ``uniform_p`` and
+    their ``among`` list.
     """
 
     __slots__ = (
@@ -44,11 +47,12 @@ class SocialGraph:
         "_targets",
         "_probs",
         "_uniform_p",
+        "_among",
         "_blocked_cache",
     )
 
     def __init__(self, base_node_count, directed, offsets, targets, probs, uniform_p,
-                 removed=frozenset(), original_ids=None, duplicates_collapsed=0,
+                 among, removed=frozenset(), original_ids=None, duplicates_collapsed=0,
                  self_loops_dropped=0):
         self.base_node_count = base_node_count
         self.directed = directed
@@ -60,6 +64,7 @@ class SocialGraph:
         self._targets = targets
         self._probs = probs
         self._uniform_p = uniform_p
+        self._among = among
         self._blocked_cache = None
 
     # -- node and arc access ------------------------------------------------
@@ -199,7 +204,7 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
             probs.append(p)
     first = probs[0] if probs else None
     uniform_p = first if all(p == first for p in probs) else None
-    return SocialGraph(n, directed, offsets, targets, probs, uniform_p,
+    return SocialGraph(n, directed, offsets, targets, probs, uniform_p, [],
                        original_ids=original_ids, duplicates_collapsed=duplicates,
                        self_loops_dropped=self_loops_dropped)
 
@@ -226,7 +231,7 @@ def exclude_nodes(g: SocialGraph, removed) -> SocialGraph:
     if not removed:
         return g
     return SocialGraph(
-        g.base_node_count, g.directed, g._offsets, g._targets, g._probs, g._uniform_p,
+        g.base_node_count, g.directed, g._offsets, g._targets, g._probs, g._uniform_p, g._among,
         removed=g.removed | removed, original_ids=g.original_ids,
         duplicates_collapsed=g.duplicates_collapsed, self_loops_dropped=g.self_loops_dropped,
     )
@@ -237,6 +242,23 @@ def degree(g: SocialGraph, u) -> int:
     return len(g.out_arcs(u))
 
 
+def _base_among(g: SocialGraph) -> list:
+    # ordered neighbour pairs joined by an arc, per node of the base graph;
+    # counted on first use and published whole into the list the base shares
+    # with its views, so an interrupted count leaves it empty, not truncated
+    among = g._among
+    if not among:
+        offsets, targets = g._offsets, g._targets
+        counts = []
+        for u in range(g.base_node_count):
+            neighbors = set(targets[offsets[u]:offsets[u + 1]])
+            # build_graph keeps no self-loops or duplicate arcs: sizes count arcs
+            counts.append(sum(len(neighbors.intersection(targets[offsets[w]:offsets[w + 1]]))
+                              for w in neighbors))
+        among.extend(counts)
+    return among
+
+
 def clustering_coefficient(g: SocialGraph, u) -> float:
     """Fraction of ordered out-neighbor pairs of ``u`` joined by an arc.
 
@@ -244,12 +266,43 @@ def clustering_coefficient(g: SocialGraph, u) -> float:
     doubled-arc storage makes this equal the usual undirected coefficient.
     """
     g._require(u)
+    return clustering_coefficients(g)[u]
+
+
+def clustering_coefficients(g: SocialGraph) -> dict:
+    """:func:`clustering_coefficient` of every surviving node, keyed by node id.
+
+    The base graph's pair counts are made once and shared with its views.  A
+    view corrects only the nodes with a neighbour in its removed set: of the
+    pairs joined by an arc, those with a removed end leave the count.  That is
+    the arcs out of the removed neighbours plus those into them, less those
+    among them, which both terms counted.  The removed nodes' in-neighbours
+    come from one scan of the arcs.
+    """
+    among = _base_among(g)
+    removed = g.removed
     offsets, targets = g._offsets, g._targets
-    neighbors = set(targets[offsets[u]:offsets[u + 1]]) - g.removed
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    # build_graph keeps no self-loops or duplicate arcs: sizes count arcs
-    among = sum(len(neighbors.intersection(targets[offsets[w]:offsets[w + 1]]))
-                for w in neighbors)
-    return among / (k * (k - 1))
+    if removed and g.directed:
+        sources = {r: [] for r in removed}
+        for s in range(g.base_node_count):
+            for r in removed.intersection(targets[offsets[s]:offsets[s + 1]]):
+                sources[r].append(s)
+    else:
+        # an undirected graph stores each edge both ways: in-arcs mirror out-arcs
+        sources = {r: targets[offsets[r]:offsets[r + 1]] for r in removed}
+    coefficients = {}
+    for u in g.nodes:
+        row = targets[offsets[u]:offsets[u + 1]]
+        k = len(row)
+        among_u = among[u]
+        gone = removed.intersection(row)
+        if gone:
+            neighbors = set(row)
+            k -= len(gone)
+            for r in gone:
+                out_r = targets[offsets[r]:offsets[r + 1]]
+                among_u -= (len(neighbors.intersection(out_r))
+                            + len(neighbors.intersection(sources[r]))
+                            - len(gone.intersection(out_r)))
+        coefficients[u] = among_u / (k * (k - 1)) if k >= 2 else 0.0
+    return coefficients

@@ -37,6 +37,7 @@ __all__ = [
     "marginal_profit_gain",
     "SnapshotCoverage",
     "SnapshotReachCounts",
+    "full_reach",
 ]
 
 
@@ -187,6 +188,11 @@ def _walk(sample, u, enter):
     return seen
 
 
+def full_reach(sample, u):
+    """Flat ids reached from ``u`` in every snapshot of ``sample``, ``u`` left out."""
+    return _walk(sample, u, lambda y: True)
+
+
 class SnapshotCoverage:
     """Benefit that a growing seed set covers on every live graph of a sample.
 
@@ -203,22 +209,30 @@ class SnapshotCoverage:
         self.covered = bytearray(sample.node_count * sample.replications)
         self.total = 0
 
-    def gain(self, u):
-        """Benefit, summed over snapshots, that adding ``u`` would newly cover."""
-        return self._reach(u, mark=False)
+    def gain(self, u, reached=None):
+        """Benefit, summed over snapshots, that adding ``u`` would newly cover.
 
-    def add(self, u):
+        Here and in :meth:`add`, a caller that holds ``full_reach(sample, u)``
+        passes it as ``reached`` and saves the walk.
+        """
+        return self._reach(u, False, reached)
+
+    def add(self, u, reached=None):
         """Add ``u`` to the seed set; returns its gain."""
-        gained = self._reach(u, mark=True)
+        gained = self._reach(u, True, reached)
         self.total += gained
         return gained
 
-    def _reach(self, u, mark):
+    def _reach(self, u, mark, reached):
         R = self.sample.replications
         covered, value = self.covered, self.value
         x = u * R
-        # covered sets are closed under reachability: never walk into one
-        reached = _walk(self.sample, u, lambda y: not covered[y])
+        # covered sets are closed under reachability: never walk into one, and
+        # the uncovered part of u's full reach is exactly what that walk finds
+        if reached is None:
+            reached = _walk(self.sample, u, lambda y: not covered[y])
+        else:
+            reached = [y for y in reached if not covered[y]]
         gained = value[u] * covered[x:x + R].count(0) + sum(value[y // R] for y in reached)
         if mark:
             covered[x:x + R] = b"\x01" * R
@@ -244,7 +258,7 @@ class SnapshotReachCounts:
         self.count = [0] * (sample.node_count * sample.replications)
         for u in members:
             self.member[u] = 1
-            self._spread(u, 1)
+            self._spread(full_reach(sample, u), 1)
 
     def loss(self, u):
         """Benefit, summed over snapshots, that removing member ``u`` would uncover."""
@@ -256,12 +270,12 @@ class SnapshotReachCounts:
         reached = _walk(self.sample, u, lambda y: count[y] == 1 and not member[y // R])
         return value[u] * count[x:x + R].count(0) + sum(value[y // R] for y in reached)
 
-    def remove(self, u):
-        """Take ``u`` out of the set."""
+    def remove(self, u, reached=None):
+        """Take ``u`` out of the set; ``reached`` may pass in ``full_reach(sample, u)``."""
         self.member[u] = 0
-        self._spread(u, -1)
+        self._spread(full_reach(self.sample, u) if reached is None else reached, -1)
 
-    def _spread(self, u, delta):
+    def _spread(self, reached, delta):
         count = self.count
-        for y in _walk(self.sample, u, lambda y: True):
+        for y in reached:
             count[y] += delta

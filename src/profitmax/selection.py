@@ -28,9 +28,11 @@ from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
 
 from .diffusion import sample_live_graphs
-from .graph import NodeEconomics, SocialGraph, clustering_coefficient, degree, seed_cost
-from .profit import EstimatorConfig, SnapshotCoverage, SnapshotReachCounts, marginal_profit_gain
-# unused here, but the benchmark's tracer patches this name on this module
+from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degree, seed_cost
+from .profit import (EstimatorConfig, SnapshotCoverage, SnapshotReachCounts, full_reach,
+                     marginal_profit_gain)
+# unused here, but the benchmark's tracer patches these names on this module
+from .graph import clustering_coefficient  # noqa: F401
 from .profit import estimate_profit  # noqa: F401
 
 __all__ = [
@@ -159,15 +161,17 @@ def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
     trace = []
     for idx, u in enumerate(nodes):
         c = cost[u]
-        add_ratio = (grow.gain(u) / replications - c) / c
+        # one walk of u's reach serves the grow-side gain and either update
+        reached = full_reach(sample, u)
+        add_ratio = (grow.gain(u, reached) / replications - c) / c
         remove_ratio = (shrink.loss(u) / replications - c) / c
         if add_ratio >= remove_ratio and c <= remaining:
-            grow.add(u)
+            grow.add(u, reached)
             selected.append(u)
             remaining -= c
             decision = "added"
         else:
-            shrink.remove(u)
+            shrink.remove(u, reached)
             decision = "dropped_budget" if add_ratio >= remove_ratio else "dropped_ratio"
         trace.append(TraceEntry(idx, u, decision, add_ratio, remove_ratio))
     assert [u for u in nodes if shrink.member[u]] == selected, \
@@ -231,7 +235,8 @@ def baseline_clustering_coefficient(g: SocialGraph, econ: NodeEconomics, budget:
                                     cfg: EstimatorConfig, source) -> SelectionOutcome:
     """Descending clustering-coefficient scan with the same gates as high degree."""
     _check_budget(g, econ, budget)
-    order = sorted(g.nodes, key=lambda u: (-clustering_coefficient(g, u), u))
+    coefficient = clustering_coefficients(g)
+    order = sorted(g.nodes, key=lambda u: (-coefficient[u], u))
     return _scored_scan(g, econ, budget, cfg, source, order)
 
 

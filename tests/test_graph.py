@@ -6,6 +6,7 @@ from profitmax.graph import (
     NodeEconomics,
     build_graph,
     clustering_coefficient,
+    clustering_coefficients,
     degree,
     exclude_nodes,
     seed_cost,
@@ -177,10 +178,34 @@ def _clustering_by_arc_scan(g, u):
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
-       st.booleans(), st.sets(st.integers(0, 7)))
-def test_clustering_matches_arc_scan(pairs, directed, removed):
-    g = build_graph([(u, v, 0.5) for u, v in pairs if u != v], directed)
-    view = exclude_nodes(g, removed & set(g.nodes))
-    for h in (g, view):
-        for u in h.nodes:
-            assert clustering_coefficient(h, u) == _clustering_by_arc_scan(h, u)
+       st.booleans(), st.sets(st.integers(0, 7)), st.sets(st.integers(0, 7)),
+       st.booleans())
+def test_clustering_matches_arc_scan(pairs, directed, removed, more, view_first):
+    drawn = {(u, v) for u, v in pairs if u != v}
+    # the complement is dense where the drawn graph is sparse, so removed
+    # neighbours joined to each other turn up as well
+    complement = {(u, v) for u in range(8) for v in range(8) if u != v} - drawn
+    for arcs in (drawn, complement):
+        g = build_graph([(u, v, 0.5) for u, v in sorted(arcs)], directed)
+        view = exclude_nodes(g, removed & set(g.nodes))
+        nested = exclude_nodes(view, more & set(view.nodes))
+        # whichever graph comes first fills the table the others share
+        for h in ((view, nested, g) if view_first else (g, view, nested)):
+            expected = {u: _clustering_by_arc_scan(h, u) for u in h.nodes}
+            assert clustering_coefficients(h) == expected
+            assert {u: clustering_coefficient(h, u) for u in h.nodes} == expected
+
+
+def test_clustering_table_built_once_per_base_graph():
+    # clique on 0-3 with a pendant 4 on node 0; node 1's base count is 6
+    clique = [(u, v, 0.5) for u in range(4) for v in range(u + 1, 4)]
+    g = build_graph(clique + [(0, 4, 0.5)], directed=False)
+    view = exclude_nodes(g, {4})
+    nested = exclude_nodes(view, {3})
+    assert clustering_coefficients(view)[1] == 1.0
+    assert view._among is g._among and nested._among is g._among
+    # a graph that rebuilt the table, or kept its own, would not see this edit
+    g._among[1] = 4
+    for h, expected in ((g, 4 / 6), (view, 4 / 6), (nested, 0.0)):
+        assert clustering_coefficients(h)[1] == expected
+        assert clustering_coefficient(h, 1) == expected

@@ -165,6 +165,42 @@ def test_shrink_loss_equals_coverage_difference(seed, replications):
         assert counts.loss(u) == full - _coverage(sample, econ.benefit, members - {u})
 
 
+def _two_walk_double_greedy(g, econ, budget, cfg, source):
+    # reference: the loop that walked a node's reach for its grow-side gain and
+    # again to add or drop it
+    cost = econ.cost
+    nodes = g.nodes
+    sample = _snapshots(g, cfg, source)
+    grow = SnapshotCoverage(sample, econ.benefit)
+    shrink = SnapshotReachCounts(sample, econ.benefit, nodes)
+    selected, remaining, trace = [], budget, []
+    for idx, u in enumerate(nodes):
+        c = cost[u]
+        add_ratio = (grow.gain(u) / cfg.replications - c) / c
+        remove_ratio = (shrink.loss(u) / cfg.replications - c) / c
+        if add_ratio >= remove_ratio and c <= remaining:
+            grow.add(u)
+            selected.append(u)
+            remaining -= c
+            decision = "added"
+        else:
+            shrink.remove(u)
+            decision = "dropped_budget" if add_ratio >= remove_ratio else "dropped_ratio"
+        trace.append(TraceEntry(idx, u, decision, add_ratio, remove_ratio))
+    spent = seed_cost(econ, selected)
+    return SelectionOutcome(tuple(sorted(selected)), spent, budget - spent, tuple(trace))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_double_greedy_matches_two_walk_loop(seed, replications):
+    g, econ, budget = _small_instance(random.Random(seed))
+    cfg = EstimatorConfig(replications=replications)
+    source = RandomSource(seed)
+    assert double_greedy(g, econ, budget, cfg, source) == \
+        _two_walk_double_greedy(g, econ, budget, cfg, source)
+
+
 def test_double_greedy_empty_universe():
     g = exclude_nodes(build_graph([(0, 1, 1.0)], directed=True), {0, 1})
     econ = NodeEconomics((1, 1), (1, 1))

@@ -72,7 +72,7 @@ def test_phase1_observation_frequencies_match_arc_probability():
 
 
 def test_phase2_everything_already_active():
-    obs = PartialObservation(1, frozenset({0, 1, 2}), frozenset({1}))
+    obs = PartialObservation(frozenset({0, 1, 2}), frozenset({1}))
     outcome, _ = run_phase1(cfg(), chain3(), ECON3)
     rec = run_phase2(cfg(), chain3(), ECON3, outcome, obs)
     assert rec.phase2_selection.seeds == ()
@@ -82,7 +82,7 @@ def test_phase2_everything_already_active():
 def test_phase2_dead_phase_is_zero():
     c = cfg(total_budget=0)
     outcome, _ = run_phase1(c, chain3(), ECON3)
-    obs = PartialObservation(1, frozenset(), frozenset())
+    obs = PartialObservation(frozenset(), frozenset())
     rec = run_phase2(c, chain3(), ECON3, outcome, obs)
     assert rec.phase2_selection.seeds == ()
     assert rec.phase2_profit.mean == 0.0
@@ -92,7 +92,7 @@ def test_phase2_frontier_carries_cascade_for_free():
     # frontier {0} on a certain chain delivers the benefit of 1 and 2 at no cost
     c = cfg(total_budget=0)
     outcome, _ = run_phase1(c, chain3(p=1.0), ECON3)
-    obs = PartialObservation(0, frozenset({0}), frozenset({0}))
+    obs = PartialObservation(frozenset({0}), frozenset({0}))
     rec = run_phase2(c, chain3(p=1.0), ECON3, outcome, obs)
     assert rec.phase2_selection.seeds == ()
     assert rec.phase2_profit.mean == ECON3.benefit[1] + ECON3.benefit[2]

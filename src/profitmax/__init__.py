@@ -54,6 +54,7 @@ from .twophase import (
     PhaseConfig,
     TwoPhaseResult,
     exact_two_phase_profit,
+    phase2_sample,
     run_phase1,
     run_phase2,
     run_single_phase,

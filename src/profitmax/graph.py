@@ -238,8 +238,15 @@ def exclude_nodes(g: SocialGraph, removed) -> SocialGraph:
 
 
 def degree(g: SocialGraph, u) -> int:
-    """Surviving out-degree (equals neighbor count on undirected graphs)."""
-    return len(g.out_arcs(u))
+    """Surviving out-degree (equals neighbor count on undirected graphs).
+
+    The base row's length, less its targets in a view's removed set.
+    """
+    g._require(u)
+    lo, hi = g._offsets[u], g._offsets[u + 1]
+    if not g.removed:
+        return hi - lo
+    return hi - lo - len(g.removed.intersection(g._targets[lo:hi]))
 
 
 def _base_among(g: SocialGraph) -> list:

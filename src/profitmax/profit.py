@@ -15,11 +15,14 @@ diffusion dynamics.
 The greedy selectors estimate on a fixed sample of live graphs instead
 (:class:`SnapshotCoverage`, :class:`SnapshotReachCounts`): there benefit is
 exact weighted coverage, so a seed set's mean profit over the sample is a
-submodular coverage term minus a modular cost.
+submodular coverage term minus a modular cost.  A sample of a graph also
+serves its views: a flat-id mask blocks the copies of the view's removed
+nodes, and no walk enters them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import fsum, sqrt
 
@@ -37,7 +40,7 @@ __all__ = [
     "marginal_profit_gain",
     "SnapshotCoverage",
     "SnapshotReachCounts",
-    "full_reach",
+    "blocked_copies",
 ]
 
 
@@ -168,11 +171,11 @@ def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, cfg: Est
 # -- snapshot estimator --------------------------------------------------------
 
 
-def _walk(sample, u, enter):
+def _walk(sample, u, stop):
     """Flat ids reached from ``u``'s kept arcs, in every snapshot of ``sample``.
 
-    ``u``'s own copies are never entered.  ``enter(y)`` decides whether the
-    walk enters (and reports) flat id ``y``; a refused node is not expanded.
+    The walk never enters ``u``'s own copies, nor a flat id ``y`` with a true
+    ``stop[y]``; a node not entered is not expanded.
     """
     R = sample.replications
     offsets, targets = sample.offsets, sample.targets
@@ -181,16 +184,28 @@ def _walk(sample, u, enter):
     stack = targets[offsets[x]:offsets[end]]
     while stack:
         y = stack.pop()
-        if y in seen or x <= y < end or not enter(y):
+        if y in seen or stop[y] or x <= y < end:
             continue
         seen.add(y)
-        stack.extend(targets[offsets[y]:offsets[y + 1]])
+        lo, hi = offsets[y], offsets[y + 1]
+        # at small p most reached copies keep no arc: skip the empty slice
+        if lo != hi:
+            stack.extend(targets[lo:hi])
     return seen
 
 
-def full_reach(sample, u):
-    """Flat ids reached from ``u`` in every snapshot of ``sample``, ``u`` left out."""
-    return _walk(sample, u, lambda y: True)
+def blocked_copies(sample, removed) -> bytearray:
+    """Flat-id mask of ``sample`` that marks all copies of each ``removed`` node.
+
+    It blocks a view's removed nodes on a sample of a graph the view restricts:
+    a walk never enters a marked copy, so it keeps only the arcs between
+    surviving nodes, as a sample of the view itself would.
+    """
+    R = sample.replications
+    blocked = bytearray(sample.node_count * R)
+    for r in removed:
+        blocked[r * R:(r + 1) * R] = b"\x01" * R
+    return blocked
 
 
 class SnapshotCoverage:
@@ -198,22 +213,25 @@ class SnapshotCoverage:
 
     ``total / replications - seed_cost`` is the set's mean profit on the
     sample.  A node's gain can only shrink as seeds join, and with integer
-    benefits every gain is an exact integer.
+    benefits every gain is an exact integer.  The copies that ``blocked``
+    marks start out covered, so they are never entered and never counted.
     """
 
     __slots__ = ("sample", "value", "covered", "total")
 
-    def __init__(self, sample, value):
+    def __init__(self, sample, value, blocked=None):
         self.sample = sample
         self.value = value
-        self.covered = bytearray(sample.node_count * sample.replications)
+        self.covered = bytearray(sample.node_count * sample.replications if blocked is None
+                                 else blocked)
         self.total = 0
 
     def gain(self, u, reached=None):
         """Benefit, summed over snapshots, that adding ``u`` would newly cover.
 
-        Here and in :meth:`add`, a caller that holds ``full_reach(sample, u)``
-        passes it as ``reached`` and saves the walk.
+        Here and in :meth:`add`, a caller that holds ``u``'s reach, walked
+        around the blocked copies alone (as :class:`SnapshotReachCounts`
+        keeps it), passes it as ``reached`` and saves the walk.
         """
         return self._reach(u, False, reached)
 
@@ -227,10 +245,13 @@ class SnapshotCoverage:
         R = self.sample.replications
         covered, value = self.covered, self.value
         x = u * R
-        # covered sets are closed under reachability: never walk into one, and
-        # the uncovered part of u's full reach is exactly what that walk finds
+        # what a seed reaches is covered, and so is everything it reaches in
+        # turn: never walk into a covered copy, and the uncovered part of u's
+        # reach is exactly what that walk finds.  Blocked copies are covered
+        # but no walk passes through them, so a ``reached`` passed in must come
+        # from the blocked walk.
         if reached is None:
-            reached = _walk(self.sample, u, lambda y: not covered[y])
+            reached = _walk(self.sample, u, covered)
         else:
             reached = [y for y in reached if not covered[y]]
         gained = value[u] * covered[x:x + R].count(0) + sum(value[y // R] for y in reached)
@@ -242,40 +263,53 @@ class SnapshotCoverage:
 
 
 class SnapshotReachCounts:
-    """For each node of each live graph, how many members of a set reach it.
+    """For each node of each live graph, how many members of a set cover it.
 
-    The set only shrinks.  ``loss(u)`` is the benefit that only member ``u``
-    covers, so it equals coverage(T) - coverage(T - {u}) without recomputing
-    either.  A stored count leaves out the node's own membership.
+    A member covers its own copies and the copies it reaches.  The set only
+    shrinks.  ``loss(u)`` is the benefit that only member ``u`` covers, so it
+    equals coverage(T) - coverage(T - {u}) without recomputing either.
+    ``others[y]`` stores the cover count of flat id ``y`` less one: 0 where a
+    single member covers it, -1 where none does, and on a member's copy the
+    number of other members that reach it.  Reaches are walked around the
+    copies that ``blocked`` marks, and each member's reach is kept in
+    ``reaches`` until :meth:`remove` or a caller takes it.
     """
 
-    __slots__ = ("sample", "value", "member", "count")
+    __slots__ = ("sample", "value", "member", "others", "reaches")
 
-    def __init__(self, sample, value, members):
+    def __init__(self, sample, value, members, blocked=None):
+        R = sample.replications
         self.sample = sample
         self.value = value
         self.member = bytearray(sample.node_count)
-        self.count = [0] * (sample.node_count * sample.replications)
+        self.others = [-1] * (sample.node_count * R)
+        self.reaches = {}
+        if blocked is None:
+            blocked = bytes(len(self.others))
         for u in members:
             self.member[u] = 1
-            self._spread(full_reach(sample, u), 1)
+            reached = self.reaches[u] = array("q", _walk(sample, u, blocked))
+            self._spread(range(u * R, (u + 1) * R), 1)
+            self._spread(reached, 1)
 
     def loss(self, u):
         """Benefit, summed over snapshots, that removing member ``u`` would uncover."""
         R = self.sample.replications
-        count, member, value = self.count, self.member, self.value
+        others, value = self.others, self.value
         x = u * R
-        # a node another member reaches, or a member itself, shields everything
-        # below it, so the walk stays on nodes that only u reaches
-        reached = _walk(self.sample, u, lambda y: count[y] == 1 and not member[y // R])
-        return value[u] * count[x:x + R].count(0) + sum(value[y // R] for y in reached)
+        # a copy another member covers shields everything below it, and a
+        # blocked copy is covered by none: the walk stays where others is 0
+        reached = _walk(self.sample, u, others)
+        return value[u] * others[x:x + R].count(0) + sum(value[y // R] for y in reached)
 
     def remove(self, u, reached=None):
-        """Take ``u`` out of the set; ``reached`` may pass in ``full_reach(sample, u)``."""
+        """Take ``u`` out of the set; ``reached`` is its kept reach, if a caller took it."""
+        R = self.sample.replications
         self.member[u] = 0
-        self._spread(full_reach(self.sample, u) if reached is None else reached, -1)
+        self._spread(range(u * R, (u + 1) * R), -1)
+        self._spread(self.reaches.pop(u) if reached is None else reached, -1)
 
-    def _spread(self, reached, delta):
-        count = self.count
-        for y in reached:
-            count[y] += delta
+    def _spread(self, flat_ids, delta):
+        others = self.others
+        for y in flat_ids:
+            others[y] += delta

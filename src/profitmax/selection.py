@@ -7,16 +7,17 @@ handed, never picks a node twice, and returns an audit trace of each examined
 candidate.
 
 The greedy selectors sample ``cfg.replications`` live graphs of their graph
-once per call, from a stream derived from their own source, and score every
-candidate exactly on that sample: benefit is weighted coverage, so a gain is
-coverage gained minus the node's cost.  Single greedy evaluates lazily (CELF):
-a ratio computed in an earlier round bounds the current one from above, so
-only candidates that reach the top of the queue are evaluated again, and the
-seeds equal those of the eager loop on the same sample.  Its trace holds one
-``evaluated`` entry per ratio computed, ``unaffordable`` when a candidate
-leaves the pool for good, and the round's ``accepted`` node or the final
-``rejected_gain`` one.  High degree, clustering coefficient and single
-discount share one scored scan, whose gain gate calls
+once per call, from a stream derived from their own source, or take a shared
+``sample`` of a graph their view restricts, on which the view's removed nodes
+are blocked.  They score every candidate exactly on that sample: benefit is
+weighted coverage, so a gain is coverage gained minus the node's cost.  Single
+greedy evaluates lazily (CELF): a ratio computed in an earlier round bounds
+the current one from above, so only candidates that reach the top of the
+queue are evaluated again, and the seeds equal those of the eager loop on the
+same sample.  Its trace holds one ``evaluated`` entry per ratio computed,
+``unaffordable`` when a candidate leaves the pool for good, and the round's
+``accepted`` node or the final ``rejected_gain`` one.  High degree, clustering
+coefficient and single discount share one scored scan, whose gain gate calls
 :func:`~profitmax.profit.marginal_profit_gain`; its two estimates share one
 stream.
 """
@@ -29,7 +30,7 @@ from math import inf
 
 from .diffusion import sample_live_graphs
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degree, seed_cost
-from .profit import (EstimatorConfig, SnapshotCoverage, SnapshotReachCounts, full_reach,
+from .profit import (EstimatorConfig, SnapshotCoverage, SnapshotReachCounts, blocked_copies,
                      marginal_profit_gain)
 # unused here, but the benchmark's tracer patches these names on this module
 from .graph import clustering_coefficient  # noqa: F401
@@ -46,6 +47,7 @@ __all__ = [
     "baseline_single_discount",
     "replay_single_greedy",
     "SELECTORS",
+    "SNAPSHOT_SELECTORS",
     "select",
 ]
 
@@ -82,20 +84,34 @@ def _snapshots(g, cfg, source):
     return sample_live_graphs(g, cfg.replications, source.stream("snapshots"))
 
 
+def _blocked_sample(g, cfg, source, sample):
+    # the selector's own sample of g, or the shared one, with the copies of
+    # g's removed nodes marked; on g's own sample no arc enters a marked copy
+    if sample is None:
+        sample = _snapshots(g, cfg, source)
+    elif sample.node_count != g.base_node_count or sample.replications != cfg.replications:
+        raise ValueError(
+            f"sample of {sample.node_count} nodes x {sample.replications} live graphs does not "
+            f"fit a graph of {g.base_node_count} nodes at {cfg.replications} replications")
+    return sample, blocked_copies(sample, g.removed)
+
+
 def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
-                  cfg: EstimatorConfig, source) -> SelectionOutcome:
+                  cfg: EstimatorConfig, source, sample=None) -> SelectionOutcome:
     """Iterated best gain-per-cost selection until gains turn non-positive.
 
     Each round accepts the affordable candidate with the highest ratio
     (coverage gain / replications - cost) / cost on the sample, ties to the
     lowest id.  Candidates whose cost exceeds the remaining budget can never
     become affordable again and leave the pool permanently, which also
-    guarantees termination.
+    guarantees termination.  ``sample``, when given, is a ``LiveSample`` of
+    the graph ``g`` restricts and replaces the selector's own.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
     replications = cfg.replications
-    cover = SnapshotCoverage(_snapshots(g, cfg, source), econ.benefit)
+    sample, blocked = _blocked_sample(g, cfg, source, sample)
+    cover = SnapshotCoverage(sample, econ.benefit, blocked)
 
     def ratio(u):
         return (cover.gain(u) / replications - cost[u]) / cost[u]
@@ -130,39 +146,42 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
 
 
 def replay_single_greedy(g: SocialGraph, econ: NodeEconomics, cfg: EstimatorConfig,
-                         source, outcome: SelectionOutcome) -> bool:
+                         source, outcome: SelectionOutcome, sample=None) -> bool:
     """Re-run single greedy from ``source`` and compare with a recorded outcome.
 
+    ``sample`` is the shared sample the outcome was selected on, if any.
     True when the seeds, the spend and every trace entry (node, decision and
     ratio) match exactly.
     """
     budget = outcome.spent + outcome.remaining_budget
-    return single_greedy(g, econ, budget, cfg, source) == outcome
+    return single_greedy(g, econ, budget, cfg, source, sample) == outcome
 
 
 def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
-                  cfg: EstimatorConfig, source) -> SelectionOutcome:
+                  cfg: EstimatorConfig, source, sample=None) -> SelectionOutcome:
     """Single pass keeping a growing set S and a shrinking set T; ends with S == T.
 
     For each node the grow-side ratio is its profit gain when added to S, and
     the shrink-side ratio (negated) its profit change when removed from T, both
     per unit cost and exact on the sample.  The node joins S when the grow side
     wins and its cost still fits the budget; otherwise it leaves T.
+    ``sample`` is as for :func:`single_greedy`.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
     nodes = g.nodes
     replications = cfg.replications
-    sample = _snapshots(g, cfg, source)
-    grow = SnapshotCoverage(sample, econ.benefit)
-    shrink = SnapshotReachCounts(sample, econ.benefit, nodes)
+    sample, blocked = _blocked_sample(g, cfg, source, sample)
+    grow = SnapshotCoverage(sample, econ.benefit, blocked)
+    shrink = SnapshotReachCounts(sample, econ.benefit, nodes, blocked)
     selected = []
     remaining = budget
     trace = []
     for idx, u in enumerate(nodes):
         c = cost[u]
-        # one walk of u's reach serves the grow-side gain and either update
-        reached = full_reach(sample, u)
+        # the reach walked when the shrink counts were built serves the
+        # grow-side gain and the update of whichever set u leaves
+        reached = shrink.reaches.pop(u)
         add_ratio = (grow.gain(u, reached) / replications - c) / c
         remove_ratio = (shrink.loss(u) / replications - c) / c
         if add_ratio >= remove_ratio and c <= remaining:
@@ -280,12 +299,23 @@ SELECTORS = {
     "single_discount": baseline_single_discount,
 }
 
+# the selectors that score on a sample of live graphs, and can share one
+SNAPSHOT_SELECTORS = frozenset({"single_greedy", "double_greedy"})
+
 
 def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
-           cfg: EstimatorConfig, source) -> SelectionOutcome:
-    """Dispatch to a selector by registry name."""
+           cfg: EstimatorConfig, source, sample=None) -> SelectionOutcome:
+    """Dispatch to a selector by registry name.
+
+    ``sample`` goes to a selector in :data:`SNAPSHOT_SELECTORS`; the others
+    take none.
+    """
     try:
         selector = SELECTORS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(sorted(SELECTORS))}")
-    return selector(g, econ, budget, cfg, source)
+    if sample is None:
+        return selector(g, econ, budget, cfg, source)
+    if name not in SNAPSHOT_SELECTORS:
+        raise ValueError(f"{name} does not score on a live-graph sample")
+    return selector(g, econ, budget, cfg, source, sample)

@@ -6,7 +6,10 @@ active and the frontier activated exactly at the horizon.  Phase two removes
 the already-active interior from the graph, rolls unspent budget over, selects
 fresh seeds among untouched nodes, and lets them diffuse together with the
 observed frontier (which costs nothing and earns nothing — its members were
-already counted in phase one).
+already counted in phase one).  A greedy cell's phase-two selections share
+one sample of live graphs of the base graph, each blocking its view's removed
+nodes on it, so a selection depends only on its observation and identical
+observations select once.
 
 The module also carries an exact oracle for the full two-phase objective on
 enumerable instances: every live graph is expanded, grouped by the arc states
@@ -21,17 +24,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import fsum, sqrt
 
-from .diffusion import _check_seeds, _live_worlds, observe_until, PartialObservation
+from .diffusion import (_check_seeds, _live_worlds, observe_until, sample_live_graphs,
+                        PartialObservation)
 from .graph import NodeEconomics, SocialGraph, exclude_nodes, seed_cost
 from .profit import EstimatorConfig, ProfitEstimate, estimate_profit
 from .rng import RandomSource
-from .selection import SELECTORS, SelectionOutcome, select
+from .selection import SELECTORS, SNAPSHOT_SELECTORS, SelectionOutcome, select
 
 __all__ = [
     "PhaseConfig",
     "ObservationRecord",
     "TwoPhaseResult",
     "run_phase1",
+    "phase2_sample",
     "run_phase2",
     "run_two_phase",
     "run_single_phase",
@@ -121,24 +126,47 @@ def run_phase1(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     return outcome, observations
 
 
+def phase2_sample(cfg: PhaseConfig, g: SocialGraph):
+    """The live graphs of ``g`` that a greedy cell's phase-two selections share.
+
+    Drawn from the cell's own ``phase2-snapshots`` stream, apart from phase
+    one's streams; None for a baseline cell, which draws no sample.
+    """
+    if cfg.algorithm not in SNAPSHOT_SELECTORS:
+        return None
+    return sample_live_graphs(g, cfg.selection_replications,
+                              RandomSource(cfg.master_seed).stream("phase2-snapshots"))
+
+
 def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
                phase1_outcome: SelectionOutcome, obs: PartialObservation,
-               index: int = 0) -> ObservationRecord:
+               index: int = 0, sample=None, memo=None) -> ObservationRecord:
     """Reseed the residual graph for one observation and evaluate its profit.
 
     Selection happens on the graph without every already-active node; the
     evaluation keeps the observed frontier as cost-free seeds on the graph
     without the already-active interior, counting benefit only over untouched
-    nodes.  Unspent phase-one budget rolls over.
+    nodes.  Unspent phase-one budget rolls over.  ``sample``, from
+    :func:`phase2_sample`, replaces a greedy selector's own sample.  ``memo``
+    maps an observation's (already active, newly active) pair to the outcome
+    selected for it; pass one only with ``sample``, which makes selection a
+    function of the observation.
     """
     already, newly = obs.already_active, obs.newly_active
     if not newly <= already:
         raise ValueError("invalid observation: frontier not contained in active set")
+    if memo is not None and sample is None:
+        raise ValueError("a phase-two memo needs the shared sample")
     budget = cfg.budget_phase2 + phase1_outcome.remaining_budget
     source = RandomSource(cfg.master_seed).child("phase2", index)
     selection_view = exclude_nodes(g, already)
-    outcome = select(cfg.algorithm, selection_view, econ, budget,
-                     _selection_cfg(cfg), source.child("select"))
+    key = (already, newly)
+    outcome = memo.get(key) if memo is not None else None
+    if outcome is None:
+        outcome = select(cfg.algorithm, selection_view, econ, budget,
+                         _selection_cfg(cfg), source.child("select"), sample)
+        if memo is not None:
+            memo[key] = outcome
     assert outcome.spent <= budget
     evaluation_view = exclude_nodes(g, already - newly)
     universe = frozenset(selection_view.nodes)
@@ -164,11 +192,15 @@ def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics) -> TwoP
 
     The headline aggregate takes the maximum total profit over observations
     (protocol convention); the mean and standard deviation across observations
-    are reported alongside since the objective is an expectation.
+    are reported alongside since the objective is an expectation.  A greedy
+    cell selects once per distinct observation, on one shared sample; every
+    observation is still evaluated on its own stream.
     """
     phase1_outcome, observations = run_phase1(cfg, g, econ)
+    sample = phase2_sample(cfg, g)
+    memo = {} if sample is not None else None
     records = [
-        run_phase2(cfg, g, econ, phase1_outcome, obs, i)
+        run_phase2(cfg, g, econ, phase1_outcome, obs, i, sample, memo)
         for i, obs in enumerate(observations)
     ]
     totals = [rec.total_profit for rec in records]

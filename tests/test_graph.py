@@ -196,6 +196,20 @@ def test_clustering_matches_arc_scan(pairs, directed, removed, more, view_first)
             assert {u: clustering_coefficient(h, u) for u in h.nodes} == expected
 
 
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+       st.booleans(), st.sets(st.integers(0, 7)), st.sets(st.integers(0, 7)))
+def test_degree_matches_arc_scan(pairs, directed, removed, more):
+    g = build_graph([(u, v, 0.5) for u, v in sorted({(u, v) for u, v in pairs if u != v})],
+                    directed)
+    view = exclude_nodes(g, removed & set(g.nodes))
+    nested = exclude_nodes(view, more & set(view.nodes))
+    for h in (g, view, nested):
+        assert [degree(h, u) for u in h.nodes] == [len(h.out_arcs(u)) for u in h.nodes]
+        for u in h.removed:
+            with pytest.raises(ValueError):
+                degree(h, u)
+
+
 def test_clustering_table_built_once_per_base_graph():
     # clique on 0-3 with a pendant 4 on node 0; node 1's base count is 6
     clique = [(u, v, 0.5) for u in range(4) for v in range(u + 1, 4)]

@@ -1,9 +1,11 @@
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from profitmax.diffusion import LiveSample
 from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
 from profitmax.profit import (
     EstimatorConfig,
@@ -199,6 +201,55 @@ def test_double_greedy_matches_two_walk_loop(seed, replications):
     source = RandomSource(seed)
     assert double_greedy(g, econ, budget, cfg, source) == \
         _two_walk_double_greedy(g, econ, budget, cfg, source)
+
+
+def _restricted(sample, removed):
+    # test-only copy of a sample as a view would see it: the removed nodes'
+    # copies lose their arcs, and every arc into them is dropped
+    R = sample.replications
+    offsets, targets = sample.offsets, sample.targets
+    starts, kept = array("q", [0]), array("q")
+    for x in range(sample.node_count * R):
+        if x // R not in removed:
+            kept.extend(y for y in targets[offsets[x]:offsets[x + 1]] if y // R not in removed)
+        starts.append(len(kept))
+    return LiveSample(sample.node_count, R, starts, kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_shared_sample_blocks_removed_nodes(seed, replications):
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 8)
+    uniform = rnd.choice([None, 0.1, 0.3, 0.6])
+    edges = [(u, v, uniform or rnd.choice([0.3, 0.5, 1.0]))
+             for u in range(n) for v in range(n) if u != v and rnd.random() < 0.35]
+    base = build_graph(edges or [(0, n - 1, 1.0)], directed=rnd.random() < 0.5)
+    size = base.base_node_count
+    econ = NodeEconomics(tuple(rnd.randint(1, 3) for _ in range(size)),
+                         tuple(rnd.randint(1, 4) for _ in range(size)))
+    view = exclude_nodes(base, rnd.sample(range(size), rnd.randint(0, size - 1)))
+    nested = exclude_nodes(view, rnd.sample(view.nodes, rnd.randint(0, view.node_count)))
+    # the sample is of the graph the selection's view restricts: the base
+    # graph, or a view whose removed nodes already have no arcs in the sample
+    sampled, selected = rnd.choice([(base, view), (base, nested), (view, nested)])
+    cfg = EstimatorConfig(replications=replications)
+    sample = _snapshots(sampled, cfg, RandomSource(seed))
+    restricted = _restricted(sample, selected.removed)
+    budget = rnd.randint(0, 12)
+    for selector in (single_greedy, double_greedy):
+        shared = selector(selected, econ, budget, cfg, RandomSource(0), sample)
+        assert shared == selector(selected, econ, budget, cfg, RandomSource(0), restricted)
+
+
+def test_shared_sample_must_fit_the_graph():
+    g, econ = isolated_nodes([3, 5], [10, 10])
+    sample = _snapshots(g, CFG, RandomSource(0))
+    for selector in (single_greedy, double_greedy):
+        with pytest.raises(ValueError, match="does not fit"):
+            selector(g, econ, 5, EstimatorConfig(replications=7), RandomSource(0), sample)
+    with pytest.raises(ValueError, match="live-graph sample"):
+        select("high_degree", g, econ, 5, CFG, RandomSource(0), sample)
 
 
 def test_double_greedy_empty_universe():

@@ -1,12 +1,18 @@
+from collections import Counter
+
 import pytest
 
+from profitmax import selection, twophase
 from profitmax.diffusion import PartialObservation
-from profitmax.graph import NodeEconomics, build_graph
+from profitmax.graph import NodeEconomics, build_graph, exclude_nodes
 from profitmax.loader import AttributeSpec, generate_attributes, preferential_attachment_graph
-from profitmax.profit import exact_profit
+from profitmax.profit import EstimatorConfig, estimate_profit, exact_profit
+from profitmax.rng import RandomSource
+from profitmax.selection import replay_single_greedy
 from profitmax.twophase import (
     PhaseConfig,
     exact_two_phase_profit,
+    phase2_sample,
     run_phase1,
     run_phase2,
     run_single_phase,
@@ -134,6 +140,84 @@ def test_two_phase_reruns_identically():
     a = run_two_phase(c, g, econ)
     b = run_two_phase(c, g, econ)
     assert a == b
+
+
+def _repeating_cell(algorithm):
+    # few phase-one seeds watched for one step: observations repeat often
+    g = preferential_attachment_graph(30, 2, seed=5, probability=0.05)
+    econ = generate_attributes(g, AttributeSpec((2, 5), (8, 20), attribute_seed=3))
+    c = cfg(total_budget=12, algorithm=algorithm, phase1_observations=20,
+            phase2_runs_per_observation=10, selection_replications=15)
+    return c, g, econ
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[f"{module.__name__}.{name}"] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("algorithm", ["single_greedy", "double_greedy"])
+def test_greedy_cell_samples_once_and_selects_once_per_observation(monkeypatch, algorithm):
+    c, g, econ = _repeating_cell(algorithm)
+    counts = Counter()
+    for module, name in ((twophase, "sample_live_graphs"), (selection, "sample_live_graphs"),
+                         (twophase, "select"), (twophase, "estimate_profit")):
+        _count_calls(monkeypatch, counts, module, name)
+    result = run_two_phase(c, g, econ)
+    keys = [(r.already_active, r.newly_active) for r in result.observations]
+    assert len(set(keys)) < len(keys), "the instance must repeat an observation"
+    # one phase-two sample for the cell; phase one's selection drew its own
+    assert counts["profitmax.twophase.sample_live_graphs"] == 1
+    assert counts["profitmax.selection.sample_live_graphs"] == 1
+    assert counts["profitmax.twophase.select"] == 1 + len(set(keys))
+    assert counts["profitmax.twophase.estimate_profit"] == len(keys)
+    first = {}
+    for i, (key, rec) in enumerate(zip(keys, result.observations)):
+        assert rec.phase2_selection is first.setdefault(key, rec.phase2_selection)
+        # every record keeps its own evaluation stream
+        est = estimate_profit(
+            exclude_nodes(g, rec.already_active - rec.newly_active), econ,
+            rec.phase2_selection.seeds, EstimatorConfig(c.phase2_runs_per_observation),
+            RandomSource(c.master_seed).child("phase2", i).stream("evaluate"),
+            universe=frozenset(exclude_nodes(g, rec.already_active).nodes),
+            free_seeds=rec.newly_active)
+        assert rec.phase2_profit == est
+
+    # the same cell with the memo bypassed selects per observation, and agrees
+    unmemoized = twophase.run_phase2
+
+    def without_memo(cfg, g, econ, phase1_outcome, obs, index, sample, memo):
+        return unmemoized(cfg, g, econ, phase1_outcome, obs, index, sample, None)
+
+    monkeypatch.setattr(twophase, "run_phase2", without_memo)
+    counts.clear()
+    assert run_two_phase(c, g, econ) == result
+    assert counts["profitmax.twophase.select"] == 1 + len(keys)
+
+
+def test_baseline_cell_draws_no_phase2_sample(monkeypatch):
+    c, g, econ = _repeating_cell("high_degree")
+    assert phase2_sample(c, g) is None
+    counts = Counter()
+    _count_calls(monkeypatch, counts, twophase, "select")
+    run_two_phase(c, g, econ)
+    assert counts["profitmax.twophase.select"] == 1 + c.phase1_observations
+
+
+def test_replay_accepts_shared_sample_phase2_outcome():
+    c, g, econ = _repeating_cell("single_greedy")
+    result = run_two_phase(c, g, econ)
+    sample = phase2_sample(c, g)
+    selection_cfg = EstimatorConfig(c.selection_replications)
+    for i, rec in enumerate(result.observations):
+        source = RandomSource(c.master_seed).child("phase2", i).child("select")
+        assert replay_single_greedy(exclude_nodes(g, rec.already_active), econ, selection_cfg,
+                                    source, rec.phase2_selection, sample)
 
 
 def test_single_phase_examples():

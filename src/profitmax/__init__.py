@@ -2,11 +2,8 @@
 
 from .diffusion import (
     DiffusionTrace,
-    LiveGraph,
     PartialObservation,
-    enumerate_live_graphs,
     observe_until,
-    reachable_set,
     simulate_ic,
 )
 from .graph import (
@@ -28,8 +25,6 @@ from .loader import (
 from .profit import (
     EstimatorConfig,
     ProfitEstimate,
-    estimate_benefit,
-    estimate_influence,
     estimate_profit,
     exact_benefit,
     exact_profit,

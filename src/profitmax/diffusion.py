@@ -2,10 +2,12 @@
 
 Two routes to the same distribution live here.  :func:`simulate_ic` runs the
 step-wise cascade, sampling each arc out of a newly active node toward a
-still-inactive target exactly once.  :func:`enumerate_live_graphs` expands all
-2^m arc subsets with their generation probabilities; diffusion outcome on a
-live graph is plain reachability.  Tests hold the two routes against each
-other, so keep them independent.
+still-inactive target exactly once; :func:`observe_until` watches it up to a
+step horizon.  The enumeration core expands all 2^m arc subsets with their
+generation probabilities, and diffusion outcome on a live graph is plain
+reachability; the exact oracles in :mod:`profitmax.profit` and
+:mod:`profitmax.twophase` sum over it.  Tests hold the two routes against
+each other, so keep them independent.
 
 The Monte Carlo sampler used by the estimators supports two arc-sampling
 strategies with identical outcome distributions: per-arc Bernoulli draws, and
@@ -27,11 +29,8 @@ from .graph import SocialGraph
 __all__ = [
     "DiffusionTrace",
     "PartialObservation",
-    "LiveGraph",
     "simulate_ic",
     "observe_until",
-    "enumerate_live_graphs",
-    "reachable_set",
     "LiveSample",
     "sample_live_graphs",
 ]
@@ -56,14 +55,6 @@ class PartialObservation:
 
     already_active: frozenset
     newly_active: frozenset
-
-
-@dataclass(frozen=True)
-class LiveGraph:
-    """One world realization: indices of kept arcs and its probability."""
-
-    kept_arcs: frozenset
-    generation_probability: float
 
 
 def _check_seeds(g: SocialGraph, seeds):
@@ -116,25 +107,6 @@ def observe_until(g: SocialGraph, seeds, d: int, rng) -> PartialObservation:
     trace = simulate_ic(g, seeds, rng, horizon=d)
     newly = trace.steps[d] if len(trace.steps) > d else frozenset()
     return PartialObservation(trace.final_active, newly)
-
-
-def enumerate_live_graphs(g: SocialGraph):
-    """Yield all 2^m live graphs of ``g`` with generation probabilities.
-
-    Oracle-only: refuses graphs above ``ENUMERATION_LIMIT`` arcs.  Arc indices
-    refer to positions in ``g.arc_list()``.
-    """
-    index, worlds = _live_worlds(g)
-    arc_ids = range(len(index.targets))
-    for mask, prob in worlds:
-        yield LiveGraph(frozenset(i for i in arc_ids if mask >> i & 1), prob)
-
-
-def reachable_set(live: LiveGraph, g: SocialGraph, seeds) -> frozenset:
-    """Nodes reachable from ``seeds`` using only the live graph's kept arcs."""
-    seed_list = _check_seeds(g, seeds)
-    mask = sum(1 << i for i in live.kept_arcs)
-    return frozenset(_ArcIndex(g).reach(mask, seed_list))
 
 
 # -- live-graph enumeration core (shared by the exact estimators) -------------

@@ -30,7 +30,6 @@ __all__ = [
     "resolve_dataset",
     "run_batch",
     "write_outputs",
-    "parse_experiment_csv",
     "RESULT_COLUMNS",
 ]
 
@@ -63,8 +62,6 @@ class ExperimentRecord:
 
 _RESULT_FIELDS = [f for f in fields(ExperimentRecord) if f.compare]
 RESULT_COLUMNS = [f.name for f in _RESULT_FIELDS]
-# resolves the string annotations to the types that parse each column back
-_RESULT_TYPES = get_type_hints(ExperimentRecord)
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,6 @@ class BatchConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.selection_replications < 1:
-            raise ValueError(
-                f"selection_replications must be >= 1, got {self.selection_replications}")
         source = RandomSource(self.master_seed)
         object.__setattr__(self, "attributes", AttributeSpec(
             self.cost_range, self.benefit_range, self.attribute_seed))
@@ -148,6 +142,8 @@ def parse_config(path) -> BatchConfig:
             key, value = key.strip(), value.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](value)
             except (ValueError, KeyError):
@@ -166,10 +162,10 @@ def resolve_dataset(spec: str, directed: bool, probability: float) -> SocialGrap
     """
     if spec.startswith("pa:"):
         try:
-            _, n, attach, seed = spec.split(":")
-            return preferential_attachment_graph(int(n), int(attach), int(seed), probability)
+            n, attach, seed = (int(part) for part in spec[3:].split(":"))
         except ValueError:
             raise ValueError(f"bad synthetic dataset spec {spec!r}; expected pa:<nodes>:<attach>:<seed>") from None
+        return preferential_attachment_graph(n, attach, seed, probability)
     path = Path(spec)
     if not path.exists():
         root = os.environ.get(DATA_DIR_ENV)
@@ -261,15 +257,3 @@ def write_outputs(output_dir, records):
             for r in records:
                 writer.writerow([r.algorithm, r.budget, _fmt(getattr(r, column))])
 
-
-def parse_experiment_csv(path):
-    """Read results.csv back into :class:`ExperimentRecord` rows (timing defaults to 0)."""
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULT_COLUMNS:
-            raise ValueError(f"{path}: unexpected CSV columns {reader.fieldnames}")
-        for row in reader:
-            records.append(ExperimentRecord(
-                **{name: _RESULT_TYPES[name](row[name]) for name in RESULT_COLUMNS}))
-    return records

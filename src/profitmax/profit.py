@@ -1,11 +1,11 @@
-"""Influence, benefit, and profit estimation: Monte Carlo and exact.
+"""Profit estimation: Monte Carlo and exact.
 
 Benefit of a seed set is the expected sum of benefit values over all nodes the
 cascade reaches (seeds included); profit subtracts the incentive cost of the
-priced seeds.  Every quantity comes in two flavors: a Monte Carlo estimate
-with standard error, and an exact expectation by live-graph enumeration for
-small graphs.  The exact route exists to check the sampled one and is never
-used inside selection loops.
+priced seeds.  :func:`estimate_profit` gives a Monte Carlo estimate with
+standard error, and :func:`exact_benefit` and :func:`exact_profit` give exact
+expectations by live-graph enumeration for small graphs.  The exact route
+exists to check the sampled one and is never used inside selection loops.
 
 ``free_seeds`` are nodes that start the cascade without being paid for; the
 phase-two protocol uses them for organically activated frontiers.  A
@@ -32,8 +32,6 @@ from .graph import NodeEconomics, SocialGraph, seed_cost
 __all__ = [
     "ProfitEstimate",
     "EstimatorConfig",
-    "estimate_influence",
-    "estimate_benefit",
     "estimate_profit",
     "exact_benefit",
     "exact_profit",
@@ -78,7 +76,18 @@ def _initial_active(g, seeds, free_seeds):
     return seed_list, sorted(set(seed_list) | set(free_list))
 
 
-def _from_samples(const: float, samples) -> ProfitEstimate:
+def estimate_profit(g: SocialGraph, econ: NodeEconomics, seeds, cfg: EstimatorConfig,
+                    rng, universe=None, free_seeds=()) -> ProfitEstimate:
+    """Expected benefit reached inside ``universe``, less the cost of the priced seeds.
+
+    Only ``seeds`` are paid for; ``free_seeds`` diffuse for free.  Adding
+    ``seed_cost(econ, seeds)`` back to the mean gives the benefit estimate.
+    """
+    econ.check_covers(g)
+    seed_list, initial = _initial_active(g, seeds, free_seeds)
+    value = _value_table(g, econ, universe)
+    const = fsum(value[s] for s in initial) - seed_cost(econ, seed_list)
+    samples = _gain_samples(g, value, initial, cfg.replications, rng)
     r = len(samples)
     mean_extra = fsum(samples) / r
     if r > 1:
@@ -87,41 +96,6 @@ def _from_samples(const: float, samples) -> ProfitEstimate:
     else:
         se = 0.0
     return ProfitEstimate(const + mean_extra, se, r)
-
-
-def estimate_influence(g: SocialGraph, seeds, cfg: EstimatorConfig, rng) -> ProfitEstimate:
-    """Expected number of nodes active at fixpoint; exactly 0 for no seeds."""
-    _, initial = _initial_active(g, seeds, ())
-    ones = [1.0] * g.base_node_count
-    samples = _gain_samples(g, ones, initial, cfg.replications, rng)
-    return _from_samples(float(len(initial)), samples)
-
-
-def estimate_benefit(g: SocialGraph, econ: NodeEconomics, seeds, cfg: EstimatorConfig,
-                     rng, universe=None, free_seeds=()) -> ProfitEstimate:
-    """Expected benefit mass reached by the cascade, counted inside ``universe``."""
-    econ.check_covers(g)
-    _, initial = _initial_active(g, seeds, free_seeds)
-    value = _value_table(g, econ, universe)
-    const = fsum(value[s] for s in initial)
-    samples = _gain_samples(g, value, initial, cfg.replications, rng)
-    return _from_samples(const, samples)
-
-
-def estimate_profit(g: SocialGraph, econ: NodeEconomics, seeds, cfg: EstimatorConfig,
-                    rng, universe=None, free_seeds=()) -> ProfitEstimate:
-    """Benefit estimate minus the cost of the priced seeds.
-
-    Only ``seeds`` are paid for; ``free_seeds`` diffuse for free.  The mean
-    satisfies ``estimate_profit(...).mean + seed_cost(econ, seeds) ==
-    estimate_benefit(...).mean`` for identical streams.
-    """
-    econ.check_covers(g)
-    seed_list, initial = _initial_active(g, seeds, free_seeds)
-    value = _value_table(g, econ, universe)
-    const = fsum(value[s] for s in initial) - seed_cost(econ, seed_list)
-    samples = _gain_samples(g, value, initial, cfg.replications, rng)
-    return _from_samples(const, samples)
 
 
 def exact_benefit(g: SocialGraph, econ: NodeEconomics, seeds, universe=None,

@@ -13,6 +13,8 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
+__all__ = ["RandomSource"]
+
 
 def _derive_seed(master_seed: int, path: tuple) -> int:
     h = hashlib.blake2b(digest_size=8)

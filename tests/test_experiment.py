@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +8,6 @@ from profitmax.cli import main
 from profitmax.experiment import (
     RESULT_COLUMNS,
     parse_config,
-    parse_experiment_csv,
     resolve_dataset,
     run_batch,
 )
@@ -82,6 +82,11 @@ def test_parse_config_errors(tmp_path):
     with pytest.raises(ValueError, match="selection_replications must be >= 1"):
         parse_config(no_samples)
 
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("dataset = x\nalgorithms = random\nbudgets = 500\nbudgets = 1000\n")
+    with pytest.raises(ValueError, match=r"repeated\.txt:4: duplicate config key 'budgets'"):
+        parse_config(repeated)
+
 
 @pytest.mark.parametrize("key, value", [
     ("split", "1.5"), ("budgets", "-5"), ("observations", "0"),
@@ -109,6 +114,13 @@ def test_resolve_dataset_sources(tmp_path, monkeypatch):
     assert g2.node_count == 4
     with pytest.raises(ValueError):
         resolve_dataset("pa:bad", directed=False, probability=0.1)
+    # a well-formed spec the builder refuses keeps the builder's own message
+    with pytest.raises(ValueError, match="need at least 6 nodes for attach=5"):
+        resolve_dataset("pa:3:5:1", directed=False, probability=0.1)
+    with pytest.raises(ValueError, match="attach must be >= 1"):
+        resolve_dataset("pa:10:0:1", directed=False, probability=0.1)
+    with pytest.raises(ValueError, match="bad synthetic dataset spec 'pa:x:1:1'"):
+        resolve_dataset("pa:x:1:1", directed=False, probability=0.1)
 
 
 def test_run_batch_shape_and_round_trip(tmp_path):
@@ -126,10 +138,13 @@ def test_run_batch_shape_and_round_trip(tmp_path):
     assert results.exists()
     header = results.read_text().splitlines()[0]
     assert header.split(",") == RESULT_COLUMNS
-    parsed = parse_experiment_csv(results)
-    assert len(parsed) == 4
-    for row, rec in zip(parsed, records):
-        assert row == rec  # wall clock excluded from equality
+    with open(results, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row, rec in zip(rows, records):
+        for name in RESULT_COLUMNS:  # every column reads back to the value written
+            value = getattr(rec, name)
+            assert type(value)(row[name]) == value, name
     for name in ("plot_seed_cardinality.csv", "plot_profit_difference.csv", "timings.csv"):
         assert (out / name).exists()
     card_lines = (out / "plot_seed_cardinality.csv").read_text().splitlines()

@@ -3,12 +3,10 @@ import random
 
 import pytest
 
-from profitmax.diffusion import enumerate_live_graphs, reachable_set, sample_live_graphs
+from profitmax.diffusion import _live_worlds, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
 from profitmax.profit import (
     EstimatorConfig,
-    estimate_benefit,
-    estimate_influence,
     estimate_profit,
     exact_benefit,
     exact_profit,
@@ -20,23 +18,28 @@ from profitmax.rng import RandomSource
 CFG = EstimatorConfig(replications=200)
 
 
+def unit(g):
+    """Economics under which profit plus the seed count is the influence."""
+    return NodeEconomics((1,) * g.base_node_count, (1,) * g.base_node_count)
+
+
 def test_influence_of_nothing_is_exactly_zero():
     g = build_graph([(0, 1, 0.5)], directed=True)
-    est = estimate_influence(g, set(), CFG, RandomSource(0).stream("i"))
+    est = estimate_profit(g, unit(g), set(), CFG, RandomSource(0).stream("i"))
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
 def test_influence_deterministic_chain():
     g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], directed=True)
-    est = estimate_influence(g, {0}, CFG, RandomSource(0).stream("i"))
-    assert est.mean == 3.0 and est.std_error == 0.0
+    est = estimate_profit(g, unit(g), {0}, CFG, RandomSource(0).stream("i"))
+    assert est.mean + 1 == 3.0 and est.std_error == 0.0
 
 
 def test_influence_single_coin_flip():
     g = build_graph([(0, 1, 0.5)], directed=True)
-    est = estimate_influence(g, {0}, EstimatorConfig(replications=50_000),
-                             RandomSource(5).stream("i"))
-    assert abs(est.mean - 1.5) <= 3 * est.std_error
+    est = estimate_profit(g, unit(g), {0}, EstimatorConfig(replications=50_000),
+                          RandomSource(5).stream("i"))
+    assert abs(est.mean + 1 - 1.5) <= 3 * est.std_error
 
 
 def test_exact_benefit_examples():
@@ -82,31 +85,22 @@ def test_profit_estimate_tracks_exact_value():
     assert abs(est.mean - exact) <= 3 * est.std_error
 
 
-def test_profit_decomposes_into_benefit_minus_cost():
-    g = build_graph([(0, 1, 0.4), (1, 2, 0.7), (0, 2, 0.2)], directed=True)
-    econ = NodeEconomics((5, 7, 9), (20, 30, 40))
-    src = RandomSource(21).child("shared")
-    profit = estimate_profit(g, econ, {0, 1}, CFG, src.generator())
-    benefit = estimate_benefit(g, econ, {0, 1}, CFG, src.generator())
-    assert profit.mean + seed_cost(econ, {0, 1}) == pytest.approx(benefit.mean, abs=1e-9)
-    assert profit.std_error == benefit.std_error
-
-
 def test_universe_restriction_per_live_graph():
     g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (0, 3, 0.5)], directed=True)
     econ = NodeEconomics((1, 1, 1, 1), (10, 20, 30, 40))
     universe = {0, 2}
-    for live in enumerate_live_graphs(g):
-        reach = reachable_set(live, g, {0})
+    index, worlds = _live_worlds(g)
+    worlds = list(worlds)
+    for mask, _ in worlds:
+        reach = index.reach(mask, [0])
         full = sum(econ.benefit[v] for v in reach)
         inside = sum(econ.benefit[v] for v in reach if v in universe)
         outside = sum(econ.benefit[v] for v in reach if v not in universe)
         assert inside == full - outside
     restricted = exact_benefit(g, econ, {0}, universe=universe)
     by_difference = exact_benefit(g, econ, {0}) - sum(
-        live.generation_probability
-        * sum(econ.benefit[v] for v in reachable_set(live, g, {0}) if v not in universe)
-        for live in enumerate_live_graphs(g)
+        prob * sum(econ.benefit[v] for v in index.reach(mask, [0]) if v not in universe)
+        for mask, prob in worlds
     )
     assert restricted == pytest.approx(by_difference)
 

@@ -36,7 +36,7 @@ def cfg(**kw):
 
 
 def test_config_rejects_no_selection_replications():
-    with pytest.raises(ValueError, match="selection replications"):
+    with pytest.raises(ValueError, match="selection_replications must be >= 1"):
         cfg(selection_replications=0)
 
 

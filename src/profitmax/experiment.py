@@ -223,10 +223,12 @@ def run_batch(cfg: BatchConfig):
     econ = generate_attributes(g, cfg.attributes)
     label = dataset_label(cfg.dataset)
     cells = [(g, econ, label, cfg.master_seed, phase_cfg) for phase_cfg in cfg.cells]
-    if cfg.workers == 1:
+    # a forked pool starts all its workers at once: never more than there are cells
+    workers = min(cfg.workers, len(cells))
+    if workers == 1:
         records = [_run_cell(cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_cell, cells))
     write_outputs(cfg.output_dir, records)
     return records

@@ -17,13 +17,16 @@ The greedy selectors estimate on a fixed sample of live graphs instead
 exact weighted coverage, so a seed set's mean profit over the sample is a
 submodular coverage term minus a modular cost.  A sample of a graph also
 serves its views: a flat-id mask blocks the copies of the view's removed
-nodes, and no walk enters them.
+nodes, and no walk enters them.  :class:`GainTable` holds every node's gain
+into an empty seed set on a sample, per copy (a node in one snapshot), so a
+view re-walks only the copies that reach one of its removed nodes.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from math import fsum, sqrt
 
 from .diffusion import _check_seeds, _gain_samples, _live_worlds
@@ -38,6 +41,7 @@ __all__ = [
     "marginal_profit_gain",
     "SnapshotCoverage",
     "SnapshotReachCounts",
+    "GainTable",
     "blocked_copies",
 ]
 
@@ -145,26 +149,26 @@ def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, cfg: Est
 # -- snapshot estimator --------------------------------------------------------
 
 
-def _walk(sample, u, stop):
-    """Flat ids reached from ``u``'s kept arcs, in every snapshot of ``sample``.
+def _walk(sample, lo, hi, stop):
+    """Flat ids reached from the kept arcs of flat ids ``lo`` to ``hi - 1`` of ``sample``.
 
-    The walk never enters ``u``'s own copies, nor a flat id ``y`` with a true
-    ``stop[y]``; a node not entered is not expanded.
+    The walk never enters those start ids, nor a flat id ``y`` with a true
+    ``stop[y]``; a node not entered is not expanded.  A node's copies
+    ``u * R`` to ``(u + 1) * R - 1`` walk its reach in every snapshot, and one
+    copy ``x`` to ``x + 1`` its reach in its own snapshot.
     """
-    R = sample.replications
     offsets, targets = sample.offsets, sample.targets
-    x, end = u * R, (u + 1) * R
     seen = set()
-    stack = targets[offsets[x]:offsets[end]]
+    stack = targets[offsets[lo]:offsets[hi]]
     while stack:
         y = stack.pop()
-        if y in seen or stop[y] or x <= y < end:
+        if y in seen or stop[y] or lo <= y < hi:
             continue
         seen.add(y)
-        lo, hi = offsets[y], offsets[y + 1]
+        lo_y, hi_y = offsets[y], offsets[y + 1]
         # at small p most reached copies keep no arc: skip the empty slice
-        if lo != hi:
-            stack.extend(targets[lo:hi])
+        if lo_y != hi_y:
+            stack.extend(targets[lo_y:hi_y])
     return seen
 
 
@@ -225,7 +229,7 @@ class SnapshotCoverage:
         # but no walk passes through them, so a ``reached`` passed in must come
         # from the blocked walk.
         if reached is None:
-            reached = _walk(self.sample, u, covered)
+            reached = _walk(self.sample, x, x + R, covered)
         else:
             reached = [y for y in reached if not covered[y]]
         gained = value[u] * covered[x:x + R].count(0) + sum(value[y // R] for y in reached)
@@ -262,7 +266,7 @@ class SnapshotReachCounts:
             blocked = bytes(len(self.others))
         for u in members:
             self.member[u] = 1
-            reached = self.reaches[u] = array("q", _walk(sample, u, blocked))
+            reached = self.reaches[u] = array("q", _walk(sample, u * R, (u + 1) * R, blocked))
             self._spread(range(u * R, (u + 1) * R), 1)
             self._spread(reached, 1)
 
@@ -273,7 +277,7 @@ class SnapshotReachCounts:
         x = u * R
         # a copy another member covers shields everything below it, and a
         # blocked copy is covered by none: the walk stays where others is 0
-        reached = _walk(self.sample, u, others)
+        reached = _walk(self.sample, x, x + R, others)
         return value[u] * others[x:x + R].count(0) + sum(value[y // R] for y in reached)
 
     def remove(self, u, reached=None):
@@ -287,3 +291,98 @@ class SnapshotReachCounts:
         others = self.others
         for y in flat_ids:
             others[y] += delta
+
+
+class GainTable:
+    """Every node's gain into an empty seed set on a sample, for its graph and its views.
+
+    ``base[x]`` is the benefit that flat id ``x`` reaches in its own snapshot,
+    ``x`` itself not counted, and ``node[u]`` is ``value[u] * R`` plus the
+    ``base`` of ``u``'s R copies: ``u``'s gain when no copy is blocked.  A view
+    that blocks its removed nodes' copies lowers only the copies that reach
+    one of them, so :meth:`gains` finds those by one walk backwards from the
+    blocked copies and walks only them again.  Benefits are integers, so each
+    gain equals ``SnapshotCoverage(sample, value, blocked).gain(u)`` exactly.
+    Neither table changes once built; the reverse index of the kept arcs is
+    built for the first view that removes a node.
+    """
+
+    __slots__ = ("sample", "value", "base", "node", "_reverse")
+
+    def __init__(self, sample, value):
+        R = sample.replications
+        self.sample = sample
+        self.value = value
+        base = self.base = array("q", bytes(8 * sample.node_count * R))
+        node = self.node = array("q", bytes(8 * sample.node_count))
+        unblocked = bytes(len(base))
+        # u's copies lie in distinct snapshots, so one walk from all of them
+        # reaches each flat id y from the copy in y's snapshot, y % R
+        for u in range(sample.node_count):
+            x = u * R
+            for y in _walk(sample, x, x + R, unblocked):
+                base[x + y % R] += value[y // R]
+            node[u] = value[u] * R + sum(base[x:x + R])
+        self._reverse = None
+
+    def gains(self, removed):
+        """Gain of each node on the view of the sample without ``removed``.
+
+        Returns a new ``array("q")`` indexed by node id; the entry of a
+        removed node is not a gain on the view.
+        """
+        gains = array("q", self.node)
+        if not removed:
+            return gains
+        sample, value, base = self.sample, self.value, self.base
+        R = sample.replications
+        blocked = blocked_copies(sample, removed)
+        for x in self._ancestors(blocked, removed):
+            kept = sum(value[y // R] for y in _walk(sample, x, x + 1, blocked))
+            gains[x // R] -= base[x] - kept
+        return gains
+
+    def _ancestors(self, blocked, removed):
+        # the unblocked copies with a kept path into a blocked copy: a node's
+        # copies are contiguous, so the arcs into all of them are one slice
+        if self._reverse is None:
+            self._reverse = _reverse_arcs(self.sample)
+        starts, sources = self._reverse
+        R = self.sample.replications
+        seen = bytearray(blocked)
+        found = []
+        stack = []
+        for u in removed:
+            stack.extend(sources[starts[u * R]:starts[(u + 1) * R]])
+        while stack:
+            x = stack.pop()
+            if seen[x]:
+                continue
+            seen[x] = 1
+            found.append(x)
+            lo, hi = starts[x], starts[x + 1]
+            if lo != hi:
+                stack.extend(sources[lo:hi])
+        return found
+
+
+def _reverse_arcs(sample):
+    """The kept arcs of ``sample`` grouped by target: ``(starts, sources)``.
+
+    The arcs into flat id ``y`` come from ``sources[starts[y]:starts[y + 1]]``.
+    """
+    offsets, targets = sample.offsets, sample.targets
+    size = len(offsets) - 1
+    starts = array("q", bytes(8 * (size + 1)))
+    for y in targets:
+        starts[y + 1] += 1
+    starts = array("q", accumulate(starts))
+    fill = array("q", starts)
+    sources = array("q", bytes(8 * len(targets)))
+    for x in range(size):
+        lo, hi = offsets[x], offsets[x + 1]
+        if lo != hi:
+            for y in targets[lo:hi]:
+                sources[fill[y]] = x
+                fill[y] += 1
+    return starts, sources

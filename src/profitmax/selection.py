@@ -11,13 +11,15 @@ once per call, from a stream derived from their own source, or take a shared
 ``sample`` of a graph their view restricts, on which the view's removed nodes
 are blocked.  They score every candidate exactly on that sample: benefit is
 weighted coverage, so a gain is coverage gained minus the node's cost.  Single
-greedy evaluates lazily (CELF): a ratio computed in an earlier round bounds
-the current one from above, so only candidates that reach the top of the
-queue are evaluated again, and the seeds equal those of the eager loop on the
-same sample.  Its trace holds one ``evaluated`` entry per ratio computed,
-``unaffordable`` when a candidate leaves the pool for good, and the round's
-``accepted`` node or the final ``rejected_gain`` one.  High degree, clustering
-coefficient and single discount share one scored scan, whose gain gate calls
+greedy reads round 0 from the sample's :class:`~profitmax.profit.GainTable`,
+its own or one a cell shares, and then evaluates lazily (CELF): a ratio
+computed in an earlier round bounds the current one from above, so only
+candidates that reach the top of the queue are evaluated again, and the seeds
+equal those of the eager loop on the same sample.  Its trace holds one
+``evaluated`` entry per ratio computed, ``unaffordable`` when a candidate
+leaves the pool for good, and the round's ``accepted`` node or the final
+``rejected_gain`` one.  High degree, clustering coefficient and single
+discount share one scored scan, whose gain gate calls
 :func:`~profitmax.profit.marginal_profit_gain`; its two estimates share one
 stream.
 """
@@ -26,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from math import inf
+from typing import NamedTuple
 
 from .diffusion import sample_live_graphs
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degree, seed_cost
-from .profit import (EstimatorConfig, SnapshotCoverage, SnapshotReachCounts, blocked_copies,
-                     marginal_profit_gain)
+from .profit import (EstimatorConfig, GainTable, SnapshotCoverage, SnapshotReachCounts,
+                     blocked_copies, marginal_profit_gain)
 # unused here, but the benchmark's tracer patches these names on this module
 from .graph import clustering_coefficient  # noqa: F401
 from .profit import estimate_profit  # noqa: F401
@@ -52,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     round: int
     node: int
     decision: str
@@ -105,21 +106,36 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
     lowest id.  Candidates whose cost exceeds the remaining budget can never
     become affordable again and leave the pool permanently, which also
     guarantees termination.  ``sample``, when given, is a ``LiveSample`` of
-    the graph ``g`` restricts and replaces the selector's own.
+    the graph ``g`` restricts, or that sample's :class:`GainTable` for
+    ``econ``'s benefits, and replaces the selector's own.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
     replications = cfg.replications
-    sample, blocked = _blocked_sample(g, cfg, source, sample)
+    table = sample if isinstance(sample, GainTable) else None
+    sample, blocked = _blocked_sample(g, cfg, source, sample if table is None else table.sample)
+    if table is None:
+        table = GainTable(sample, econ.benefit)
+    elif table.value != econ.benefit:
+        raise ValueError("the gain table was built for other benefits")
     cover = SnapshotCoverage(sample, econ.benefit, blocked)
 
-    def ratio(u):
-        return (cover.gain(u) / replications - cost[u]) / cost[u]
+    def ratio(u, gain):
+        return (gain / replications - cost[u]) / cost[u]
 
-    # no ratio is known yet, so round 0 evaluates every node in id order; a
-    # sorted list is already a heap
-    queue = [(-inf, u, -1) for u in g.nodes]
+    # round 0 rates every affordable node, in id order, from the table; later
+    # rounds re-rate a node only when its stale ratio reaches the top
+    gains = table.gains(g.removed)
     trace = []
+    queue = []
+    for u in g.nodes:
+        if cost[u] > budget:
+            trace.append(TraceEntry(0, u, "unaffordable"))
+        else:
+            r = ratio(u, gains[u])
+            trace.append(TraceEntry(0, u, "evaluated", r))
+            queue.append((-r, u, 0))
+    heapify(queue)
     selected = []
     remaining = budget
     round_no = 0
@@ -129,7 +145,7 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
             heappop(queue)
             trace.append(TraceEntry(round_no, u, "unaffordable"))
         elif evaluated_in != round_no:
-            r = ratio(u)
+            r = ratio(u, cover.gain(u))
             trace.append(TraceEntry(round_no, u, "evaluated", r))
             heapreplace(queue, (-r, u, round_no))
         elif neg_ratio >= 0.0:
@@ -149,7 +165,8 @@ def replay_single_greedy(g: SocialGraph, econ: NodeEconomics, cfg: EstimatorConf
                          source, outcome: SelectionOutcome, sample=None) -> bool:
     """Re-run single greedy from ``source`` and compare with a recorded outcome.
 
-    ``sample`` is the shared sample the outcome was selected on, if any.
+    ``sample`` is the shared sample the outcome was selected on, or its gain
+    table, if any.
     True when the seeds, the spend and every trace entry (node, decision and
     ratio) match exactly.
     """

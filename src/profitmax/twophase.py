@@ -9,7 +9,8 @@ observed frontier (which costs nothing and earns nothing — its members were
 already counted in phase one).  A greedy cell's phase-two selections share
 one sample of live graphs of the base graph, each blocking its view's removed
 nodes on it, so a selection depends only on its observation and identical
-observations select once.
+observations select once.  A single-greedy cell also builds that sample's
+round-0 gain table once, and its selections share it.
 
 The module also carries an exact oracle for the full two-phase objective on
 enumerable instances: every live graph is expanded, grouped by the arc states
@@ -27,7 +28,7 @@ from math import fsum, sqrt
 from .diffusion import (_check_seeds, _live_worlds, observe_until, sample_live_graphs,
                         PartialObservation)
 from .graph import NodeEconomics, SocialGraph, exclude_nodes, seed_cost
-from .profit import EstimatorConfig, ProfitEstimate, estimate_profit
+from .profit import EstimatorConfig, GainTable, ProfitEstimate, estimate_profit
 from .rng import RandomSource
 from .selection import SELECTORS, SNAPSHOT_SELECTORS, SelectionOutcome, select
 
@@ -147,10 +148,11 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
     evaluation keeps the observed frontier as cost-free seeds on the graph
     without the already-active interior, counting benefit only over untouched
     nodes.  Unspent phase-one budget rolls over.  ``sample``, from
-    :func:`phase2_sample`, replaces a greedy selector's own sample.  ``memo``
-    maps an observation's (already active, newly active) pair to the outcome
-    selected for it; pass one only with ``sample``, which makes selection a
-    function of the observation.
+    :func:`phase2_sample` (or, for single greedy, that sample's gain table),
+    replaces a greedy selector's own sample.  ``memo`` maps an observation's
+    (already active, newly active) pair to the outcome selected for it; pass
+    one only with ``sample``, which makes selection a function of the
+    observation.
     """
     already, newly = obs.already_active, obs.newly_active
     if not newly <= already:
@@ -198,6 +200,9 @@ def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics) -> TwoP
     """
     phase1_outcome, observations = run_phase1(cfg, g, econ)
     sample = phase2_sample(cfg, g)
+    if cfg.algorithm == "single_greedy":
+        # its selections read round 0 from one gain table of the sample
+        sample = GainTable(sample, econ.benefit)
     memo = {} if sample is not None else None
     records = [
         run_phase2(cfg, g, econ, phase1_outcome, obs, i, sample, memo)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from profitmax import experiment
 from profitmax.cli import main
 from profitmax.experiment import (
     RESULT_COLUMNS,
@@ -159,6 +160,39 @@ def test_run_batch_deterministic_across_runs_and_workers(tmp_path):
     first = (tmp_path / "o1" / "results.csv").read_bytes()
     second = (tmp_path / "o2" / "results.csv").read_bytes()
     assert first == second
+
+
+@pytest.mark.parametrize("workers, algorithms, budgets", [
+    (64, "random,high_degree", "6,9"),
+    (3, "random,high_degree", "6,9"),
+    (2, "random", "6"),
+])
+def test_run_batch_pool_never_outnumbers_its_cells(tmp_path, monkeypatch, workers, algorithms,
+                                                   budgets):
+    cells = len(algorithms.split(",")) * len(budgets.split(","))
+    pools = []
+
+    class RecordingPool:
+        # stands in for the process pool: checks its size and maps in-process
+        def __init__(self, max_workers):
+            assert max_workers == min(workers, cells)
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    cfg = parse_config(write_config(tmp_path / "c.txt", algorithms=algorithms, budgets=budgets,
+                                    workers=str(workers)))
+    assert len(run_batch(cfg)) == cells
+    # a single cell runs in-process, with no pool at all
+    assert pools == ([min(workers, cells)] if min(workers, cells) > 1 else [])
 
 
 def test_cli_run(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from profitmax.diffusion import _live_worlds, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
@@ -11,7 +12,9 @@ from profitmax.profit import (
     exact_benefit,
     exact_profit,
     marginal_profit_gain,
+    GainTable,
     SnapshotCoverage,
+    blocked_copies,
 )
 from profitmax.rng import RandomSource
 
@@ -214,3 +217,56 @@ def test_snapshot_profit_matches_enumeration_oracle():
                 assert all(y // replications != u for y in sample.targets)
                 x = u * replications
                 assert sample.offsets[x] == sample.offsets[x + replications]
+
+
+def _gain_table_instance(seed, replications):
+    """A random graph or a view of one, its sample, and integer benefits."""
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 9)
+    uniform = rnd.choice([None, 0.2, 0.5, 0.9])
+    edges = [(u, v, uniform or rnd.choice([0.3, 0.6, 1.0]))
+             for u in range(n) for v in range(n) if u != v and rnd.random() < 0.35]
+    g = build_graph(edges or [(0, n - 1, 1.0)], directed=rnd.random() < 0.5)
+    size = g.base_node_count
+    if rnd.random() < 0.3:
+        g = exclude_nodes(g, rnd.sample(range(size), rnd.randint(1, size - 1)))
+    value = tuple(rnd.randint(1, 9) for _ in range(size))
+    sample = sample_live_graphs(g, replications, RandomSource(seed).stream("table"))
+    return rnd, g, value, sample
+
+
+def _coverage_gains(sample, value, removed, nodes):
+    blocked = blocked_copies(sample, removed)
+    return [SnapshotCoverage(sample, value, blocked).gain(u) for u in nodes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_gain_table_matches_coverage_on_views(seed, replications):
+    rnd, sampled, value, sample = _gain_table_instance(seed, replications)
+    views = []
+    for _ in range(3):
+        view = exclude_nodes(sampled, rnd.sample(sampled.nodes, rnd.randint(0, sampled.node_count)))
+        views.append(view)
+        if view.nodes:
+            views.append(exclude_nodes(view, rnd.sample(view.nodes, rnd.randint(1, view.node_count))))
+    expected = [_coverage_gains(sample, value, v.removed, v.nodes) for v in views]
+    table = GainTable(sample, value)
+    base, node = table.base.tobytes(), table.node.tobytes()
+    # one table serves every view, in any order, and no view changes it
+    for k in rnd.sample(range(len(views)), len(views)) * 2:
+        gains = table.gains(views[k].removed)
+        assert [gains[u] for u in views[k].nodes] == expected[k]
+    assert table.base.tobytes() == base and table.node.tobytes() == node
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_gain_table_without_removed_nodes_is_the_node_sums(seed, replications):
+    _, _, value, sample = _gain_table_instance(seed, replications)
+    table = GainTable(sample, value)
+    R = replications
+    everyone = range(sample.node_count)
+    assert list(table.gains(())) == list(table.node) == _coverage_gains(sample, value, (), everyone)
+    for u in everyone:
+        assert table.node[u] == value[u] * R + sum(table.base[u * R:(u + 1) * R])

@@ -9,6 +9,7 @@ from profitmax.diffusion import LiveSample
 from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
 from profitmax.profit import (
     EstimatorConfig,
+    GainTable,
     SnapshotCoverage,
     SnapshotReachCounts,
     marginal_profit_gain,
@@ -79,12 +80,12 @@ def test_single_greedy_replay_rejects_altered_outcomes():
     assert out.seeds and replay_single_greedy(g, econ, CFG, source, out)
     trace = list(out.trace)
     k = next(i for i, e in enumerate(trace) if e.decision == "evaluated")
-    trace[k] = replace(trace[k], ratio=trace[k].ratio + 1e-9)
+    trace[k] = trace[k]._replace(ratio=trace[k].ratio + 1e-9)
     assert not replay_single_greedy(g, econ, CFG, source, replace(out, trace=tuple(trace)))
     trace = list(out.trace)
     k = next(i for i, e in enumerate(trace) if e.decision == "accepted")
     other = next(u for u in g.nodes if u != trace[k].node)
-    trace[k] = replace(trace[k], node=other)
+    trace[k] = trace[k]._replace(node=other)
     assert not replay_single_greedy(g, econ, CFG, source, replace(out, trace=tuple(trace)))
 
 
@@ -250,6 +251,17 @@ def test_shared_sample_must_fit_the_graph():
             selector(g, econ, 5, EstimatorConfig(replications=7), RandomSource(0), sample)
     with pytest.raises(ValueError, match="live-graph sample"):
         select("high_degree", g, econ, 5, CFG, RandomSource(0), sample)
+
+
+def test_gain_table_serves_only_its_benefits():
+    g, econ = isolated_nodes([3, 5], [10, 10])
+    sample = _snapshots(g, CFG, RandomSource(0))
+    table = GainTable(sample, econ.benefit)
+    assert single_greedy(g, econ, 5, CFG, RandomSource(1), table) == \
+        single_greedy(g, econ, 5, CFG, RandomSource(1), sample)
+    other = NodeEconomics(econ.cost, (11, 10, 1, 1))
+    with pytest.raises(ValueError, match="other benefits"):
+        single_greedy(g, other, 5, CFG, RandomSource(1), table)
 
 
 def test_double_greedy_empty_universe():

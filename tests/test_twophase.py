@@ -6,7 +6,7 @@ from profitmax import selection, twophase
 from profitmax.diffusion import PartialObservation
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes
 from profitmax.loader import AttributeSpec, generate_attributes, preferential_attachment_graph
-from profitmax.profit import EstimatorConfig, estimate_profit, exact_profit
+from profitmax.profit import EstimatorConfig, GainTable, estimate_profit, exact_profit
 from profitmax.rng import RandomSource
 from profitmax.selection import replay_single_greedy
 from profitmax.twophase import (
@@ -218,6 +218,31 @@ def test_replay_accepts_shared_sample_phase2_outcome():
         source = RandomSource(c.master_seed).child("phase2", i).child("select")
         assert replay_single_greedy(exclude_nodes(g, rec.already_active), econ, selection_cfg,
                                     source, rec.phase2_selection, sample)
+
+
+def test_single_greedy_cell_builds_one_gain_table(monkeypatch):
+    c, g, econ = _repeating_cell("single_greedy")
+    built = []
+
+    class CountedTable(GainTable):
+        def __init__(self, sample, value):
+            built.append(sample)
+            super().__init__(sample, value)
+
+    for module in (twophase, selection):
+        monkeypatch.setattr(module, "GainTable", CountedTable)
+    result = run_two_phase(c, g, econ)
+    # phase one's selection built a table of its own sample; the phase-two
+    # selections, one per distinct observation, all shared the cell's table
+    assert len({(r.already_active, r.newly_active) for r in result.observations}) > 1
+    assert built == [built[0], phase2_sample(c, g)] and built[0] != built[1]
+    monkeypatch.undo()
+    table = GainTable(phase2_sample(c, g), econ.benefit)
+    selection_cfg = EstimatorConfig(c.selection_replications)
+    for i, rec in enumerate(result.observations):
+        source = RandomSource(c.master_seed).child("phase2", i).child("select")
+        assert replay_single_greedy(exclude_nodes(g, rec.already_active), econ, selection_cfg,
+                                    source, rec.phase2_selection, table)
 
 
 def test_single_phase_examples():

@@ -48,8 +48,8 @@ from .twophase import (
     ObservationRecord,
     PhaseConfig,
     TwoPhaseResult,
+    cell_sample,
     exact_two_phase_profit,
-    phase2_sample,
     run_phase1,
     run_phase2,
     run_single_phase,

@@ -90,6 +90,11 @@ class BatchConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0.0 < self.probability <= 1.0:
+            raise ValueError(f"probability must be in (0, 1], got {self.probability}")
+        for key, entries in (("algorithms", self.algorithms), ("budgets", self.budgets)):
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{key} repeats an entry: {entries}")
         source = RandomSource(self.master_seed)
         object.__setattr__(self, "attributes", AttributeSpec(
             self.cost_range, self.benefit_range, self.attribute_seed))

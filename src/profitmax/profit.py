@@ -12,14 +12,16 @@ phase-two protocol uses them for organically activated frontiers.  A
 ``universe`` restricts which nodes' benefits are counted, without changing
 diffusion dynamics.
 
-The greedy selectors estimate on a fixed sample of live graphs instead
-(:class:`SnapshotCoverage`, :class:`SnapshotReachCounts`): there benefit is
-exact weighted coverage, so a seed set's mean profit over the sample is a
-submodular coverage term minus a modular cost.  A sample of a graph also
-serves its views: a flat-id mask blocks the copies of the view's removed
-nodes, and no walk enters them.  :class:`GainTable` holds every node's gain
-into an empty seed set on a sample, per copy (a node in one snapshot), so a
-view re-walks only the copies that reach one of its removed nodes.
+The greedy selectors estimate on a fixed sample of live graphs instead, one
+per cell (:class:`SnapshotCoverage`, :class:`SnapshotReachCounts`): there
+benefit is exact weighted coverage, so a seed set's mean profit over the
+sample is a submodular coverage term minus a modular cost.  A sample of a
+graph also serves its views: a flat-id mask blocks the copies of the view's
+removed nodes, and no walk enters them.  :class:`GainTable` holds every
+node's gain into an empty seed set on a sample, per copy (a node in one
+snapshot), so a view re-walks only the copies that reach one of its removed
+nodes; a single-greedy cell builds it once, and all its selections read round
+0 from it.
 """
 
 from __future__ import annotations

@@ -6,20 +6,19 @@ degree.  Every selector works on whatever (possibly restricted) graph it is
 handed, never picks a node twice, and returns an audit trace of each examined
 candidate.
 
-The greedy selectors sample ``cfg.replications`` live graphs of their graph
-once per call, from a stream derived from their own source, or take a shared
-``sample`` of a graph their view restricts, on which the view's removed nodes
-are blocked.  They score every candidate exactly on that sample: benefit is
-weighted coverage, so a gain is coverage gained minus the node's cost.  Single
-greedy reads round 0 from the sample's :class:`~profitmax.profit.GainTable`,
-its own or one a cell shares, and then evaluates lazily (CELF): a ratio
-computed in an earlier round bounds the current one from above, so only
-candidates that reach the top of the queue are evaluated again, and the seeds
-equal those of the eager loop on the same sample.  Its trace holds one
-``evaluated`` entry per ratio computed, ``unaffordable`` when a candidate
-leaves the pool for good, and the round's ``accepted`` node or the final
-``rejected_gain`` one.  High degree, clustering coefficient and single
-discount share one scored scan, whose gain gate calls
+The greedy selectors draw nothing.  They are handed a sample of R live graphs
+of a graph their view restricts (a cell's, from
+:func:`~profitmax.twophase.cell_sample`), block the view's removed nodes on
+it, and score every candidate exactly there: benefit is weighted coverage, so
+a gain is coverage gained minus the node's cost.  Single greedy takes the
+sample's :class:`~profitmax.profit.GainTable`, reads round 0 from it, and then
+evaluates lazily (CELF): a ratio computed in an earlier round bounds the
+current one from above, so only candidates that reach the top of the queue are
+evaluated again, and the seeds equal those of the eager loop on the same
+sample.  Its trace holds one ``evaluated`` entry per ratio computed,
+``unaffordable`` when a candidate leaves the pool for good, and the round's
+``accepted`` node or the final ``rejected_gain`` one.  High degree, clustering
+coefficient and single discount share one scored scan, whose gain gate calls
 :func:`~profitmax.profit.marginal_profit_gain`; its two estimates share one
 stream.
 """
@@ -30,10 +29,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
-from .diffusion import sample_live_graphs
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degree, seed_cost
-from .profit import (EstimatorConfig, GainTable, SnapshotCoverage, SnapshotReachCounts,
-                     blocked_copies, marginal_profit_gain)
+from .profit import (EstimatorConfig, SnapshotCoverage, SnapshotReachCounts, blocked_copies,
+                     marginal_profit_gain)
 # unused here, but the benchmark's tracer patches these names on this module
 from .graph import clustering_coefficient  # noqa: F401
 from .profit import estimate_profit  # noqa: F401
@@ -81,42 +79,31 @@ def _check_budget(g, econ, budget):
     econ.check_covers(g)
 
 
-def _snapshots(g, cfg, source):
-    return sample_live_graphs(g, cfg.replications, source.stream("snapshots"))
+def _blocked(g, sample):
+    # the copies of g's removed nodes, marked on a sample of the graph g
+    # restricts; on a sample of g itself no arc enters a marked copy
+    if sample.node_count != g.base_node_count:
+        raise ValueError(f"sample of {sample.node_count} nodes does not fit a graph of "
+                         f"{g.base_node_count} nodes")
+    return blocked_copies(sample, g.removed)
 
 
-def _blocked_sample(g, cfg, source, sample):
-    # the selector's own sample of g, or the shared one, with the copies of
-    # g's removed nodes marked; on g's own sample no arc enters a marked copy
-    if sample is None:
-        sample = _snapshots(g, cfg, source)
-    elif sample.node_count != g.base_node_count or sample.replications != cfg.replications:
-        raise ValueError(
-            f"sample of {sample.node_count} nodes x {sample.replications} live graphs does not "
-            f"fit a graph of {g.base_node_count} nodes at {cfg.replications} replications")
-    return sample, blocked_copies(sample, g.removed)
-
-
-def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
-                  cfg: EstimatorConfig, source, sample=None) -> SelectionOutcome:
+def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table) -> SelectionOutcome:
     """Iterated best gain-per-cost selection until gains turn non-positive.
 
     Each round accepts the affordable candidate with the highest ratio
     (coverage gain / replications - cost) / cost on the sample, ties to the
     lowest id.  Candidates whose cost exceeds the remaining budget can never
     become affordable again and leave the pool permanently, which also
-    guarantees termination.  ``sample``, when given, is a ``LiveSample`` of
-    the graph ``g`` restricts, or that sample's :class:`GainTable` for
-    ``econ``'s benefits, and replaces the selector's own.
+    guarantees termination.  ``table`` is the :class:`~profitmax.profit.GainTable`,
+    for ``econ``'s benefits, of a ``LiveSample`` of the graph ``g`` restricts.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
-    replications = cfg.replications
-    table = sample if isinstance(sample, GainTable) else None
-    sample, blocked = _blocked_sample(g, cfg, source, sample if table is None else table.sample)
-    if table is None:
-        table = GainTable(sample, econ.benefit)
-    elif table.value != econ.benefit:
+    sample = table.sample
+    replications = sample.replications
+    blocked = _blocked(g, sample)
+    if table.value != econ.benefit:
         raise ValueError("the gain table was built for other benefits")
     cover = SnapshotCoverage(sample, econ.benefit, blocked)
 
@@ -161,34 +148,31 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
     return _outcome(econ, budget, selected, trace)
 
 
-def replay_single_greedy(g: SocialGraph, econ: NodeEconomics, cfg: EstimatorConfig,
-                         source, outcome: SelectionOutcome, sample=None) -> bool:
-    """Re-run single greedy from ``source`` and compare with a recorded outcome.
+def replay_single_greedy(g: SocialGraph, econ: NodeEconomics, outcome: SelectionOutcome,
+                         table) -> bool:
+    """Re-run single greedy on the gain table an outcome was selected on.
 
-    ``sample`` is the shared sample the outcome was selected on, or its gain
-    table, if any.
     True when the seeds, the spend and every trace entry (node, decision and
     ratio) match exactly.
     """
     budget = outcome.spent + outcome.remaining_budget
-    return single_greedy(g, econ, budget, cfg, source, sample) == outcome
+    return single_greedy(g, econ, budget, table) == outcome
 
 
-def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int,
-                  cfg: EstimatorConfig, source, sample=None) -> SelectionOutcome:
+def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample) -> SelectionOutcome:
     """Single pass keeping a growing set S and a shrinking set T; ends with S == T.
 
     For each node the grow-side ratio is its profit gain when added to S, and
     the shrink-side ratio (negated) its profit change when removed from T, both
     per unit cost and exact on the sample.  The node joins S when the grow side
     wins and its cost still fits the budget; otherwise it leaves T.
-    ``sample`` is as for :func:`single_greedy`.
+    ``sample`` is a ``LiveSample`` of the graph ``g`` restricts.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
     nodes = g.nodes
-    replications = cfg.replications
-    sample, blocked = _blocked_sample(g, cfg, source, sample)
+    replications = sample.replications
+    blocked = _blocked(g, sample)
     grow = SnapshotCoverage(sample, econ.benefit, blocked)
     shrink = SnapshotReachCounts(sample, econ.benefit, nodes, blocked)
     selected = []
@@ -316,7 +300,8 @@ SELECTORS = {
     "single_discount": baseline_single_discount,
 }
 
-# the selectors that score on a sample of live graphs, and can share one
+# the selectors that score on a sample of live graphs: single greedy on its
+# gain table, double greedy on the sample itself
 SNAPSHOT_SELECTORS = frozenset({"single_greedy", "double_greedy"})
 
 
@@ -324,15 +309,14 @@ def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
            cfg: EstimatorConfig, source, sample=None) -> SelectionOutcome:
     """Dispatch to a selector by registry name.
 
-    ``sample`` goes to a selector in :data:`SNAPSHOT_SELECTORS`; the others
-    take none.
+    A selector in :data:`SNAPSHOT_SELECTORS` needs ``sample`` and ignores
+    ``cfg`` and ``source``; the others take no sample.
     """
     try:
         selector = SELECTORS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(sorted(SELECTORS))}")
-    if sample is None:
-        return selector(g, econ, budget, cfg, source)
-    if name not in SNAPSHOT_SELECTORS:
-        raise ValueError(f"{name} does not score on a live-graph sample")
-    return selector(g, econ, budget, cfg, source, sample)
+    greedy = name in SNAPSHOT_SELECTORS
+    if greedy == (sample is None):
+        raise ValueError(f"{name} {'needs a' if greedy else 'takes no'} live-graph sample")
+    return selector(g, econ, budget, sample) if greedy else selector(g, econ, budget, cfg, source)

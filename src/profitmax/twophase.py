@@ -6,11 +6,11 @@ active and the frontier activated exactly at the horizon.  Phase two removes
 the already-active interior from the graph, rolls unspent budget over, selects
 fresh seeds among untouched nodes, and lets them diffuse together with the
 observed frontier (which costs nothing and earns nothing — its members were
-already counted in phase one).  A greedy cell's phase-two selections share
-one sample of live graphs of the base graph, each blocking its view's removed
-nodes on it, so a selection depends only on its observation and identical
-observations select once.  A single-greedy cell also builds that sample's
-round-0 gain table once, and its selections share it.
+already counted in phase one).  Every selection of a greedy cell, in phase
+one, phase two and the single phase, scores on one sample of live graphs of
+the base graph, :func:`cell_sample`; a phase-two selection blocks its view's
+removed nodes on it, so it depends only on its observation, and identical
+observations select once.
 
 The module also carries an exact oracle for the full two-phase objective on
 enumerable instances: every live graph is expanded, grouped by the arc states
@@ -36,8 +36,8 @@ __all__ = [
     "PhaseConfig",
     "ObservationRecord",
     "TwoPhaseResult",
+    "cell_sample",
     "run_phase1",
-    "phase2_sample",
     "run_phase2",
     "run_two_phase",
     "run_single_phase",
@@ -110,33 +110,38 @@ def _selection_cfg(cfg: PhaseConfig) -> EstimatorConfig:
     return EstimatorConfig(replications=cfg.selection_replications)
 
 
-def run_phase1(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
+def cell_sample(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
+    """What every selection of the cell scores on: R live graphs of ``g``.
+
+    Drawn from the cell's ``snapshots`` stream.  Returns the ``LiveSample``
+    for double greedy, that sample's :class:`GainTable` for single greedy,
+    and None for a baseline cell, which draws nothing.
+    """
+    if cfg.algorithm not in SNAPSHOT_SELECTORS:
+        return None
+    sample = sample_live_graphs(g, cfg.selection_replications,
+                                RandomSource(cfg.master_seed).stream("snapshots"))
+    if cfg.algorithm == "single_greedy":
+        return GainTable(sample, econ.benefit)
+    return sample
+
+
+def run_phase1(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics, sample=None):
     """Select phase-one seeds and draw the independent observations.
 
-    Returns the selection outcome and ``cfg.phase1_observations`` partial
-    observations of independent cascades from those seeds, each watched up to
-    the observation step.
+    ``sample`` is the cell's :func:`cell_sample`.  Returns the selection
+    outcome and ``cfg.phase1_observations`` partial observations of
+    independent cascades from those seeds, each watched up to the observation
+    step.
     """
     source = RandomSource(cfg.master_seed)
     outcome = select(cfg.algorithm, g, econ, cfg.budget_phase1,
-                     _selection_cfg(cfg), source.child("phase1-select"))
+                     _selection_cfg(cfg), source.child("phase1-select"), sample)
     observations = [
         observe_until(g, outcome.seeds, cfg.observation_step, source.stream("phase1-observe", i))
         for i in range(cfg.phase1_observations)
     ]
     return outcome, observations
-
-
-def phase2_sample(cfg: PhaseConfig, g: SocialGraph):
-    """The live graphs of ``g`` that a greedy cell's phase-two selections share.
-
-    Drawn from the cell's own ``phase2-snapshots`` stream, apart from phase
-    one's streams; None for a baseline cell, which draws no sample.
-    """
-    if cfg.algorithm not in SNAPSHOT_SELECTORS:
-        return None
-    return sample_live_graphs(g, cfg.selection_replications,
-                              RandomSource(cfg.master_seed).stream("phase2-snapshots"))
 
 
 def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
@@ -147,12 +152,10 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
     Selection happens on the graph without every already-active node; the
     evaluation keeps the observed frontier as cost-free seeds on the graph
     without the already-active interior, counting benefit only over untouched
-    nodes.  Unspent phase-one budget rolls over.  ``sample``, from
-    :func:`phase2_sample` (or, for single greedy, that sample's gain table),
-    replaces a greedy selector's own sample.  ``memo`` maps an observation's
-    (already active, newly active) pair to the outcome selected for it; pass
-    one only with ``sample``, which makes selection a function of the
-    observation.
+    nodes.  Unspent phase-one budget rolls over.  ``sample`` is the cell's
+    :func:`cell_sample`.  ``memo`` maps an observation's (already active,
+    newly active) pair to the outcome selected for it; pass one only with
+    ``sample``, which makes selection a function of the observation.
     """
     already, newly = obs.already_active, obs.newly_active
     if not newly <= already:
@@ -195,14 +198,12 @@ def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics) -> TwoP
     The headline aggregate takes the maximum total profit over observations
     (protocol convention); the mean and standard deviation across observations
     are reported alongside since the objective is an expectation.  A greedy
-    cell selects once per distinct observation, on one shared sample; every
-    observation is still evaluated on its own stream.
+    cell draws its sample once, and selects on it in phase one and once per
+    distinct observation; every observation is still evaluated on its own
+    stream.
     """
-    phase1_outcome, observations = run_phase1(cfg, g, econ)
-    sample = phase2_sample(cfg, g)
-    if cfg.algorithm == "single_greedy":
-        # its selections read round 0 from one gain table of the sample
-        sample = GainTable(sample, econ.benefit)
+    sample = cell_sample(cfg, g, econ)
+    phase1_outcome, observations = run_phase1(cfg, g, econ, sample)
     memo = {} if sample is not None else None
     records = [
         run_phase2(cfg, g, econ, phase1_outcome, obs, i, sample, memo)
@@ -233,10 +234,12 @@ def run_single_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
 
     The estimate uses observations x runs-per-observation replications so the
     comparison against the two-phase aggregate rests on similar sample sizes.
+    A greedy selection scores on the cell's sample, drawn here as
+    :func:`run_two_phase` draws it.
     """
     source = RandomSource(cfg.master_seed)
-    outcome = select(cfg.algorithm, g, econ, cfg.total_budget,
-                     _selection_cfg(cfg), source.child("single-phase-select"))
+    outcome = select(cfg.algorithm, g, econ, cfg.total_budget, _selection_cfg(cfg),
+                     source.child("single-phase-select"), cell_sample(cfg, g, econ))
     replications = cfg.phase1_observations * cfg.phase2_runs_per_observation
     est = estimate_profit(g, econ, outcome.seeds, EstimatorConfig(replications=replications),
                           source.stream("single-phase-evaluate"))

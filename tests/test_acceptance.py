@@ -12,17 +12,20 @@ from pathlib import Path
 
 import pytest
 
+from profitmax.diffusion import sample_live_graphs
 from profitmax.experiment import BatchConfig, run_batch
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
 from profitmax.loader import AttributeSpec, generate_attributes, load_snap_edge_list, preferential_attachment_graph
 from profitmax.profit import (
     EstimatorConfig,
+    GainTable,
     estimate_profit,
     exact_benefit,
     exact_profit,
 )
 from profitmax.rng import RandomSource
-from profitmax.selection import SELECTORS, double_greedy, replay_single_greedy, select, single_greedy
+from profitmax.selection import (SELECTORS, SNAPSHOT_SELECTORS, double_greedy,
+                                 replay_single_greedy, select, single_greedy)
 from profitmax.twophase import PhaseConfig, exact_two_phase_profit, run_single_phase, run_two_phase
 
 DATA = Path(__file__).parent / "data"
@@ -199,6 +202,15 @@ def test_criterion_3_objective_shape_witnesses():
     _report(3, "objective sign/monotonicity/modularity/additivity witnesses found", failures, elapsed)
 
 
+def _shared(name, g, econ, cfg, source):
+    # what select takes for name: single greedy's gain table or double
+    # greedy's sample, from source's snapshots stream; None for a baseline
+    if name not in SNAPSHOT_SELECTORS:
+        return None
+    sample = sample_live_graphs(g, cfg.replications, source.stream("snapshots"))
+    return GainTable(sample, econ.benefit) if name == "single_greedy" else sample
+
+
 def test_criterion_4_selector_contracts():
     started = time.perf_counter()
     rnd = random.Random(515)
@@ -217,13 +229,18 @@ def test_criterion_4_selector_contracts():
         budget = rnd.randint(0, 30)
         source = RandomSource(trial)
         for name in SELECTORS:
-            out = select(name, g, econ, budget, cfg, source.child(name))
+            out = select(name, g, econ, budget, cfg, source.child(name),
+                         _shared(name, g, econ, cfg, source.child(name)))
             if out.spent > budget or out.spent != seed_cost(econ, out.seeds):
                 failures.append(f"trial {trial} {name}: budget violated")
-        sg_out = single_greedy(g, econ, budget, cfg, source.child("single_greedy"))
-        if not replay_single_greedy(g, econ, cfg, source.child("single_greedy"), sg_out):
+        table = _shared("single_greedy", g, econ, cfg, source.child("single_greedy"))
+        sg_out = single_greedy(g, econ, budget, table)
+        # a table rebuilt from the same stream replays the outcome
+        table = _shared("single_greedy", g, econ, cfg, source.child("single_greedy"))
+        if not replay_single_greedy(g, econ, sg_out, table):
             failures.append(f"trial {trial}: single-greedy trace does not replay")
-        dg_out = double_greedy(g, econ, budget, cfg, source.child("double_greedy"))
+        dg_out = double_greedy(g, econ, budget,
+                               _shared("double_greedy", g, econ, cfg, source.child("double_greedy")))
         added = {e.node for e in dg_out.trace if e.decision == "added"}
         dropped = {e.node for e in dg_out.trace if e.decision.startswith("dropped")}
         if added != set(dg_out.seeds) or added | dropped != set(g.nodes) or added & dropped:

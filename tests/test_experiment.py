@@ -92,6 +92,8 @@ def test_parse_config_errors(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("split", "1.5"), ("budgets", "-5"), ("observations", "0"),
     ("cost_range", "50"), ("benefit_range", "1,2,3"),
+    ("algorithms", "random,random"), ("budgets", "500,500"),
+    ("probability", "0"), ("probability", "1.5"),
 ])
 def test_parse_config_rejects_bad_values_before_loading(tmp_path, key, value):
     # the dataset does not exist, so the refusal cannot come from loading it

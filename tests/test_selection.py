@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profitmax.diffusion import LiveSample
+from profitmax.diffusion import LiveSample, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
 from profitmax.profit import (
     EstimatorConfig,
@@ -17,9 +17,9 @@ from profitmax.profit import (
 from profitmax.rng import RandomSource
 from profitmax.selection import (
     SELECTORS,
+    SNAPSHOT_SELECTORS,
     SelectionOutcome,
     TraceEntry,
-    _snapshots,
     baseline_clustering_coefficient,
     baseline_high_degree,
     baseline_random,
@@ -33,6 +33,22 @@ from profitmax.selection import (
 CFG = EstimatorConfig(replications=60)
 
 
+def _sample(g, cfg, source):
+    """``cfg.replications`` live graphs of ``g``, from ``source``'s snapshots stream."""
+    return sample_live_graphs(g, cfg.replications, source.stream("snapshots"))
+
+
+def _table(g, econ, cfg, source):
+    return GainTable(_sample(g, cfg, source), econ.benefit)
+
+
+def _shared(name, g, econ, cfg, source):
+    """What ``select`` takes for ``name``: a gain table, a sample, or None."""
+    if name == "single_greedy":
+        return _table(g, econ, cfg, source)
+    return _sample(g, cfg, source) if name in SNAPSHOT_SELECTORS else None
+
+
 def isolated_nodes(costs, benefits):
     """Graph of len(costs) isolated nodes (one dummy arc removed by exclusion)."""
     n = len(costs)
@@ -44,7 +60,7 @@ def isolated_nodes(costs, benefits):
 
 def test_single_greedy_no_budget():
     g, econ = isolated_nodes([3, 5], [10, 10])
-    out = single_greedy(g, econ, 0, CFG, RandomSource(0))
+    out = single_greedy(g, econ, 0, _table(g, econ, CFG, RandomSource(0)))
     assert out.seeds == ()
     assert out.spent == 0 and out.remaining_budget == 0
     assert {e.decision for e in out.trace} == {"unaffordable"}
@@ -53,14 +69,14 @@ def test_single_greedy_no_budget():
 def test_single_greedy_prefers_best_ratio_within_budget():
     # exact ratios on isolated nodes: 7/3 for the cheap node vs 5/5
     g, econ = isolated_nodes([3, 5], [10, 10])
-    out = single_greedy(g, econ, 4, CFG, RandomSource(0))
+    out = single_greedy(g, econ, 4, _table(g, econ, CFG, RandomSource(0)))
     assert out.seeds == (0,)
     assert out.spent == 3 and out.remaining_budget == 1
 
 
 def test_single_greedy_stops_on_nonpositive_gain():
     g, econ = isolated_nodes([50, 60], [5, 5])
-    out = single_greedy(g, econ, 1000, CFG, RandomSource(0))
+    out = single_greedy(g, econ, 1000, _table(g, econ, CFG, RandomSource(0)))
     assert out.seeds == ()
     assert any(e.decision == "rejected_gain" for e in out.trace)
 
@@ -68,30 +84,31 @@ def test_single_greedy_stops_on_nonpositive_gain():
 def test_single_greedy_trace_replays():
     g, econ = isolated_nodes([3, 5, 4, 2], [10, 12, 4, 9])
     source = RandomSource(42)
-    out = single_greedy(g, econ, 9, CFG, source)
-    assert replay_single_greedy(g, econ, CFG, source, out)
+    out = single_greedy(g, econ, 9, _table(g, econ, CFG, source))
+    assert replay_single_greedy(g, econ, out, _table(g, econ, CFG, source))
 
 
 def test_single_greedy_replay_rejects_altered_outcomes():
     g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)], directed=True)
     econ = NodeEconomics((4, 5, 6, 7), (12, 3, 14, 5))
     source = RandomSource(3)
-    out = single_greedy(g, econ, 12, CFG, source)
-    assert out.seeds and replay_single_greedy(g, econ, CFG, source, out)
+    table = _table(g, econ, CFG, source)
+    out = single_greedy(g, econ, 12, table)
+    assert out.seeds and replay_single_greedy(g, econ, out, table)
     trace = list(out.trace)
     k = next(i for i, e in enumerate(trace) if e.decision == "evaluated")
     trace[k] = trace[k]._replace(ratio=trace[k].ratio + 1e-9)
-    assert not replay_single_greedy(g, econ, CFG, source, replace(out, trace=tuple(trace)))
+    assert not replay_single_greedy(g, econ, replace(out, trace=tuple(trace)), table)
     trace = list(out.trace)
     k = next(i for i, e in enumerate(trace) if e.decision == "accepted")
     other = next(u for u in g.nodes if u != trace[k].node)
     trace[k] = trace[k]._replace(node=other)
-    assert not replay_single_greedy(g, econ, CFG, source, replace(out, trace=tuple(trace)))
+    assert not replay_single_greedy(g, econ, replace(out, trace=tuple(trace)), table)
 
 
 def test_single_greedy_ties_go_to_lowest_id():
     g, econ = isolated_nodes([2, 2, 2, 2], [5, 5, 5, 5])
-    out = single_greedy(g, econ, 4, CFG, RandomSource(0))
+    out = single_greedy(g, econ, 4, _table(g, econ, CFG, RandomSource(0)))
     assert out.seeds == (0, 1)
     assert [e.node for e in out.trace if e.decision == "accepted"] == [0, 1]
 
@@ -116,7 +133,7 @@ def _small_instance(rnd):
 def _eager_single_greedy(g, econ, budget, cfg, source):
     # reference: re-score every affordable candidate each round on the same sample
     cost = econ.cost
-    cover = SnapshotCoverage(_snapshots(g, cfg, source), econ.benefit)
+    cover = SnapshotCoverage(_sample(g, cfg, source), econ.benefit)
     pool, accepted, remaining = g.nodes, [], budget
     while True:
         pool = [u for u in pool if cost[u] <= remaining]
@@ -139,7 +156,7 @@ def test_lazy_single_greedy_matches_eager_loop(seed, replications):
     g, econ, budget = _small_instance(random.Random(seed))
     cfg = EstimatorConfig(replications=replications)
     source = RandomSource(seed)
-    out = single_greedy(g, econ, budget, cfg, source)
+    out = single_greedy(g, econ, budget, _table(g, econ, cfg, source))
     accepted = [(e.node, e.ratio) for e in out.trace if e.decision == "accepted"]
     assert accepted == _eager_single_greedy(g, econ, budget, cfg, source)
     assert out.seeds == tuple(sorted(u for u, _ in accepted))
@@ -157,7 +174,7 @@ def _coverage(sample, value, members):
 def test_shrink_loss_equals_coverage_difference(seed, replications):
     rnd = random.Random(seed)
     g, econ, _ = _small_instance(rnd)
-    sample = _snapshots(g, EstimatorConfig(replications=replications), RandomSource(seed))
+    sample = _sample(g, EstimatorConfig(replications=replications), RandomSource(seed))
     members = set(g.nodes)
     counts = SnapshotReachCounts(sample, econ.benefit, sorted(members))
     for u in rnd.sample(sorted(members), rnd.randint(0, len(members))):
@@ -173,7 +190,7 @@ def _two_walk_double_greedy(g, econ, budget, cfg, source):
     # again to add or drop it
     cost = econ.cost
     nodes = g.nodes
-    sample = _snapshots(g, cfg, source)
+    sample = _sample(g, cfg, source)
     grow = SnapshotCoverage(sample, econ.benefit)
     shrink = SnapshotReachCounts(sample, econ.benefit, nodes)
     selected, remaining, trace = [], budget, []
@@ -200,7 +217,7 @@ def test_double_greedy_matches_two_walk_loop(seed, replications):
     g, econ, budget = _small_instance(random.Random(seed))
     cfg = EstimatorConfig(replications=replications)
     source = RandomSource(seed)
-    assert double_greedy(g, econ, budget, cfg, source) == \
+    assert double_greedy(g, econ, budget, _sample(g, cfg, source)) == \
         _two_walk_double_greedy(g, econ, budget, cfg, source)
 
 
@@ -235,45 +252,52 @@ def test_shared_sample_blocks_removed_nodes(seed, replications):
     # graph, or a view whose removed nodes already have no arcs in the sample
     sampled, selected = rnd.choice([(base, view), (base, nested), (view, nested)])
     cfg = EstimatorConfig(replications=replications)
-    sample = _snapshots(sampled, cfg, RandomSource(seed))
+    sample = _sample(sampled, cfg, RandomSource(seed))
     restricted = _restricted(sample, selected.removed)
     budget = rnd.randint(0, 12)
-    for selector in (single_greedy, double_greedy):
-        shared = selector(selected, econ, budget, cfg, RandomSource(0), sample)
-        assert shared == selector(selected, econ, budget, cfg, RandomSource(0), restricted)
+    assert single_greedy(selected, econ, budget, GainTable(sample, econ.benefit)) == \
+        single_greedy(selected, econ, budget, GainTable(restricted, econ.benefit))
+    assert double_greedy(selected, econ, budget, sample) == \
+        double_greedy(selected, econ, budget, restricted)
 
 
 def test_shared_sample_must_fit_the_graph():
     g, econ = isolated_nodes([3, 5], [10, 10])
-    sample = _snapshots(g, CFG, RandomSource(0))
-    for selector in (single_greedy, double_greedy):
-        with pytest.raises(ValueError, match="does not fit"):
-            selector(g, econ, 5, EstimatorConfig(replications=7), RandomSource(0), sample)
+    # a sample of a graph with one more node than g's base graph
+    bigger, bigger_econ = isolated_nodes([3, 5, 4], [10, 10, 10])
+    sample = _sample(bigger, CFG, RandomSource(0))
+    with pytest.raises(ValueError, match="does not fit"):
+        single_greedy(g, econ, 5, GainTable(sample, bigger_econ.benefit))
+    with pytest.raises(ValueError, match="does not fit"):
+        double_greedy(g, econ, 5, sample)
+    # select refuses a sample for a baseline, and a greedy name without one
     with pytest.raises(ValueError, match="live-graph sample"):
-        select("high_degree", g, econ, 5, CFG, RandomSource(0), sample)
+        select("high_degree", g, econ, 5, CFG, RandomSource(0), _sample(g, CFG, RandomSource(0)))
+    for name in ("single_greedy", "double_greedy"):
+        with pytest.raises(ValueError, match="live-graph sample"):
+            select(name, g, econ, 5, CFG, RandomSource(0))
 
 
 def test_gain_table_serves_only_its_benefits():
     g, econ = isolated_nodes([3, 5], [10, 10])
-    sample = _snapshots(g, CFG, RandomSource(0))
+    sample = _sample(g, CFG, RandomSource(0))
     table = GainTable(sample, econ.benefit)
-    assert single_greedy(g, econ, 5, CFG, RandomSource(1), table) == \
-        single_greedy(g, econ, 5, CFG, RandomSource(1), sample)
+    assert single_greedy(g, econ, 5, table).seeds == (0,)
     other = NodeEconomics(econ.cost, (11, 10, 1, 1))
     with pytest.raises(ValueError, match="other benefits"):
-        single_greedy(g, other, 5, CFG, RandomSource(1), table)
+        single_greedy(g, other, 5, table)
 
 
 def test_double_greedy_empty_universe():
     g = exclude_nodes(build_graph([(0, 1, 1.0)], directed=True), {0, 1})
     econ = NodeEconomics((1, 1), (1, 1))
-    out = double_greedy(g, econ, 10, CFG, RandomSource(0))
+    out = double_greedy(g, econ, 10, _sample(g, CFG, RandomSource(0)))
     assert out.seeds == ()
 
 
 def test_double_greedy_single_profitable_node():
     g, econ = isolated_nodes([3], [10])
-    out = double_greedy(g, econ, 5, CFG, RandomSource(0))
+    out = double_greedy(g, econ, 5, _sample(g, CFG, RandomSource(0)))
     assert out.seeds == (0,)
     entry = out.trace[0]
     assert entry.decision == "added"
@@ -283,7 +307,7 @@ def test_double_greedy_single_profitable_node():
 
 def test_double_greedy_budget_gate():
     g, econ = isolated_nodes([3], [10])
-    out = double_greedy(g, econ, 2, CFG, RandomSource(0))
+    out = double_greedy(g, econ, 2, _sample(g, CFG, RandomSource(0)))
     assert out.seeds == ()
     assert out.trace[0].decision == "dropped_budget"
 
@@ -291,7 +315,7 @@ def test_double_greedy_budget_gate():
 def test_double_greedy_grow_equals_shrink():
     g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)], directed=True)
     econ = NodeEconomics((4, 5, 6, 7), (12, 3, 14, 5))
-    out = double_greedy(g, econ, 12, CFG, RandomSource(7))
+    out = double_greedy(g, econ, 12, _sample(g, CFG, RandomSource(7)))
     added = {e.node for e in out.trace if e.decision == "added"}
     dropped = {e.node for e in out.trace if e.decision.startswith("dropped")}
     assert added == set(out.seeds)
@@ -421,7 +445,8 @@ def test_single_discount_matches_min_scan(seed):
 
 def test_select_dispatch_and_unknown_name():
     g, econ = isolated_nodes([3], [10])
-    out = select("single_greedy", g, econ, 5, CFG, RandomSource(0))
+    out = select("single_greedy", g, econ, 5, CFG, RandomSource(0),
+                 _table(g, econ, CFG, RandomSource(0)))
     assert out.seeds == (0,)
     with pytest.raises(ValueError):
         select("does_not_exist", g, econ, 5, CFG, RandomSource(0))
@@ -430,7 +455,7 @@ def test_select_dispatch_and_unknown_name():
 def test_negative_budget_rejected():
     g, econ = isolated_nodes([3], [10])
     with pytest.raises(ValueError):
-        single_greedy(g, econ, -1, CFG, RandomSource(0))
+        single_greedy(g, econ, -1, _table(g, econ, CFG, RandomSource(0)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -450,7 +475,8 @@ def test_all_selectors_respect_budget_and_uniqueness(seed, budget):
                          tuple(rnd.randint(1, 30) for _ in range(g.base_node_count)))
     fast = EstimatorConfig(replications=12)
     for name in SELECTORS:
-        out = select(name, g, econ, budget, fast, RandomSource(seed).child(name))
+        source = RandomSource(seed).child(name)
+        out = select(name, g, econ, budget, fast, source, _shared(name, g, econ, fast, source))
         assert out.spent <= budget
         assert out.spent == seed_cost(econ, out.seeds)
         assert out.remaining_budget == budget - out.spent

@@ -6,13 +6,13 @@ from profitmax import selection, twophase
 from profitmax.diffusion import PartialObservation
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes
 from profitmax.loader import AttributeSpec, generate_attributes, preferential_attachment_graph
-from profitmax.profit import EstimatorConfig, GainTable, estimate_profit, exact_profit
+from profitmax.profit import EstimatorConfig, estimate_profit, exact_profit
 from profitmax.rng import RandomSource
-from profitmax.selection import replay_single_greedy
+from profitmax.selection import double_greedy, replay_single_greedy
 from profitmax.twophase import (
     PhaseConfig,
+    cell_sample,
     exact_two_phase_profit,
-    phase2_sample,
     run_phase1,
     run_phase2,
     run_single_phase,
@@ -53,13 +53,15 @@ def test_config_validation_and_split():
 
 
 def test_phase1_zero_budget():
-    outcome, observations = run_phase1(cfg(total_budget=0), chain3(), ECON3)
+    c = cfg(total_budget=0)
+    outcome, observations = run_phase1(c, chain3(), ECON3, cell_sample(c, chain3(), ECON3))
     assert outcome.seeds == ()
     assert all(o.already_active == frozenset() == o.newly_active for o in observations)
 
 
 def test_phase1_deterministic_graph_identical_observations():
-    outcome, observations = run_phase1(cfg(), chain3(p=1.0), ECON3)
+    outcome, observations = run_phase1(cfg(), chain3(p=1.0), ECON3,
+                                       cell_sample(cfg(), chain3(p=1.0), ECON3))
     assert outcome.seeds == (0,)
     assert len({(o.already_active, o.newly_active) for o in observations}) == 1
     assert observations[0].already_active == frozenset({0, 1})
@@ -70,7 +72,7 @@ def test_phase1_observation_frequencies_match_arc_probability():
     g = build_graph([(0, 1, 0.5)], directed=True)
     econ = NodeEconomics((3, 3), (10, 10))
     c = cfg(total_budget=6, phase1_observations=2000)
-    outcome, observations = run_phase1(c, g, econ)
+    outcome, observations = run_phase1(c, g, econ, cell_sample(c, g, econ))
     assert outcome.seeds == (0,)
     hits = sum(1 in o.already_active for o in observations)
     se = (0.25 / len(observations)) ** 0.5
@@ -79,17 +81,19 @@ def test_phase1_observation_frequencies_match_arc_probability():
 
 def test_phase2_everything_already_active():
     obs = PartialObservation(frozenset({0, 1, 2}), frozenset({1}))
-    outcome, _ = run_phase1(cfg(), chain3(), ECON3)
-    rec = run_phase2(cfg(), chain3(), ECON3, outcome, obs)
+    sample = cell_sample(cfg(), chain3(), ECON3)
+    outcome, _ = run_phase1(cfg(), chain3(), ECON3, sample)
+    rec = run_phase2(cfg(), chain3(), ECON3, outcome, obs, 0, sample)
     assert rec.phase2_selection.seeds == ()
     assert rec.phase2_profit.mean == 0.0
 
 
 def test_phase2_dead_phase_is_zero():
     c = cfg(total_budget=0)
-    outcome, _ = run_phase1(c, chain3(), ECON3)
+    sample = cell_sample(c, chain3(), ECON3)
+    outcome, _ = run_phase1(c, chain3(), ECON3, sample)
     obs = PartialObservation(frozenset(), frozenset())
-    rec = run_phase2(c, chain3(), ECON3, outcome, obs)
+    rec = run_phase2(c, chain3(), ECON3, outcome, obs, 0, sample)
     assert rec.phase2_selection.seeds == ()
     assert rec.phase2_profit.mean == 0.0
 
@@ -97,9 +101,10 @@ def test_phase2_dead_phase_is_zero():
 def test_phase2_frontier_carries_cascade_for_free():
     # frontier {0} on a certain chain delivers the benefit of 1 and 2 at no cost
     c = cfg(total_budget=0)
-    outcome, _ = run_phase1(c, chain3(p=1.0), ECON3)
+    sample = cell_sample(c, chain3(p=1.0), ECON3)
+    outcome, _ = run_phase1(c, chain3(p=1.0), ECON3, sample)
     obs = PartialObservation(frozenset({0}), frozenset({0}))
-    rec = run_phase2(c, chain3(p=1.0), ECON3, outcome, obs)
+    rec = run_phase2(c, chain3(p=1.0), ECON3, outcome, obs, 0, sample)
     assert rec.phase2_selection.seeds == ()
     assert rec.phase2_profit.mean == ECON3.benefit[1] + ECON3.benefit[2]
     assert rec.phase2_profit.std_error == 0.0
@@ -165,15 +170,14 @@ def _count_calls(monkeypatch, counts, module, name):
 def test_greedy_cell_samples_once_and_selects_once_per_observation(monkeypatch, algorithm):
     c, g, econ = _repeating_cell(algorithm)
     counts = Counter()
-    for module, name in ((twophase, "sample_live_graphs"), (selection, "sample_live_graphs"),
-                         (twophase, "select"), (twophase, "estimate_profit")):
+    for module, name in ((twophase, "sample_live_graphs"), (twophase, "select"),
+                         (twophase, "estimate_profit")):
         _count_calls(monkeypatch, counts, module, name)
     result = run_two_phase(c, g, econ)
     keys = [(r.already_active, r.newly_active) for r in result.observations]
     assert len(set(keys)) < len(keys), "the instance must repeat an observation"
-    # one phase-two sample for the cell; phase one's selection drew its own
+    # one sample for the whole cell, phase one included
     assert counts["profitmax.twophase.sample_live_graphs"] == 1
-    assert counts["profitmax.selection.sample_live_graphs"] == 1
     assert counts["profitmax.twophase.select"] == 1 + len(set(keys))
     assert counts["profitmax.twophase.estimate_profit"] == len(keys)
     first = {}
@@ -200,49 +204,61 @@ def test_greedy_cell_samples_once_and_selects_once_per_observation(monkeypatch, 
     assert counts["profitmax.twophase.select"] == 1 + len(keys)
 
 
-def test_baseline_cell_draws_no_phase2_sample(monkeypatch):
-    c, g, econ = _repeating_cell("high_degree")
-    assert phase2_sample(c, g) is None
-    counts = Counter()
-    _count_calls(monkeypatch, counts, twophase, "select")
-    run_two_phase(c, g, econ)
-    assert counts["profitmax.twophase.select"] == 1 + c.phase1_observations
-
-
 def test_replay_accepts_shared_sample_phase2_outcome():
     c, g, econ = _repeating_cell("single_greedy")
     result = run_two_phase(c, g, econ)
-    sample = phase2_sample(c, g)
-    selection_cfg = EstimatorConfig(c.selection_replications)
-    for i, rec in enumerate(result.observations):
-        source = RandomSource(c.master_seed).child("phase2", i).child("select")
-        assert replay_single_greedy(exclude_nodes(g, rec.already_active), econ, selection_cfg,
-                                    source, rec.phase2_selection, sample)
+    table = cell_sample(c, g, econ)
+    for rec in result.observations:
+        assert replay_single_greedy(exclude_nodes(g, rec.already_active), econ,
+                                    rec.phase2_selection, table)
+
+
+def _check_cell_draws(monkeypatch, algorithm):
+    # the selectors draw nothing and build no table; cell_sample does both,
+    # once for the two-phase run and once for the single phase run
+    assert not hasattr(selection, "sample_live_graphs") and not hasattr(selection, "GainTable")
+    counts = Counter()
+    for name in ("sample_live_graphs", "GainTable", "select"):
+        _count_calls(monkeypatch, counts, twophase, name)
+    c, g, econ = _repeating_cell(algorithm)
+    greedy = algorithm in selection.SNAPSHOT_SELECTORS
+    result = run_two_phase(c, g, econ)
+    two_phase = Counter(counts)
+    counts.clear()
+    single, _ = run_single_phase(c, g, econ)
+    for drawn in (two_phase, counts):
+        assert drawn["profitmax.twophase.sample_live_graphs"] == greedy
+        assert drawn["profitmax.twophase.GainTable"] == (algorithm == "single_greedy")
+    monkeypatch.undo()
+    shared = cell_sample(c, g, econ)
+    if not greedy:
+        assert shared is None
+        # a baseline cell keeps no memo: it selects once per observation
+        assert two_phase["profitmax.twophase.select"] == 1 + c.phase1_observations
+        return
+    assert len({(r.already_active, r.newly_active) for r in result.observations}) > 1
+    # phase one, every phase-two record and the single phase replay on the
+    # cell's sample (or, for single greedy, its gain table)
+    selections = [(g, result.phase1), (g, single)] + [
+        (exclude_nodes(g, r.already_active), r.phase2_selection) for r in result.observations]
+    for view, outcome in selections:
+        if algorithm == "single_greedy":
+            assert replay_single_greedy(view, econ, outcome, shared)
+        else:
+            budget = outcome.spent + outcome.remaining_budget
+            assert double_greedy(view, econ, budget, shared) == outcome
+
+
+def test_baseline_cell_draws_no_phase2_sample(monkeypatch):
+    _check_cell_draws(monkeypatch, "high_degree")
 
 
 def test_single_greedy_cell_builds_one_gain_table(monkeypatch):
-    c, g, econ = _repeating_cell("single_greedy")
-    built = []
+    _check_cell_draws(monkeypatch, "single_greedy")
 
-    class CountedTable(GainTable):
-        def __init__(self, sample, value):
-            built.append(sample)
-            super().__init__(sample, value)
 
-    for module in (twophase, selection):
-        monkeypatch.setattr(module, "GainTable", CountedTable)
-    result = run_two_phase(c, g, econ)
-    # phase one's selection built a table of its own sample; the phase-two
-    # selections, one per distinct observation, all shared the cell's table
-    assert len({(r.already_active, r.newly_active) for r in result.observations}) > 1
-    assert built == [built[0], phase2_sample(c, g)] and built[0] != built[1]
-    monkeypatch.undo()
-    table = GainTable(phase2_sample(c, g), econ.benefit)
-    selection_cfg = EstimatorConfig(c.selection_replications)
-    for i, rec in enumerate(result.observations):
-        source = RandomSource(c.master_seed).child("phase2", i).child("select")
-        assert replay_single_greedy(exclude_nodes(g, rec.already_active), econ, selection_cfg,
-                                    source, rec.phase2_selection, table)
+def test_double_greedy_cell_draws_one_sample_and_no_table(monkeypatch):
+    _check_cell_draws(monkeypatch, "double_greedy")
 
 
 def test_single_phase_examples():

@@ -150,6 +150,8 @@ def parse_config(path) -> BatchConfig:
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
+                if not value:
+                    raise ValueError(key)
                 values[key] = _CONFIG_KEYS[key](value)
             except (ValueError, KeyError):
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None

@@ -18,17 +18,16 @@ benefit is exact weighted coverage, so a seed set's mean profit over the
 sample is a submodular coverage term minus a modular cost.  A sample of a
 graph also serves its views: a flat-id mask blocks the copies of the view's
 removed nodes, and no walk enters them.  :class:`GainTable` holds every
-node's gain into an empty seed set on a sample, per copy (a node in one
-snapshot), so a view re-walks only the copies that reach one of its removed
-nodes; a single-greedy cell builds it once, and all its selections read round
-0 from it.
+node's gain into an empty seed set on a sample; blocking can only take reach
+away, so on any view of the sample that gain bounds the node's gain from
+above.  A single-greedy cell builds the table once, and all its selections
+start their lazy queues from it.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 from math import fsum, sqrt
 
 from .diffusion import _check_seeds, _gain_samples, _live_worlds
@@ -156,8 +155,7 @@ def _walk(sample, lo, hi, stop):
 
     The walk never enters those start ids, nor a flat id ``y`` with a true
     ``stop[y]``; a node not entered is not expanded.  A node's copies
-    ``u * R`` to ``(u + 1) * R - 1`` walk its reach in every snapshot, and one
-    copy ``x`` to ``x + 1`` its reach in its own snapshot.
+    ``u * R`` to ``(u + 1) * R - 1`` walk its reach in every snapshot.
     """
     offsets, targets = sample.offsets, sample.targets
     seen = set()
@@ -296,95 +294,24 @@ class SnapshotReachCounts:
 
 
 class GainTable:
-    """Every node's gain into an empty seed set on a sample, for its graph and its views.
+    """Every node's gain into an empty seed set on a sample: an upper bound on its views.
 
-    ``base[x]`` is the benefit that flat id ``x`` reaches in its own snapshot,
-    ``x`` itself not counted, and ``node[u]`` is ``value[u] * R`` plus the
-    ``base`` of ``u``'s R copies: ``u``'s gain when no copy is blocked.  A view
-    that blocks its removed nodes' copies lowers only the copies that reach
-    one of them, so :meth:`gains` finds those by one walk backwards from the
-    blocked copies and walks only them again.  Benefits are integers, so each
-    gain equals ``SnapshotCoverage(sample, value, blocked).gain(u)`` exactly.
-    Neither table changes once built; the reverse index of the kept arcs is
-    built for the first view that removes a node.
+    ``node[u]`` is the benefit, summed over snapshots, that ``u`` covers alone
+    on the unblocked sample.  A view blocks its removed nodes' copies, which
+    can only take reach away, so ``node[u]`` bounds from above
+    ``SnapshotCoverage(sample, value, blocked).gain(u)`` for every surviving
+    ``u`` of every view, and equals it when nothing is blocked.  The table
+    never changes once built.
     """
 
-    __slots__ = ("sample", "value", "base", "node", "_reverse")
+    __slots__ = ("sample", "value", "node")
 
     def __init__(self, sample, value):
         R = sample.replications
         self.sample = sample
         self.value = value
-        base = self.base = array("q", bytes(8 * sample.node_count * R))
         node = self.node = array("q", bytes(8 * sample.node_count))
-        unblocked = bytes(len(base))
-        # u's copies lie in distinct snapshots, so one walk from all of them
-        # reaches each flat id y from the copy in y's snapshot, y % R
+        unblocked = bytes(sample.node_count * R)
         for u in range(sample.node_count):
             x = u * R
-            for y in _walk(sample, x, x + R, unblocked):
-                base[x + y % R] += value[y // R]
-            node[u] = value[u] * R + sum(base[x:x + R])
-        self._reverse = None
-
-    def gains(self, removed):
-        """Gain of each node on the view of the sample without ``removed``.
-
-        Returns a new ``array("q")`` indexed by node id; the entry of a
-        removed node is not a gain on the view.
-        """
-        gains = array("q", self.node)
-        if not removed:
-            return gains
-        sample, value, base = self.sample, self.value, self.base
-        R = sample.replications
-        blocked = blocked_copies(sample, removed)
-        for x in self._ancestors(blocked, removed):
-            kept = sum(value[y // R] for y in _walk(sample, x, x + 1, blocked))
-            gains[x // R] -= base[x] - kept
-        return gains
-
-    def _ancestors(self, blocked, removed):
-        # the unblocked copies with a kept path into a blocked copy: a node's
-        # copies are contiguous, so the arcs into all of them are one slice
-        if self._reverse is None:
-            self._reverse = _reverse_arcs(self.sample)
-        starts, sources = self._reverse
-        R = self.sample.replications
-        seen = bytearray(blocked)
-        found = []
-        stack = []
-        for u in removed:
-            stack.extend(sources[starts[u * R]:starts[(u + 1) * R]])
-        while stack:
-            x = stack.pop()
-            if seen[x]:
-                continue
-            seen[x] = 1
-            found.append(x)
-            lo, hi = starts[x], starts[x + 1]
-            if lo != hi:
-                stack.extend(sources[lo:hi])
-        return found
-
-
-def _reverse_arcs(sample):
-    """The kept arcs of ``sample`` grouped by target: ``(starts, sources)``.
-
-    The arcs into flat id ``y`` come from ``sources[starts[y]:starts[y + 1]]``.
-    """
-    offsets, targets = sample.offsets, sample.targets
-    size = len(offsets) - 1
-    starts = array("q", bytes(8 * (size + 1)))
-    for y in targets:
-        starts[y + 1] += 1
-    starts = array("q", accumulate(starts))
-    fill = array("q", starts)
-    sources = array("q", bytes(8 * len(targets)))
-    for x in range(size):
-        lo, hi = offsets[x], offsets[x + 1]
-        if lo != hi:
-            for y in targets[lo:hi]:
-                sources[fill[y]] = x
-                fill[y] += 1
-    return starts, sources
+            node[u] = value[u] * R + sum(value[y // R] for y in _walk(sample, x, x + R, unblocked))

@@ -10,12 +10,13 @@ The greedy selectors draw nothing.  They are handed a sample of R live graphs
 of a graph their view restricts (a cell's, from
 :func:`~profitmax.twophase.cell_sample`), block the view's removed nodes on
 it, and score every candidate exactly there: benefit is weighted coverage, so
-a gain is coverage gained minus the node's cost.  Single greedy takes the
-sample's :class:`~profitmax.profit.GainTable`, reads round 0 from it, and then
-evaluates lazily (CELF): a ratio computed in an earlier round bounds the
-current one from above, so only candidates that reach the top of the queue are
-evaluated again, and the seeds equal those of the eager loop on the same
-sample.  Its trace holds one ``evaluated`` entry per ratio computed,
+a gain is coverage gained minus the node's cost.  Single greedy evaluates
+lazily (CELF): it takes the sample's :class:`~profitmax.profit.GainTable`,
+whose whole-sample gains bound every gain on a view from above, and starts
+each candidate's ratio from that bound; a ratio computed in an earlier round
+bounds the current one from above too, so only candidates that reach the top
+of the queue are evaluated, and the seeds equal those of the eager loop on
+the same sample.  Its trace holds one ``evaluated`` entry per ratio computed,
 ``unaffordable`` when a candidate leaves the pool for good, and the round's
 ``accepted`` node or the final ``rejected_gain`` one.  High degree, clustering
 coefficient and single discount share one scored scan, whose gain gate calls
@@ -96,7 +97,9 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table) -> Se
     lowest id.  Candidates whose cost exceeds the remaining budget can never
     become affordable again and leave the pool permanently, which also
     guarantees termination.  ``table`` is the :class:`~profitmax.profit.GainTable`,
-    for ``econ``'s benefits, of a ``LiveSample`` of the graph ``g`` restricts.
+    for ``econ``'s benefits, of a ``LiveSample`` of the graph ``g`` restricts;
+    its gains are the upper bounds each candidate's lazy evaluation starts
+    from.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
@@ -110,18 +113,16 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table) -> Se
     def ratio(u, gain):
         return (gain / replications - cost[u]) / cost[u]
 
-    # round 0 rates every affordable node, in id order, from the table; later
-    # rounds re-rate a node only when its stale ratio reaches the top
-    gains = table.gains(g.removed)
+    # every affordable node starts from its whole-sample ratio, a bound the
+    # view's blocked copies can only lower, stale from round -1: a node is
+    # rated exactly only when its stale ratio reaches the top
     trace = []
     queue = []
     for u in g.nodes:
         if cost[u] > budget:
             trace.append(TraceEntry(0, u, "unaffordable"))
         else:
-            r = ratio(u, gains[u])
-            trace.append(TraceEntry(0, u, "evaluated", r))
-            queue.append((-r, u, 0))
+            queue.append((-ratio(u, table.node[u]), u, -1))
     heapify(queue)
     selected = []
     remaining = budget

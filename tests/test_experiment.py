@@ -88,12 +88,17 @@ def test_parse_config_errors(tmp_path):
     with pytest.raises(ValueError, match=r"repeated\.txt:4: duplicate config key 'budgets'"):
         parse_config(repeated)
 
+    empty = tmp_path / "empty.txt"
+    empty.write_text("dataset =\nalgorithms = random\nbudgets = 5\n")
+    with pytest.raises(ValueError, match=r"empty\.txt:1: bad value for 'dataset': ''"):
+        parse_config(empty)
+
 
 @pytest.mark.parametrize("key, value", [
     ("split", "1.5"), ("budgets", "-5"), ("observations", "0"),
     ("cost_range", "50"), ("benefit_range", "1,2,3"),
     ("algorithms", "random,random"), ("budgets", "500,500"),
-    ("probability", "0"), ("probability", "1.5"),
+    ("probability", "0"), ("probability", "1.5"), ("output_dir", ""),
 ])
 def test_parse_config_rejects_bad_values_before_loading(tmp_path, key, value):
     # the dataset does not exist, so the refusal cannot come from loading it

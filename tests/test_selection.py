@@ -12,6 +12,7 @@ from profitmax.profit import (
     GainTable,
     SnapshotCoverage,
     SnapshotReachCounts,
+    blocked_copies,
     marginal_profit_gain,
 )
 from profitmax.rng import RandomSource
@@ -130,16 +131,18 @@ def _small_instance(rnd):
     return g, econ, rnd.randint(0, 12)
 
 
-def _eager_single_greedy(g, econ, budget, cfg, source):
-    # reference: re-score every affordable candidate each round on the same sample
+def _eager_single_greedy(g, econ, budget, sample):
+    # reference: re-score every affordable candidate each round on the same
+    # sample, with g's removed nodes blocked
     cost = econ.cost
-    cover = SnapshotCoverage(_sample(g, cfg, source), econ.benefit)
+    R = sample.replications
+    cover = SnapshotCoverage(sample, econ.benefit, blocked_copies(sample, g.removed))
     pool, accepted, remaining = g.nodes, [], budget
     while True:
         pool = [u for u in pool if cost[u] <= remaining]
         if not pool:
             break
-        scored = [((cover.gain(u) / cfg.replications - cost[u]) / cost[u], u) for u in pool]
+        scored = [((cover.gain(u) / R - cost[u]) / cost[u], u) for u in pool]
         ratio, best = max(scored, key=lambda t: (t[0], -t[1]))
         if ratio <= 0.0:
             break
@@ -153,13 +156,18 @@ def _eager_single_greedy(g, econ, budget, cfg, source):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(1, 6))
 def test_lazy_single_greedy_matches_eager_loop(seed, replications):
-    g, econ, budget = _small_instance(random.Random(seed))
-    cfg = EstimatorConfig(replications=replications)
-    source = RandomSource(seed)
-    out = single_greedy(g, econ, budget, _table(g, econ, cfg, source))
-    accepted = [(e.node, e.ratio) for e in out.trace if e.decision == "accepted"]
-    assert accepted == _eager_single_greedy(g, econ, budget, cfg, source)
-    assert out.seeds == tuple(sorted(u for u, _ in accepted))
+    rnd = random.Random(seed)
+    g, econ, budget = _small_instance(rnd)
+    sample = _sample(g, EstimatorConfig(replications=replications), RandomSource(seed))
+    table = GainTable(sample, econ.benefit)
+    # on the sampled graph, and on a view of it as phase two selects: the
+    # table's gains only bound the view's, whose removed copies are blocked
+    view = exclude_nodes(g, rnd.sample(g.nodes, rnd.randint(1, g.node_count)))
+    for selected in (g, view):
+        out = single_greedy(selected, econ, budget, table)
+        accepted = [(e.node, e.ratio) for e in out.trace if e.decision == "accepted"]
+        assert accepted == _eager_single_greedy(selected, econ, budget, sample)
+        assert out.seeds == tuple(sorted(u for u, _ in accepted))
 
 
 def _coverage(sample, value, members):
@@ -234,6 +242,11 @@ def _restricted(sample, removed):
     return LiveSample(sample.node_count, R, starts, kept)
 
 
+def _decisions(outcome):
+    return [(e.round, e.node, e.decision, e.ratio) for e in outcome.trace
+            if e.decision in ("accepted", "rejected_gain")]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(1, 6))
 def test_shared_sample_blocks_removed_nodes(seed, replications):
@@ -255,8 +268,12 @@ def test_shared_sample_blocks_removed_nodes(seed, replications):
     sample = _sample(sampled, cfg, RandomSource(seed))
     restricted = _restricted(sample, selected.removed)
     budget = rnd.randint(0, 12)
-    assert single_greedy(selected, econ, budget, GainTable(sample, econ.benefit)) == \
-        single_greedy(selected, econ, budget, GainTable(restricted, econ.benefit))
+    shared = single_greedy(selected, econ, budget, GainTable(sample, econ.benefit))
+    alone = single_greedy(selected, econ, budget, GainTable(restricted, econ.benefit))
+    # round 0 starts from the table's bounds, which blocking only loosens:
+    # the evaluated entries differ, every decision does not
+    assert (shared.seeds, shared.spent) == (alone.seeds, alone.spent)
+    assert _decisions(shared) == _decisions(alone)
     assert double_greedy(selected, econ, budget, sample) == \
         double_greedy(selected, econ, budget, restricted)
 

@@ -13,11 +13,13 @@ phase-two protocol uses them for organically activated frontiers.  A
 diffusion dynamics.
 
 The greedy selectors estimate on a fixed sample of live graphs instead, one
-per cell (:class:`SnapshotCoverage`, :class:`SnapshotReachCounts`): there
-benefit is exact weighted coverage, so a seed set's mean profit over the
-sample is a submodular coverage term minus a modular cost.  A sample of a
-graph also serves its views: a flat-id mask blocks the copies of the view's
-removed nodes, and no walk enters them.  :class:`GainTable` holds every
+per cell (:class:`SnapshotCoverage`): there benefit is exact weighted
+coverage, so a seed set's mean profit over the sample is a submodular
+coverage term minus a modular cost.  For double greedy's shrinking set,
+:func:`last_coverers` marks each copy with the last scan position that covers
+it, so a scanned node's loss is read off the walk that gives its gain.  A
+sample of a graph also serves its views: a flat-id mask blocks the copies of
+the view's removed nodes, and no walk enters them.  :class:`GainTable` holds every
 node's gain into an empty seed set on a sample; blocking can only take reach
 away, so on any view of the sample that gain bounds the node's gain from
 above.  A single-greedy cell builds the table once, and all its selections
@@ -41,7 +43,7 @@ __all__ = [
     "exact_profit",
     "marginal_profit_gain",
     "SnapshotCoverage",
-    "SnapshotReachCounts",
+    "last_coverers",
     "GainTable",
     "blocked_copies",
 ]
@@ -204,93 +206,77 @@ class SnapshotCoverage:
                                  else blocked)
         self.total = 0
 
-    def gain(self, u, reached=None):
-        """Benefit, summed over snapshots, that adding ``u`` would newly cover.
-
-        Here and in :meth:`add`, a caller that holds ``u``'s reach, walked
-        around the blocked copies alone (as :class:`SnapshotReachCounts`
-        keeps it), passes it as ``reached`` and saves the walk.
-        """
-        return self._reach(u, False, reached)
+    def gain(self, u):
+        """Benefit, summed over snapshots, that adding ``u`` would newly cover."""
+        return self.benefit(u, self.reach(u))
 
     def add(self, u, reached=None):
-        """Add ``u`` to the seed set; returns its gain."""
-        gained = self._reach(u, True, reached)
+        """Add ``u`` to the seed set; returns its gain.
+
+        A caller that holds ``reach(u)`` passes it as ``reached`` and saves the walk.
+        """
+        R = self.sample.replications
+        covered = self.covered
+        if reached is None:
+            reached = self.reach(u)
+        gained = self.benefit(u, reached)
+        covered[u * R:(u + 1) * R] = b"\x01" * R
+        for y in reached:
+            covered[y] = 1
         self.total += gained
         return gained
 
-    def _reach(self, u, mark, reached):
+    def reach(self, u):
+        """The uncovered flat ids that ``u`` reaches, its own copies aside.
+
+        What a seed reaches is covered, and so is everything it reaches in
+        turn: the walk never enters a covered copy, and the uncovered part of
+        ``u``'s reach is exactly what it finds.  Blocked copies are covered
+        but no walk passes through them.
+        """
         R = self.sample.replications
-        covered, value = self.covered, self.value
+        return _walk(self.sample, u * R, (u + 1) * R, self.covered)
+
+    def benefit(self, u, reached, last=None, tag=None):
+        """Benefit of ``u``'s uncovered copies and of the flat ids in ``reached``.
+
+        With ``last`` (see :func:`last_coverers`), only the copies whose entry
+        there is ``tag`` count.
+        """
+        R = self.sample.replications
+        value = self.value
         x = u * R
-        # what a seed reaches is covered, and so is everything it reaches in
-        # turn: never walk into a covered copy, and the uncovered part of u's
-        # reach is exactly what that walk finds.  Blocked copies are covered
-        # but no walk passes through them, so a ``reached`` passed in must come
-        # from the blocked walk.
-        if reached is None:
-            reached = _walk(self.sample, x, x + R, covered)
-        else:
-            reached = [y for y in reached if not covered[y]]
-        gained = value[u] * covered[x:x + R].count(0) + sum(value[y // R] for y in reached)
-        if mark:
-            covered[x:x + R] = b"\x01" * R
-            for y in reached:
-                covered[y] = 1
-        return gained
+        own = self.covered[x:x + R]
+        if last is None:
+            return value[u] * own.count(0) + sum(value[y // R] for y in reached)
+        mine = last[x:x + R]
+        if 1 in own:
+            mine = [t for c, t in zip(own, mine) if not c]
+        return value[u] * mine.count(tag) + sum(value[y // R] for y in reached if last[y] == tag)
 
 
-class SnapshotReachCounts:
-    """For each node of each live graph, how many members of a set cover it.
+def last_coverers(sample, order, blocked) -> list:
+    """For each flat id of ``sample``, 2 + the last position in ``order`` that covers it.
 
-    A member covers its own copies and the copies it reaches.  The set only
-    shrinks.  ``loss(u)`` is the benefit that only member ``u`` covers, so it
-    equals coverage(T) - coverage(T - {u}) without recomputing either.
-    ``others[y]`` stores the cover count of flat id ``y`` less one: 0 where a
-    single member covers it, -1 where none does, and on a member's copy the
-    number of other members that reach it.  Reaches are walked around the
-    copies that ``blocked`` marks, and each member's reach is kept in
-    ``reaches`` until :meth:`remove` or a caller takes it.
+    A node covers its own copies and what it reaches around the copies that
+    ``blocked`` marks.  An entry is 1 on a blocked copy and 0 where no node of
+    ``order`` covers the copy.  So with S drawn from ``order[:k]``, the set S
+    plus ``order[k + 1:]`` covers an unblocked copy exactly when S covers it
+    or its entry exceeds ``k + 2``.
     """
-
-    __slots__ = ("sample", "value", "member", "others", "reaches")
-
-    def __init__(self, sample, value, members, blocked=None):
-        R = sample.replications
-        self.sample = sample
-        self.value = value
-        self.member = bytearray(sample.node_count)
-        self.others = [-1] * (sample.node_count * R)
-        self.reaches = {}
-        if blocked is None:
-            blocked = bytes(len(self.others))
-        for u in members:
-            self.member[u] = 1
-            reached = self.reaches[u] = array("q", _walk(sample, u * R, (u + 1) * R, blocked))
-            self._spread(range(u * R, (u + 1) * R), 1)
-            self._spread(reached, 1)
-
-    def loss(self, u):
-        """Benefit, summed over snapshots, that removing member ``u`` would uncover."""
-        R = self.sample.replications
-        others, value = self.others, self.value
-        x = u * R
-        # a copy another member covers shields everything below it, and a
-        # blocked copy is covered by none: the walk stays where others is 0
-        reached = _walk(self.sample, x, x + R, others)
-        return value[u] * others[x:x + R].count(0) + sum(value[y // R] for y in reached)
-
-    def remove(self, u, reached=None):
-        """Take ``u`` out of the set; ``reached`` is its kept reach, if a caller took it."""
-        R = self.sample.replications
-        self.member[u] = 0
-        self._spread(range(u * R, (u + 1) * R), -1)
-        self._spread(self.reaches.pop(u) if reached is None else reached, -1)
-
-    def _spread(self, flat_ids, delta):
-        others = self.others
-        for y in flat_ids:
-            others[y] += delta
+    R = sample.replications
+    last = list(blocked)
+    # from the last node back: a copy already marked is covered by a later
+    # node, which then also covers everything below it, so the walk stops
+    # there and every copy is marked once, by its latest coverer
+    for k in range(len(order) - 1, -1, -1):
+        tag = k + 2
+        x = order[k] * R
+        own = last[x:x + R]
+        last[x:x + R] = [t or tag for t in own] if any(own) else [tag] * R
+        for y in _walk(sample, x, x + R, last):
+            last[y] = tag
+    return last
 
 
 class GainTable:

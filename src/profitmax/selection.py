@@ -18,10 +18,13 @@ bounds the current one from above too, so only candidates that reach the top
 of the queue are evaluated, and the seeds equal those of the eager loop on
 the same sample.  Its trace holds one ``evaluated`` entry per ratio computed,
 ``unaffordable`` when a candidate leaves the pool for good, and the round's
-``accepted`` node or the final ``rejected_gain`` one.  High degree, clustering
-coefficient and single discount share one scored scan, whose gain gate calls
-:func:`~profitmax.profit.marginal_profit_gain`; its two estimates share one
-stream.
+``accepted`` node or the final ``rejected_gain`` one.  Double greedy scores
+both sides of each scan step from one reach walk around its growing set's
+cover: the gain counts every uncovered copy found, the loss only those whose
+last coverer (:func:`~profitmax.profit.last_coverers`) is the scanned node.
+High degree, clustering coefficient and single discount share one scored
+scan, whose gain gate calls :func:`~profitmax.profit.marginal_profit_gain`;
+its two estimates share one stream.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degree, seed_cost
-from .profit import (EstimatorConfig, SnapshotCoverage, SnapshotReachCounts, blocked_copies,
+from .profit import (EstimatorConfig, SnapshotCoverage, blocked_copies, last_coverers,
                      marginal_profit_gain)
 # unused here, but the benchmark's tracer patches these names on this module
 from .graph import clustering_coefficient  # noqa: F401
@@ -166,8 +169,9 @@ def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample) -> S
     For each node the grow-side ratio is its profit gain when added to S, and
     the shrink-side ratio (negated) its profit change when removed from T, both
     per unit cost and exact on the sample.  The node joins S when the grow side
-    wins and its cost still fits the budget; otherwise it leaves T.
-    ``sample`` is a ``LiveSample`` of the graph ``g`` restricts.
+    wins and its cost still fits the budget; otherwise it leaves T.  T is
+    never stored: it is S plus the nodes not yet scanned.  ``sample`` is a
+    ``LiveSample`` of the graph ``g`` restricts.
     """
     _check_budget(g, econ, budget)
     cost = econ.cost
@@ -175,28 +179,26 @@ def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample) -> S
     replications = sample.replications
     blocked = _blocked(g, sample)
     grow = SnapshotCoverage(sample, econ.benefit, blocked)
-    shrink = SnapshotReachCounts(sample, econ.benefit, nodes, blocked)
+    # at position idx, T is S plus nodes[idx:]: T less u covers a copy that S
+    # leaves uncovered exactly when a later node covers it too
+    last = last_coverers(sample, nodes, blocked)
     selected = []
     remaining = budget
     trace = []
     for idx, u in enumerate(nodes):
         c = cost[u]
-        # the reach walked when the shrink counts were built serves the
-        # grow-side gain and the update of whichever set u leaves
-        reached = shrink.reaches.pop(u)
-        add_ratio = (grow.gain(u, reached) / replications - c) / c
-        remove_ratio = (shrink.loss(u) / replications - c) / c
+        # one walk around S's cover serves both sides, and the add if u joins
+        reached = grow.reach(u)
+        add_ratio = (grow.benefit(u, reached) / replications - c) / c
+        remove_ratio = (grow.benefit(u, reached, last, idx + 2) / replications - c) / c
         if add_ratio >= remove_ratio and c <= remaining:
             grow.add(u, reached)
             selected.append(u)
             remaining -= c
             decision = "added"
         else:
-            shrink.remove(u, reached)
             decision = "dropped_budget" if add_ratio >= remove_ratio else "dropped_ratio"
         trace.append(TraceEntry(idx, u, decision, add_ratio, remove_ratio))
-    assert [u for u in nodes if shrink.member[u]] == selected, \
-        "grow and shrink sets must coincide at termination"
     return _outcome(econ, budget, selected, trace)
 
 

@@ -11,8 +11,8 @@ from profitmax.profit import (
     EstimatorConfig,
     GainTable,
     SnapshotCoverage,
-    SnapshotReachCounts,
     blocked_copies,
+    last_coverers,
     marginal_profit_gain,
 )
 from profitmax.rng import RandomSource
@@ -114,7 +114,7 @@ def test_single_greedy_ties_go_to_lowest_id():
     assert [e.node for e in out.trace if e.decision == "accepted"] == [0, 1]
 
 
-def _small_instance(rnd):
+def _small_instance(rnd, directed=True):
     """Tiny graph, economics and budget, often with tied ratios; sometimes a view."""
     n = rnd.randint(2, 7)
     uniform = rnd.choice([None, 0.1, 0.2, 0.5])
@@ -122,7 +122,7 @@ def _small_instance(rnd):
              for u in range(n) for v in range(n) if u != v and rnd.random() < 0.35]
     if not edges:
         edges = [(0, n - 1, uniform or 1.0)]
-    g = build_graph(edges, directed=True)
+    g = build_graph(edges, directed=directed)
     size = g.base_node_count
     econ = NodeEconomics(tuple(rnd.randint(1, 3) for _ in range(size)),
                          tuple(rnd.randint(1, 4) for _ in range(size)))
@@ -170,51 +170,103 @@ def test_lazy_single_greedy_matches_eager_loop(seed, replications):
         assert out.seeds == tuple(sorted(u for u, _ in accepted))
 
 
-def _coverage(sample, value, members):
-    cover = SnapshotCoverage(sample, value)
+def _coverage(sample, value, members, blocked=None):
+    cover = SnapshotCoverage(sample, value, blocked)
     for u in members:
         cover.add(u)
     return cover.total
 
 
-@settings(max_examples=100, deadline=None)
+def _covers(sample, u, blocked):
+    # test-only search: u's copies and, snapshot by snapshot, every flat id
+    # they reach without entering a blocked copy
+    R = sample.replications
+    offsets, targets = sample.offsets, sample.targets
+    found = set(range(u * R, (u + 1) * R))
+    stack = list(found)
+    while stack:
+        x = stack.pop()
+        for y in targets[offsets[x]:offsets[x + 1]]:
+            if not blocked[y] and y not in found:
+                found.add(y)
+                stack.append(y)
+    return found
+
+
+def _scan_instance(seed, replications):
+    """A small instance, directed or not, its sample, and the view a scan runs on.
+
+    The view is the instance's graph, or a view of it whose removed nodes are
+    blocked on the graph's sample, as in phase two.
+    """
+    rnd = random.Random(seed)
+    g, econ, budget = _small_instance(rnd, directed=rnd.random() < 0.5)
+    sample = _sample(g, EstimatorConfig(replications=replications), RandomSource(seed))
+    if rnd.random() < 0.5:
+        g = exclude_nodes(g, rnd.sample(g.nodes, rnd.randint(0, g.node_count)))
+    return rnd, g, econ, budget, sample, blocked_copies(sample, g.removed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_last_coverers_equal_brute_force_maximum(seed, replications):
+    _, g, _, _, sample, blocked = _scan_instance(seed, replications)
+    order = g.nodes
+    covers = [_covers(sample, u, blocked) for u in order]
+    expected = [1 if blocked[y] else
+                max((k + 2 for k, found in enumerate(covers) if y in found), default=0)
+                for y in range(len(blocked))]
+    assert last_coverers(sample, order, blocked) == expected
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(1, 6))
 def test_shrink_loss_equals_coverage_difference(seed, replications):
-    rnd = random.Random(seed)
-    g, econ, _ = _small_instance(rnd)
-    sample = _sample(g, EstimatorConfig(replications=replications), RandomSource(seed))
-    members = set(g.nodes)
-    counts = SnapshotReachCounts(sample, econ.benefit, sorted(members))
-    for u in rnd.sample(sorted(members), rnd.randint(0, len(members))):
-        counts.remove(u)
-        members.discard(u)
-    full = _coverage(sample, econ.benefit, members)
-    for u in members:
-        assert counts.loss(u) == full - _coverage(sample, econ.benefit, members - {u})
+    # at scan position k, with S drawn from the nodes before k, one walk
+    # around S's cover gives u's gain into S and its loss from S + nodes[k:]
+    rnd, g, econ, _, sample, blocked = _scan_instance(seed, replications)
+    order, value = g.nodes, econ.benefit
+    last = last_coverers(sample, order, blocked)
+    for k, u in enumerate(order):
+        grown = set(rnd.sample(order[:k], rnd.randint(0, k)))
+        grow = SnapshotCoverage(sample, value, blocked)
+        for s in grown:
+            grow.add(s)
+        reached = grow.reach(u)
+        shrunk = grown | set(order[k:])
+        assert grow.benefit(u, reached) == \
+            _coverage(sample, value, grown | {u}, blocked) - grow.total
+        assert grow.benefit(u, reached, last, k + 2) == \
+            _coverage(sample, value, shrunk, blocked) - \
+            _coverage(sample, value, shrunk - {u}, blocked)
 
 
-def _two_walk_double_greedy(g, econ, budget, cfg, source):
-    # reference: the loop that walked a node's reach for its grow-side gain and
-    # again to add or drop it
-    cost = econ.cost
+def _two_walk_double_greedy(g, econ, budget, sample):
+    # reference: keeps the shrinking set T itself and takes each loss as
+    # coverage(T) - coverage(T - {u}), both recomputed from scratch
+    cost, value = econ.cost, econ.benefit
     nodes = g.nodes
-    sample = _sample(g, cfg, source)
-    grow = SnapshotCoverage(sample, econ.benefit)
-    shrink = SnapshotReachCounts(sample, econ.benefit, nodes)
+    R = sample.replications
+    blocked = blocked_copies(sample, g.removed)
+    grow = SnapshotCoverage(sample, value, blocked)
+    shrink = set(nodes)
     selected, remaining, trace = [], budget, []
     for idx, u in enumerate(nodes):
         c = cost[u]
-        add_ratio = (grow.gain(u) / cfg.replications - c) / c
-        remove_ratio = (shrink.loss(u) / cfg.replications - c) / c
+        add_ratio = (grow.gain(u) / R - c) / c
+        loss = _coverage(sample, value, shrink, blocked) - \
+            _coverage(sample, value, shrink - {u}, blocked)
+        remove_ratio = (loss / R - c) / c
         if add_ratio >= remove_ratio and c <= remaining:
             grow.add(u)
             selected.append(u)
             remaining -= c
             decision = "added"
         else:
-            shrink.remove(u)
+            shrink.discard(u)
             decision = "dropped_budget" if add_ratio >= remove_ratio else "dropped_ratio"
         trace.append(TraceEntry(idx, u, decision, add_ratio, remove_ratio))
+    assert sorted(shrink) == selected, "grow and shrink sets must coincide at termination"
     spent = seed_cost(econ, selected)
     return SelectionOutcome(tuple(sorted(selected)), spent, budget - spent, tuple(trace))
 
@@ -222,11 +274,9 @@ def _two_walk_double_greedy(g, econ, budget, cfg, source):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(1, 6))
 def test_double_greedy_matches_two_walk_loop(seed, replications):
-    g, econ, budget = _small_instance(random.Random(seed))
-    cfg = EstimatorConfig(replications=replications)
-    source = RandomSource(seed)
-    assert double_greedy(g, econ, budget, _sample(g, cfg, source)) == \
-        _two_walk_double_greedy(g, econ, budget, cfg, source)
+    _, g, econ, budget, sample, _ = _scan_instance(seed, replications)
+    assert double_greedy(g, econ, budget, sample) == \
+        _two_walk_double_greedy(g, econ, budget, sample)
 
 
 def _restricted(sample, removed):

@@ -1,11 +1,6 @@
 """Two-phase profit maximization on social networks under independent cascade."""
 
-from .diffusion import (
-    DiffusionTrace,
-    PartialObservation,
-    observe_until,
-    simulate_ic,
-)
+from .diffusion import PartialObservation, observe_until
 from .graph import (
     NodeEconomics,
     SocialGraph,

@@ -7,9 +7,9 @@ import sys
 from dataclasses import replace
 
 from .experiment import parse_config, resolve_dataset, run_batch
-from .graph import NodeEconomics, degree, exclude_nodes
+from .graph import NodeEconomics, degree, exclude_nodes, seed_cost
 from .loader import load_snap_edge_list
-from .profit import exact_benefit, exact_profit
+from .profit import exact_benefit
 from .twophase import exact_two_phase_profit
 
 
@@ -55,12 +55,11 @@ def _cmd_oracle(args) -> int:
     costs = _int_list(args.costs) or [1] * n
     benefits = _int_list(args.benefits) or [1] * n
     econ = NodeEconomics(tuple(costs), tuple(benefits))
-    seeds = _int_list(args.seeds)
+    seeds = set(_int_list(args.seeds))
     view = exclude_nodes(g, _int_list(args.exclude))
     benefit = exact_benefit(view, econ, seeds, free_seeds=_int_list(args.free))
-    profit = exact_profit(view, econ, seeds, free_seeds=_int_list(args.free))
     print(f"exact benefit: {benefit:.6f}")
-    print(f"exact profit:  {profit:.6f}")
+    print(f"exact profit:  {benefit - seed_cost(econ, seeds):.6f}")
     if args.phase2_budget is not None:
         value = exact_two_phase_profit(view, econ, seeds, args.observation_step, args.phase2_budget)
         print(f"exact two-phase objective (d={args.observation_step}, "
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--costs", help="comma-separated per-node costs (default all 1)")
     p_oracle.add_argument("--benefits", help="comma-separated per-node benefits (default all 1)")
     p_oracle.add_argument("--exclude", help="comma-separated nodes removed from the graph")
-    p_oracle.add_argument("--free", help="comma-separated cost-free seed nodes")
+    p_oracle.add_argument("--free", help="cost-free seeds that earn nothing (an observed frontier)")
     p_oracle.add_argument("--phase2-budget", type=int, dest="phase2_budget",
                           help="also print the exact two-phase objective with this budget")
     p_oracle.add_argument("--observation-step", type=int, default=1, dest="observation_step")

@@ -1,13 +1,13 @@
 """Independent cascade simulation and the exhaustive live-graph oracle.
 
-Two routes to the same distribution live here.  :func:`simulate_ic` runs the
-step-wise cascade, sampling each arc out of a newly active node toward a
-still-inactive target exactly once; :func:`observe_until` watches it up to a
-step horizon.  The enumeration core expands all 2^m arc subsets with their
-generation probabilities, and diffusion outcome on a live graph is plain
-reachability; the exact oracles in :mod:`profitmax.profit` and
-:mod:`profitmax.twophase` sum over it.  Tests hold the two routes against
-each other, so keep them independent.
+Two routes to the same distribution live here.  :func:`observe_until` runs
+the step-wise cascade for a given number of steps, sampling each arc out of a
+newly active node toward a still-inactive target exactly once.  The
+enumeration core expands all 2^m arc subsets with their generation
+probabilities, and diffusion outcome on a live graph is plain reachability;
+the exact oracles in :mod:`profitmax.profit` and :mod:`profitmax.twophase`
+sum over it.  Tests hold the two routes against each other, so keep them
+independent.
 
 The Monte Carlo sampler used by the estimators supports two arc-sampling
 strategies with identical outcome distributions: per-arc Bernoulli draws, and
@@ -27,9 +27,7 @@ from math import log
 from .graph import SocialGraph
 
 __all__ = [
-    "DiffusionTrace",
     "PartialObservation",
-    "simulate_ic",
     "observe_until",
     "LiveSample",
     "sample_live_graphs",
@@ -42,16 +40,8 @@ ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
-class DiffusionTrace:
-    """Step-wise cascade outcome; ``steps[t]`` holds nodes activated at time t."""
-
-    steps: tuple
-    final_active: frozenset
-
-
-@dataclass(frozen=True)
 class PartialObservation:
-    """Activation status after watching a cascade up to a step horizon."""
+    """Activation status after watching a cascade for a number of steps."""
 
     already_active: frozenset
     newly_active: frozenset
@@ -65,48 +55,36 @@ def _check_seeds(g: SocialGraph, seeds):
     return out
 
 
-def simulate_ic(g: SocialGraph, seeds, rng, horizon=None) -> DiffusionTrace:
-    """Run one independent cascade from ``seeds``, drawing arcs lazily.
+def observe_until(g: SocialGraph, seeds, d: int, rng) -> PartialObservation:
+    """Watch a cascade from ``seeds`` for ``d`` steps: everyone active, and the step-d frontier.
 
     Each arc from a newly active node to an inactive target is sampled exactly
     once with its probability.  Newly active nodes fire in ascending id order
     and their out-arcs in adjacency order, so a given stream always reproduces
-    the same trace.  ``horizon`` bounds the number of diffusion steps after
-    seeding; ``None`` runs to fixpoint.
+    the same observation.  The frontier is empty when the cascade dies out
+    before step ``d``; step 0 is the seed set itself.
     """
-    frontier = _check_seeds(g, seeds)
+    if d < 0:
+        raise ValueError(f"observation step must be >= 0, got {d}")
+    newly = _check_seeds(g, seeds)
     offsets, targets, probs, _ = g._engine()
     state = bytearray(g._blocked_template())
-    for s in frontier:
+    for s in newly:
         state[s] = 1
-    steps = [frozenset(frontier)]
+    active = list(newly)
     rand = rng.random
-    t = 0
-    while frontier and (horizon is None or t < horizon):
+    for _ in range(d):
         nxt = []
-        for u in frontier:
+        for u in newly:
             for i in range(offsets[u], offsets[u + 1]):
                 v = targets[i]
                 if not state[v] and rand() < probs[i]:
                     state[v] = 1
                     nxt.append(v)
-        if not nxt:
-            break
         nxt.sort()
-        steps.append(frozenset(nxt))
-        frontier = nxt
-        t += 1
-    final = frozenset().union(*steps)
-    return DiffusionTrace(tuple(steps), final)
-
-
-def observe_until(g: SocialGraph, seeds, d: int, rng) -> PartialObservation:
-    """Watch a cascade for ``d`` steps; report everyone active and the step-d frontier."""
-    if d < 0:
-        raise ValueError(f"observation step must be >= 0, got {d}")
-    trace = simulate_ic(g, seeds, rng, horizon=d)
-    newly = trace.steps[d] if len(trace.steps) > d else frozenset()
-    return PartialObservation(trace.final_active, newly)
+        active += nxt
+        newly = nxt
+    return PartialObservation(frozenset(active), frozenset(newly))
 
 
 # -- live-graph enumeration core (shared by the exact estimators) -------------
@@ -190,11 +168,12 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
     """Per-replication sum of ``value[v]`` over nodes activated beyond ``active0``.
 
     ``active0`` is the sorted initial active set (already validated); ``value``
-    is a dense per-node payoff table with zeros outside the measurement
-    universe.  Returns a list of ``replications`` floats.
+    is a dense per-node payoff table, and nodes of ``active0`` earn nothing.
+    Returns a list of ``replications`` gains, each a plain sum of ``value``
+    entries (an ``int`` for integer values).
     """
     if not active0:
-        return [0.0] * replications
+        return [0] * replications
     mode = _pick_mode(g, mode)
     offsets, targets, probs, uniform_p = g._engine()
     template = bytearray(g._blocked_template())
@@ -209,7 +188,7 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
         for _ in range(replications):
             state = template[:]
             frontier = active0
-            gain = 0.0
+            gain = 0
             while frontier:
                 nxt = []
                 need = int(log(1.0 - rand()) * inv_log_q)
@@ -231,7 +210,7 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
         for _ in range(replications):
             state = template[:]
             frontier = active0
-            gain = 0.0
+            gain = 0
             while frontier:
                 nxt = []
                 for u in frontier:

@@ -7,10 +7,10 @@ standard error, and :func:`exact_benefit` and :func:`exact_profit` give exact
 expectations by live-graph enumeration for small graphs.  The exact route
 exists to check the sampled one and is never used inside selection loops.
 
-``free_seeds`` are nodes that start the cascade without being paid for; the
-phase-two protocol uses them for organically activated frontiers.  A
-``universe`` restricts which nodes' benefits are counted, without changing
-diffusion dynamics.
+``free_seeds`` are nodes that start the cascade without being paid for, and
+earn nothing: the phase-two protocol passes its observed frontier, whose
+benefit phase one has already counted.  Only the priced seeds and the nodes
+the cascade newly reaches earn.
 
 The greedy selectors estimate on a fixed sample of live graphs instead, one
 per cell (:class:`SnapshotCoverage`): there benefit is exact weighted
@@ -67,16 +67,6 @@ class EstimatorConfig:
             raise ValueError("replications must be >= 1")
 
 
-def _value_table(g: SocialGraph, econ: NodeEconomics, universe):
-    if universe is None:
-        return [float(b) for b in econ.benefit]
-    members = set(universe)
-    for u in members:
-        if not 0 <= u < g.base_node_count:
-            raise ValueError(f"universe node {u!r} is outside the graph")
-    return [float(b) if u in members else 0.0 for u, b in enumerate(econ.benefit)]
-
-
 def _initial_active(g, seeds, free_seeds):
     seed_list = _check_seeds(g, seeds)
     free_list = _check_seeds(g, free_seeds)
@@ -84,17 +74,18 @@ def _initial_active(g, seeds, free_seeds):
 
 
 def estimate_profit(g: SocialGraph, econ: NodeEconomics, seeds, cfg: EstimatorConfig,
-                    rng, universe=None, free_seeds=()) -> ProfitEstimate:
-    """Expected benefit reached inside ``universe``, less the cost of the priced seeds.
+                    rng, free_seeds=()) -> ProfitEstimate:
+    """Expected benefit the priced seeds and their cascade earn, less the seeds' cost.
 
-    Only ``seeds`` are paid for; ``free_seeds`` diffuse for free.  Adding
+    Only ``seeds`` are paid for and earn; ``free_seeds`` start the cascade,
+    pay nothing and earn nothing.  A node in both is a priced seed.  Adding
     ``seed_cost(econ, seeds)`` back to the mean gives the benefit estimate.
     """
     econ.check_covers(g)
     seed_list, initial = _initial_active(g, seeds, free_seeds)
-    value = _value_table(g, econ, universe)
-    const = fsum(value[s] for s in initial) - seed_cost(econ, seed_list)
-    samples = _gain_samples(g, value, initial, cfg.replications, rng)
+    benefit = econ.benefit
+    const = fsum(benefit[s] for s in seed_list) - seed_cost(econ, seed_list)
+    samples = _gain_samples(g, benefit, initial, cfg.replications, rng)
     r = len(samples)
     mean_extra = fsum(samples) / r
     if r > 1:
@@ -105,33 +96,33 @@ def estimate_profit(g: SocialGraph, econ: NodeEconomics, seeds, cfg: EstimatorCo
     return ProfitEstimate(const + mean_extra, se, r)
 
 
-def exact_benefit(g: SocialGraph, econ: NodeEconomics, seeds, universe=None,
-                  free_seeds=()) -> float:
+def exact_benefit(g: SocialGraph, econ: NodeEconomics, seeds, free_seeds=()) -> float:
     """Exact expected benefit by summing over every live graph.
 
-    Refuses graphs above ``ENUMERATION_LIMIT`` arcs; this is the oracle side
-    of the estimator checks, not a production path.
+    Each live graph earns the benefit of the reach of seeds and free seeds
+    together, less that of the unpaid free seeds.  Refuses graphs above
+    ``ENUMERATION_LIMIT`` arcs; this is the oracle side of the estimator
+    checks, not a production path.
     """
     econ.check_covers(g)
-    _, initial = _initial_active(g, seeds, free_seeds)
+    seed_list, initial = _initial_active(g, seeds, free_seeds)
     index, worlds = _live_worlds(g)
     if not initial:
         return 0.0
-    value = _value_table(g, econ, universe)
-    return fsum(prob * fsum(value[v] for v in index.reach(mask, initial))
+    benefit = econ.benefit
+    unpaid = set(initial).difference(seed_list)
+    return fsum(prob * fsum(benefit[v] for v in index.reach(mask, initial) - unpaid)
                 for mask, prob in worlds)
 
 
-def exact_profit(g: SocialGraph, econ: NodeEconomics, seeds, universe=None,
-                 free_seeds=()) -> float:
+def exact_profit(g: SocialGraph, econ: NodeEconomics, seeds, free_seeds=()) -> float:
     """Exact expected profit: enumerated benefit minus priced seed cost."""
     seed_list = _check_seeds(g, seeds)
-    benefit = exact_benefit(g, econ, seed_list, universe, free_seeds)
-    return benefit - seed_cost(econ, seed_list)
+    return exact_benefit(g, econ, seed_list, free_seeds) - seed_cost(econ, seed_list)
 
 
 def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, cfg: EstimatorConfig,
-                         source, universe=None, free_seeds=()) -> float:
+                         source, free_seeds=()) -> float:
     """Signed profit delta from adding ``u`` to ``seeds``.
 
     ``source`` is a :class:`~profitmax.rng.RandomSource`; both profit terms
@@ -144,8 +135,8 @@ def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, cfg: Est
         raise ValueError(f"node {u!r} is already in the seed set")
     g._require(u)
     rng_with, rng_without = source.generator(), source.generator()
-    with_u = estimate_profit(g, econ, seed_list + [u], cfg, rng_with, universe, free_seeds)
-    without_u = estimate_profit(g, econ, seed_list, cfg, rng_without, universe, free_seeds)
+    with_u = estimate_profit(g, econ, seed_list + [u], cfg, rng_with, free_seeds)
+    without_u = estimate_profit(g, econ, seed_list, cfg, rng_without, free_seeds)
     return with_u.mean - without_u.mean
 
 
@@ -293,11 +284,7 @@ class GainTable:
     __slots__ = ("sample", "value", "node")
 
     def __init__(self, sample, value):
-        R = sample.replications
         self.sample = sample
         self.value = value
-        node = self.node = array("q", bytes(8 * sample.node_count))
-        unblocked = bytes(sample.node_count * R)
-        for u in range(sample.node_count):
-            x = u * R
-            node[u] = value[u] * R + sum(value[y // R] for y in _walk(sample, x, x + R, unblocked))
+        empty = SnapshotCoverage(sample, value)
+        self.node = array("q", [empty.gain(u) for u in range(sample.node_count)])

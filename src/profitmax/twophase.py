@@ -150,10 +150,10 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
     """Reseed the residual graph for one observation and evaluate its profit.
 
     Selection happens on the graph without every already-active node; the
-    evaluation keeps the observed frontier as cost-free seeds on the graph
-    without the already-active interior, counting benefit only over untouched
-    nodes.  Unspent phase-one budget rolls over.  ``sample`` is the cell's
-    :func:`cell_sample`.  ``memo`` maps an observation's (already active,
+    evaluation keeps the observed frontier as free seeds, which pay and earn
+    nothing, on the graph without the already-active interior, so only
+    untouched nodes earn.  Unspent phase-one budget rolls over.  ``sample``
+    is the cell's :func:`cell_sample`.  ``memo`` maps an observation's (already active,
     newly active) pair to the outcome selected for it; pass one only with
     ``sample``, which makes selection a function of the observation.
     """
@@ -173,12 +173,10 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
         if memo is not None:
             memo[key] = outcome
     assert outcome.spent <= budget
-    evaluation_view = exclude_nodes(g, already - newly)
-    universe = frozenset(selection_view.nodes)
     est = estimate_profit(
-        evaluation_view, econ, outcome.seeds,
+        exclude_nodes(g, already - newly), econ, outcome.seeds,
         EstimatorConfig(replications=cfg.phase2_runs_per_observation),
-        source.stream("evaluate"), universe=universe, free_seeds=newly,
+        source.stream("evaluate"), free_seeds=newly,
     )
     phase1_component = fsum(econ.benefit[v] for v in sorted(already)) - phase1_outcome.spent
     return ObservationRecord(

@@ -9,7 +9,6 @@ from profitmax.diffusion import (
     _gain_samples,
     _live_worlds,
     observe_until,
-    simulate_ic,
 )
 from profitmax.graph import build_graph, exclude_nodes
 from profitmax.rng import RandomSource
@@ -20,25 +19,24 @@ def chain(p=1.0, n=3):
 
 
 def test_no_seeds_no_activation():
-    trace = simulate_ic(chain(), [], RandomSource(0).stream("s"))
-    assert trace.final_active == frozenset()
-    assert trace.steps == (frozenset(),)
+    obs = observe_until(chain(), [], 3, RandomSource(0).stream("s"))
+    assert obs.already_active == obs.newly_active == frozenset()
 
 
 def test_certain_edge_fires():
     g = build_graph([(0, 1, 1.0)], directed=True)
-    trace = simulate_ic(g, {0}, RandomSource(0).stream("s"))
-    assert trace.steps == (frozenset({0}), frozenset({1}))
-    assert trace.final_active == frozenset({0, 1})
+    steps = [observe_until(g, {0}, d, RandomSource(0).stream("s")) for d in range(3)]
+    assert [obs.newly_active for obs in steps] == [frozenset({0}), frozenset({1}), frozenset()]
+    assert steps[2].already_active == frozenset({0, 1})
 
 
-def test_seed_outside_universe_rejected():
+def test_seed_outside_graph_rejected():
     g = chain()
     with pytest.raises(ValueError):
-        simulate_ic(g, {7}, RandomSource(0).stream("s"))
+        observe_until(g, {7}, 1, RandomSource(0).stream("s"))
     view = exclude_nodes(g, {2})
     with pytest.raises(ValueError):
-        simulate_ic(view, {2}, RandomSource(0).stream("s"))
+        observe_until(view, {2}, 1, RandomSource(0).stream("s"))
 
 
 def test_single_edge_activation_frequency():
@@ -47,7 +45,7 @@ def test_single_edge_activation_frequency():
     src = RandomSource(20240501)
     n = 100_000
     hits = sum(
-        1 in simulate_ic(g, {0}, src.stream("rep", i)).final_active
+        1 in observe_until(g, {0}, 2, src.stream("rep", i)).already_active
         for i in range(n)
     )
     se = math.sqrt(0.25 / n)
@@ -67,6 +65,20 @@ def test_observe_until_examples():
     assert obs5.newly_active == frozenset()
     with pytest.raises(ValueError):
         observe_until(g, {0}, -1, src.stream("d"))
+
+
+def test_frontier_fires_in_ascending_id_order():
+    # step 1 reaches 3 before 2, yet 2 fires first at step 2: its arc takes the
+    # stream's third draw and 3's arc the fourth (certain arcs draw too)
+    g = build_graph([(0, 3, 1.0), (1, 2, 1.0), (2, 4, 0.5), (3, 5, 0.5)], directed=True)
+    src = RandomSource(8)
+    for i in range(20):
+        rng = src.stream("order", i)
+        draws = [rng.random() for _ in range(4)]
+        obs = observe_until(g, {0, 1}, 2, src.stream("order", i))
+        expected = {v for v, r in ((4, draws[2]), (5, draws[3])) if r < 0.5}
+        assert obs.newly_active == frozenset(expected)
+        assert obs.already_active == frozenset({0, 1, 2, 3} | expected)
 
 
 def test_live_graph_enumeration():
@@ -106,9 +118,9 @@ def test_reachable_set_examples():
 def test_identical_stream_identical_trace():
     g = build_graph([(0, 1, 0.4), (1, 2, 0.7), (2, 3, 0.2), (0, 3, 0.5)], directed=True)
     src = RandomSource(99)
-    t1 = simulate_ic(g, {0}, src.stream("rep", 17))
-    t2 = simulate_ic(g, {0}, src.stream("rep", 17))
-    assert t1 == t2
+    for d in range(5):
+        first, second = (observe_until(g, {0}, d, src.stream("rep", 17)) for _ in range(2))
+        assert first == second
 
 
 def _exact_expected_spread(g, seeds):
@@ -126,7 +138,7 @@ def test_stepwise_process_matches_live_graph_distribution():
     src = RandomSource(1234)
     rng = src.stream("spread")
     n = 200_000
-    sizes = [len(simulate_ic(g, {0}, rng).final_active) for _ in range(n)]
+    sizes = [len(observe_until(g, {0}, g.base_node_count, rng).already_active) for _ in range(n)]
     mean = sum(sizes) / n
     var = sum((s - mean) ** 2 for s in sizes) / (n - 1)
     se = math.sqrt(var / n)
@@ -159,14 +171,15 @@ graphs = st.lists(
 def test_trace_invariants(edges, seeds, seed):
     g = build_graph(edges, directed=True)
     seeds &= set(g.nodes)
-    trace = simulate_ic(g, seeds, RandomSource(seed).stream("t"))
-    flat = [u for step in trace.steps for u in step]
-    assert len(flat) == len(set(flat))  # steps pairwise disjoint
-    assert trace.final_active == frozenset(flat)
-    assert trace.steps[0] == frozenset(seeds)
+    # one stream seed for every d: a longer watch extends a shorter one
+    steps = [observe_until(g, seeds, d, RandomSource(seed).stream("t"))
+             for d in range(g.base_node_count + 1)]
+    assert steps[0].newly_active == frozenset(seeds)
     in_neighbors = {}
     for u, v, _ in g.arc_list():
         in_neighbors.setdefault(v, set()).add(u)
-    for t in range(1, len(trace.steps)):
-        for v in trace.steps[t]:
-            assert in_neighbors.get(v, set()) & trace.steps[t - 1]
+    for before, after in zip(steps, steps[1:]):
+        assert before.already_active <= after.already_active
+        assert after.newly_active == after.already_active - before.already_active
+        for v in after.newly_active:
+            assert in_neighbors.get(v, set()) & before.newly_active

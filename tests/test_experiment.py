@@ -242,6 +242,19 @@ def test_cli_oracle(capsys):
     assert "two-phase objective" in out
 
 
+def test_cli_oracle_free_seeds_earn_nothing(tmp_path, capsys):
+    edges = tmp_path / "chain.txt"
+    edges.write_text("0 1\n1 2\n")
+    chain = [str(edges), "--directed", "--probability", "1.0",
+             "--costs", "3,3,3", "--benefits", "10,10,10", "--free", "0"]
+    # the free frontier 0 earns nothing; only what it newly reaches counts
+    assert main(["oracle", *chain, "--seeds", ""]) == 0
+    assert "exact benefit: 20.000000" in capsys.readouterr().out
+    # priced seed 1 earns; 2 is reached by both and counted once
+    assert main(["oracle", *chain, "--seeds", "1"]) == 0
+    assert "exact profit:  17.000000" in capsys.readouterr().out
+
+
 def test_cli_oracle_missing_file(capsys):
     assert main(["oracle", "nope.txt", "--seeds", "0"]) == 1
     assert "error:" in capsys.readouterr().err

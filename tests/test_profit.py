@@ -88,34 +88,35 @@ def test_profit_estimate_tracks_exact_value():
     assert abs(est.mean - exact) <= 3 * est.std_error
 
 
-def test_universe_restriction_per_live_graph():
-    g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (0, 3, 0.5)], directed=True)
-    econ = NodeEconomics((1, 1, 1, 1), (10, 20, 30, 40))
-    universe = {0, 2}
+def test_free_seeds_earn_nothing_per_live_graph():
+    g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (0, 3, 0.5), (3, 2, 0.5)], directed=True)
+    econ = NodeEconomics((1, 2, 3, 4), (10, 20, 30, 40))
     index, worlds = _live_worlds(g)
     worlds = list(worlds)
-    for mask, _ in worlds:
-        reach = index.reach(mask, [0])
-        full = sum(econ.benefit[v] for v in reach)
-        inside = sum(econ.benefit[v] for v in reach if v in universe)
-        outside = sum(econ.benefit[v] for v in reach if v not in universe)
-        assert inside == full - outside
-    restricted = exact_benefit(g, econ, {0}, universe=universe)
-    by_difference = exact_benefit(g, econ, {0}) - sum(
-        prob * sum(econ.benefit[v] for v in index.reach(mask, [0]) if v not in universe)
-        for mask, prob in worlds
-    )
-    assert restricted == pytest.approx(by_difference)
+    src = RandomSource(6)
+    # free seeds start the cascade and earn nothing; a node passed as both a
+    # seed and a free seed stays a priced seed, which pays and earns
+    cases = (({0}, set()), (set(), {0}), ({1}, {0}), ({0}, {0, 3}), ({0, 1}, {1, 3}))
+    for k, (seeds, free) in enumerate(cases):
+        start = sorted(seeds | free)
+        truth = sum(prob * sum(econ.benefit[v] for v in index.reach(mask, start)
+                               if v in seeds or v not in free)
+                    for mask, prob in worlds)
+        assert exact_benefit(g, econ, seeds, free_seeds=free) == pytest.approx(truth)
+        profit = exact_profit(g, econ, seeds, free_seeds=free)
+        assert profit == pytest.approx(truth - seed_cost(econ, seeds))
+        est = estimate_profit(g, econ, seeds, EstimatorConfig(replications=20_000),
+                              src.stream("free", k), free_seeds=free)
+        assert abs(est.mean - profit) <= 3 * est.std_error, (seeds, free)
 
 
 def test_free_seeds_diffuse_without_cost():
     g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], directed=True)
     econ = NodeEconomics((5, 5, 5), (10, 20, 40))
-    est = estimate_profit(g, econ, set(), CFG, RandomSource(0).stream("p"),
-                          universe={1, 2}, free_seeds={0})
-    # frontier node 0 costs nothing and is outside the universe; 1 and 2 count
+    est = estimate_profit(g, econ, set(), CFG, RandomSource(0).stream("p"), free_seeds={0})
+    # frontier node 0 costs and earns nothing; 1 and 2 count
     assert est.mean == 60.0 and est.std_error == 0.0
-    assert exact_benefit(g, econ, set(), universe={1, 2}, free_seeds={0}) == 60.0
+    assert exact_benefit(g, econ, set(), free_seeds={0}) == 60.0
 
 
 def test_marginal_gain_examples():

@@ -188,7 +188,6 @@ def test_greedy_cell_samples_once_and_selects_once_per_observation(monkeypatch, 
             exclude_nodes(g, rec.already_active - rec.newly_active), econ,
             rec.phase2_selection.seeds, EstimatorConfig(c.phase2_runs_per_observation),
             RandomSource(c.master_seed).child("phase2", i).stream("evaluate"),
-            universe=frozenset(exclude_nodes(g, rec.already_active).nodes),
             free_seeds=rec.newly_active)
         assert rec.phase2_profit == est
 

@@ -18,7 +18,6 @@ from .loader import (
     preferential_attachment_graph,
 )
 from .profit import (
-    EstimatorConfig,
     ProfitEstimate,
     estimate_profit,
     exact_benefit,

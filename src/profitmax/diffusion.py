@@ -1,27 +1,29 @@
 """Independent cascade simulation and the exhaustive live-graph oracle.
 
-Two routes to the same distribution live here.  :func:`observe_until` runs
-the step-wise cascade for a given number of steps, sampling each arc out of a
-newly active node toward a still-inactive target exactly once.  The
-enumeration core expands all 2^m arc subsets with their generation
-probabilities, and diffusion outcome on a live graph is plain reachability;
+Two routes to the same distribution live here.  One step loop runs the
+step-wise cascade, sampling each arc out of a newly active node toward a
+still-inactive target exactly once: :func:`observe_until` runs it for a given
+number of steps, and the Monte Carlo estimator's per-arc sampler to the
+fixpoint.  The enumeration core expands all 2^m arc subsets with their
+generation probabilities, and diffusion outcome on a live graph is plain reachability;
 the exact oracles in :mod:`profitmax.profit` and :mod:`profitmax.twophase`
 sum over it.  Tests hold the two routes against each other, so keep them
 independent.
 
-The Monte Carlo sampler used by the estimators supports two arc-sampling
-strategies with identical outcome distributions: per-arc Bernoulli draws, and
-geometric gaps between successes for uniform-probability graphs (one draw per
-success instead of one per arc, which is what makes the experiment protocol
-affordable at small probabilities).  :func:`sample_live_graphs` draws whole
-live graphs with the same two strategies, for the greedy selectors' snapshot
-estimator.
+The graph picks the Monte Carlo sampler.  When every arc of the base graph
+shares a probability below ``GEOMETRIC_P_CUTOFF``, the estimator and
+:func:`sample_live_graphs` jump geometric gaps between successes (one draw
+per success instead of one per arc, which is what makes the experiment
+protocol affordable at small probabilities); otherwise they draw once per
+arc.  Both give the same outcome distribution.  :func:`sample_live_graphs`
+draws whole live graphs for the greedy selectors' snapshot estimator.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from math import log
 
 from .graph import SocialGraph
@@ -66,25 +68,37 @@ def observe_until(g: SocialGraph, seeds, d: int, rng) -> PartialObservation:
     """
     if d < 0:
         raise ValueError(f"observation step must be >= 0, got {d}")
-    newly = _check_seeds(g, seeds)
-    offsets, targets, probs, _ = g._engine()
+    seeds = _check_seeds(g, seeds)
     state = bytearray(g._blocked_template())
-    for s in newly:
+    for s in seeds:
         state[s] = 1
-    active = list(newly)
-    rand = rng.random
-    for _ in range(d):
+    reached, frontier = _cascade(g, state, seeds, d, rng.random)
+    return PartialObservation(frozenset(seeds + reached), frozenset(frontier))
+
+
+def _cascade(g: SocialGraph, state, frontier, steps, rand):
+    """Run the cascade from ``frontier`` for up to ``steps`` steps; ``state`` marks the active.
+
+    Each step fires the frontier in ascending id order and each node's out-arcs
+    in adjacency order, drawing once per arc toward a still-inactive target.
+    Returns the newly activated nodes, each step sorted, and the last frontier.
+    """
+    offsets, targets, probs, _ = g._engine()
+    reached = []
+    for _ in range(steps):
+        if not frontier:
+            break
         nxt = []
-        for u in newly:
+        for u in frontier:
             for i in range(offsets[u], offsets[u + 1]):
                 v = targets[i]
                 if not state[v] and rand() < probs[i]:
                     state[v] = 1
                     nxt.append(v)
         nxt.sort()
-        active += nxt
-        newly = nxt
-    return PartialObservation(frozenset(active), frozenset(newly))
+        reached += nxt
+        frontier = nxt
+    return reached, frontier
 
 
 # -- live-graph enumeration core (shared by the exact estimators) -------------
@@ -151,20 +165,14 @@ def _live_worlds(g: SocialGraph):
 # -- Monte Carlo sampling core -------------------------------------------------
 
 
-def _pick_mode(g: SocialGraph, mode: str) -> str:
-    """Resolve ``auto``, and check that ``g`` supports the mode asked for."""
-    _, _, _, uniform_p = g._engine()
-    if mode == "auto":
-        geometric = uniform_p is not None and uniform_p < GEOMETRIC_P_CUTOFF
-        return "geometric" if geometric else "bernoulli"
-    if mode == "geometric" and (uniform_p is None or uniform_p >= 1.0):
-        raise ValueError("geometric sampling requires a uniform probability below 1")
-    if mode not in ("geometric", "bernoulli"):
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    return mode
+def _geometric_scale(g: SocialGraph):
+    """The geometric gap scale ``1 / log(1 - p)`` when every arc of ``g`` shares a p
+    below ``GEOMETRIC_P_CUTOFF``; None when each arc is drawn on its own."""
+    p = g._engine()[3]
+    return 1.0 / log(1.0 - p) if p is not None and p < GEOMETRIC_P_CUTOFF else None
 
 
-def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"):
+def _gain_samples(g: SocialGraph, value, active0, replications, rnd):
     """Per-replication sum of ``value[v]`` over nodes activated beyond ``active0``.
 
     ``active0`` is the sorted initial active set (already validated); ``value``
@@ -172,10 +180,8 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
     Returns a list of ``replications`` gains, each a plain sum of ``value``
     entries (an ``int`` for integer values).
     """
-    if not active0:
-        return [0] * replications
-    mode = _pick_mode(g, mode)
-    offsets, targets, probs, uniform_p = g._engine()
+    offsets, targets, _, _ = g._engine()
+    scale = _geometric_scale(g)
     template = bytearray(g._blocked_template())
     for s in active0:
         template[s] = 1
@@ -183,46 +189,35 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd, mode="auto"
     append = samples.append
     rand = rnd.random
 
-    if mode == "geometric":
-        inv_log_q = 1.0 / log(1.0 - uniform_p)
+    if scale is None:
+        # a cascade that still spreads activates a node per step, so this many
+        # steps reach the fixpoint
+        steps = g.base_node_count
         for _ in range(replications):
-            state = template[:]
-            frontier = active0
-            gain = 0
-            while frontier:
-                nxt = []
-                need = int(log(1.0 - rand()) * inv_log_q)
-                for u in frontier:
-                    i = offsets[u] + need
-                    end = offsets[u + 1]
-                    while i < end:
-                        v = targets[i]
-                        if not state[v]:
-                            state[v] = 1
-                            nxt.append(v)
-                            gain += value[v]
-                        i += 1 + int(log(1.0 - rand()) * inv_log_q)
-                    need = i - end
-                nxt.sort()
-                frontier = nxt
-            append(gain)
-    else:
-        for _ in range(replications):
-            state = template[:]
-            frontier = active0
-            gain = 0
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for i in range(offsets[u], offsets[u + 1]):
-                        v = targets[i]
-                        if not state[v] and rand() < probs[i]:
-                            state[v] = 1
-                            nxt.append(v)
-                            gain += value[v]
-                nxt.sort()
-                frontier = nxt
-            append(gain)
+            reached, _ = _cascade(g, template[:], active0, steps, rand)
+            append(sum(map(value.__getitem__, reached)))
+        return samples
+    for _ in range(replications):
+        state = template[:]
+        frontier = active0
+        gain = 0
+        while frontier:
+            nxt = []
+            need = int(log(1.0 - rand()) * scale)
+            for u in frontier:
+                i = offsets[u] + need
+                end = offsets[u + 1]
+                while i < end:
+                    v = targets[i]
+                    if not state[v]:
+                        state[v] = 1
+                        nxt.append(v)
+                        gain += value[v]
+                    i += 1 + int(log(1.0 - rand()) * scale)
+                need = i - end
+            nxt.sort()
+            frontier = nxt
+        append(gain)
     return samples
 
 
@@ -243,31 +238,28 @@ class LiveSample:
     targets: array
 
 
-def sample_live_graphs(g: SocialGraph, replications: int, rnd, mode="auto") -> LiveSample:
+def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
     """Draw ``replications`` independent live graphs of ``g``.
 
     Arcs with a removed endpoint are never kept.  Arcs are visited node-major:
-    each node, each snapshot, each out-arc in adjacency order.  Geometric mode
-    jumps between kept positions of that sequence; Bernoulli mode draws once
-    per surviving arc.
+    each node, each snapshot, each out-arc in adjacency order.  At a uniform
+    probability below ``GEOMETRIC_P_CUTOFF`` the draws jump between kept
+    positions of that sequence; otherwise each surviving arc is drawn once.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    mode = _pick_mode(g, mode)
-    offsets, targets, probs, uniform_p = g._engine()
+    offsets, targets, probs, _ = g._engine()
+    scale = _geometric_scale(g)
     blocked = g._blocked_template()
     n, R = g.base_node_count, replications
-    # kept arcs arrive in flat-id order, so each flat id's range opens when its
-    # first arc arrives; ids without arcs share the next one's start
-    starts = [0]
-    opened = 1  # len(starts)
+    # kept arcs arrive in flat-id order: counting them per flat id gives offsets
+    counts = [0] * (n * R)
     kept = array("q")
     append = kept.append
     rand = rnd.random
 
-    if mode == "geometric":
-        inv_log_q = 1.0 / log(1.0 - uniform_p)
-        i = int(log(1.0 - rand()) * inv_log_q)
+    if scale is not None:
+        i = int(log(1.0 - rand()) * scale)
         for u in range(n):
             lo = offsets[u]
             d = offsets[u + 1] - lo
@@ -276,12 +268,9 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd, mode="auto") -> L
                 r, k = divmod(i, d)
                 v = targets[lo + k]
                 if not blocked[u] and not blocked[v]:
-                    x = u * R + r
-                    if opened <= x:
-                        starts += [len(kept)] * (x + 1 - opened)
-                        opened = x + 1
+                    counts[u * R + r] += 1
                     append(v * R + r)
-                i += 1 + int(log(1.0 - rand()) * inv_log_q)
+                i += 1 + int(log(1.0 - rand()) * scale)
             i -= span
     else:
         for u in range(n):
@@ -293,9 +282,6 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd, mode="auto") -> L
                 x = u * R + r
                 for v, p in arcs:
                     if rand() < p:
-                        if opened <= x:
-                            starts += [len(kept)] * (x + 1 - opened)
-                            opened = x + 1
+                        counts[x] += 1
                         append(v * R + r)
-    starts += [len(kept)] * (n * R + 1 - opened)
-    return LiveSample(n, R, array("q", starts), kept)
+    return LiveSample(n, R, array("q", accumulate(counts, initial=0)), kept)

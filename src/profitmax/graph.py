@@ -223,7 +223,9 @@ def exclude_nodes(g: SocialGraph, removed) -> SocialGraph:
     """Restricted view of ``g`` without ``removed`` and their incident arcs.
 
     The view shares the base storage; ``g`` itself is unchanged.  Exclusions
-    compose: excluding A then B equals excluding A | B.
+    compose over the nodes a view still has: excluding A, then B without A,
+    equals excluding A | B, but ``exclude_nodes(exclude_nodes(g, {1}), {1, 2})``
+    raises "unknown node id 1".
     """
     removed = frozenset(removed)
     for u in removed:

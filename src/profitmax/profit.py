@@ -3,9 +3,11 @@
 Benefit of a seed set is the expected sum of benefit values over all nodes the
 cascade reaches (seeds included); profit subtracts the incentive cost of the
 priced seeds.  :func:`estimate_profit` gives a Monte Carlo estimate with
-standard error, and :func:`exact_benefit` and :func:`exact_profit` give exact
-expectations by live-graph enumeration for small graphs.  The exact route
-exists to check the sampled one and is never used inside selection loops.
+standard error from a plain replication count, on the sampler the graph
+picks (see :mod:`profitmax.diffusion`), and :func:`exact_benefit` and
+:func:`exact_profit` give exact expectations by live-graph enumeration for
+small graphs.  The exact route exists to check the sampled one and is never
+used inside selection loops.
 
 ``free_seeds`` are nodes that start the cascade without being paid for, and
 earn nothing: the phase-two protocol passes its observed frontier, whose
@@ -18,12 +20,12 @@ coverage, so a seed set's mean profit over the sample is a submodular
 coverage term minus a modular cost.  For double greedy's shrinking set,
 :func:`last_coverers` marks each copy with the last scan position that covers
 it, so a scanned node's loss is read off the walk that gives its gain.  A
-sample of a graph also serves its views: a flat-id mask blocks the copies of
-the view's removed nodes, and no walk enters them.  :class:`GainTable` holds every
-node's gain into an empty seed set on a sample; blocking can only take reach
-away, so on any view of the sample that gain bounds the node's gain from
-above.  A single-greedy cell builds the table once, and all its selections
-start their lazy queues from it.
+sample of a graph also serves its views: :func:`blocked_copies` marks the
+copies of the view's removed nodes, and no walk enters them.
+:class:`GainTable` holds every node's gain into an empty seed set on a
+sample; blocking can only take reach away, so on any view of the sample that
+gain bounds the node's gain from above.  A single-greedy cell builds the
+table once, and all its selections start their lazy queues from it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .graph import NodeEconomics, SocialGraph, seed_cost
 
 __all__ = [
     "ProfitEstimate",
-    "EstimatorConfig",
     "estimate_profit",
     "exact_benefit",
     "exact_profit",
@@ -58,22 +59,13 @@ class ProfitEstimate:
     replications: int
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    replications: int = 100
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-
-
 def _initial_active(g, seeds, free_seeds):
     seed_list = _check_seeds(g, seeds)
     free_list = _check_seeds(g, free_seeds)
     return seed_list, sorted(set(seed_list) | set(free_list))
 
 
-def estimate_profit(g: SocialGraph, econ: NodeEconomics, seeds, cfg: EstimatorConfig,
+def estimate_profit(g: SocialGraph, econ: NodeEconomics, seeds, replications: int,
                     rng, free_seeds=()) -> ProfitEstimate:
     """Expected benefit the priced seeds and their cascade earn, less the seeds' cost.
 
@@ -81,11 +73,13 @@ def estimate_profit(g: SocialGraph, econ: NodeEconomics, seeds, cfg: EstimatorCo
     pay nothing and earn nothing.  A node in both is a priced seed.  Adding
     ``seed_cost(econ, seeds)`` back to the mean gives the benefit estimate.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     econ.check_covers(g)
     seed_list, initial = _initial_active(g, seeds, free_seeds)
     benefit = econ.benefit
     const = fsum(benefit[s] for s in seed_list) - seed_cost(econ, seed_list)
-    samples = _gain_samples(g, benefit, initial, cfg.replications, rng)
+    samples = _gain_samples(g, benefit, initial, replications, rng)
     r = len(samples)
     mean_extra = fsum(samples) / r
     if r > 1:
@@ -121,7 +115,7 @@ def exact_profit(g: SocialGraph, econ: NodeEconomics, seeds, free_seeds=()) -> f
     return exact_benefit(g, econ, seed_list, free_seeds) - seed_cost(econ, seed_list)
 
 
-def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, cfg: EstimatorConfig,
+def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, replications: int,
                          source, free_seeds=()) -> float:
     """Signed profit delta from adding ``u`` to ``seeds``.
 
@@ -135,8 +129,8 @@ def marginal_profit_gain(g: SocialGraph, econ: NodeEconomics, seeds, u, cfg: Est
         raise ValueError(f"node {u!r} is already in the seed set")
     g._require(u)
     rng_with, rng_without = source.generator(), source.generator()
-    with_u = estimate_profit(g, econ, seed_list + [u], cfg, rng_with, free_seeds)
-    without_u = estimate_profit(g, econ, seed_list, cfg, rng_without, free_seeds)
+    with_u = estimate_profit(g, econ, seed_list + [u], replications, rng_with, free_seeds)
+    without_u = estimate_profit(g, econ, seed_list, replications, rng_without, free_seeds)
     return with_u.mean - without_u.mean
 
 
@@ -165,16 +159,19 @@ def _walk(sample, lo, hi, stop):
     return seen
 
 
-def blocked_copies(sample, removed) -> bytearray:
-    """Flat-id mask of ``sample`` that marks all copies of each ``removed`` node.
+def blocked_copies(sample, g: SocialGraph) -> bytearray:
+    """Flat-id mask of ``sample`` that marks all copies of ``g``'s removed nodes.
 
-    It blocks a view's removed nodes on a sample of a graph the view restricts:
-    a walk never enters a marked copy, so it keeps only the arcs between
-    surviving nodes, as a sample of the view itself would.
+    ``sample`` is a sample of a graph that the view ``g`` restricts: a walk
+    never enters a marked copy, so it keeps only the arcs between surviving
+    nodes, as a sample of the view itself would.
     """
+    if sample.node_count != g.base_node_count:
+        raise ValueError(f"sample of {sample.node_count} nodes does not fit a graph of "
+                         f"{g.base_node_count} nodes")
     R = sample.replications
     blocked = bytearray(sample.node_count * R)
-    for r in removed:
+    for r in g.removed:
         blocked[r * R:(r + 1) * R] = b"\x01" * R
     return blocked
 

@@ -9,8 +9,9 @@ candidate.
 The greedy selectors draw nothing.  They are handed a sample of R live graphs
 of a graph their view restricts (a cell's, from
 :func:`~profitmax.twophase.cell_sample`), block the view's removed nodes on
-it, and score every candidate exactly there: benefit is weighted coverage, so
-a gain is coverage gained minus the node's cost.  Single greedy evaluates
+it (:func:`~profitmax.profit.blocked_copies`), and score every candidate
+exactly there: benefit is weighted coverage, so a gain is coverage gained
+minus the node's cost.  Single greedy evaluates
 lazily (CELF): it takes the sample's :class:`~profitmax.profit.GainTable`,
 whose whole-sample gains bound every gain on a view from above, and starts
 each candidate's ratio from that bound; a ratio computed in an earlier round
@@ -23,8 +24,8 @@ both sides of each scan step from one reach walk around its growing set's
 cover: the gain counts every uncovered copy found, the loss only those whose
 last coverer (:func:`~profitmax.profit.last_coverers`) is the scanned node.
 High degree, clustering coefficient and single discount share one scored
-scan, whose gain gate calls :func:`~profitmax.profit.marginal_profit_gain`;
-its two estimates share one stream.
+scan, whose gain gate calls :func:`~profitmax.profit.marginal_profit_gain`
+with a plain replication count; its two estimates share one stream.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degree, seed_cost
-from .profit import (EstimatorConfig, SnapshotCoverage, blocked_copies, last_coverers,
-                     marginal_profit_gain)
+from .profit import SnapshotCoverage, blocked_copies, last_coverers, marginal_profit_gain
 # unused here, but the benchmark's tracer patches these names on this module
 from .graph import clustering_coefficient  # noqa: F401
 from .profit import estimate_profit  # noqa: F401
@@ -83,15 +83,6 @@ def _check_budget(g, econ, budget):
     econ.check_covers(g)
 
 
-def _blocked(g, sample):
-    # the copies of g's removed nodes, marked on a sample of the graph g
-    # restricts; on a sample of g itself no arc enters a marked copy
-    if sample.node_count != g.base_node_count:
-        raise ValueError(f"sample of {sample.node_count} nodes does not fit a graph of "
-                         f"{g.base_node_count} nodes")
-    return blocked_copies(sample, g.removed)
-
-
 def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table) -> SelectionOutcome:
     """Iterated best gain-per-cost selection until gains turn non-positive.
 
@@ -108,7 +99,7 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table) -> Se
     cost = econ.cost
     sample = table.sample
     replications = sample.replications
-    blocked = _blocked(g, sample)
+    blocked = blocked_copies(sample, g)
     if table.value != econ.benefit:
         raise ValueError("the gain table was built for other benefits")
     cover = SnapshotCoverage(sample, econ.benefit, blocked)
@@ -177,7 +168,7 @@ def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample) -> S
     cost = econ.cost
     nodes = g.nodes
     replications = sample.replications
-    blocked = _blocked(g, sample)
+    blocked = blocked_copies(sample, g)
     grow = SnapshotCoverage(sample, econ.benefit, blocked)
     # at position idx, T is S plus nodes[idx:]: T less u covers a copy that S
     # leaves uncovered exactly when a later node covers it too
@@ -221,7 +212,7 @@ def baseline_random(g: SocialGraph, econ: NodeEconomics, budget: int, source) ->
     return _outcome(econ, budget, selected, trace)
 
 
-def _scored_scan(g, econ, budget, cfg, source, order, on_accept=None) -> SelectionOutcome:
+def _scored_scan(g, econ, budget, replications, source, order, on_accept=None) -> SelectionOutcome:
     # shared scan for the score-ordered baselines: take a node when it fits
     # the budget and its estimated profit gain is non-negative; ``on_accept``
     # hears of each taken node before ``order`` yields the next one
@@ -233,7 +224,7 @@ def _scored_scan(g, econ, budget, cfg, source, order, on_accept=None) -> Selecti
         if cost[u] > remaining:
             trace.append(TraceEntry(i, u, "unaffordable"))
             continue
-        gain = marginal_profit_gain(g, econ, selected, u, cfg, source.child("evaluate", i))
+        gain = marginal_profit_gain(g, econ, selected, u, replications, source.child("evaluate", i))
         ratio = gain / cost[u]
         if gain >= 0.0:
             selected.append(u)
@@ -247,24 +238,24 @@ def _scored_scan(g, econ, budget, cfg, source, order, on_accept=None) -> Selecti
 
 
 def baseline_high_degree(g: SocialGraph, econ: NodeEconomics, budget: int,
-                         cfg: EstimatorConfig, source) -> SelectionOutcome:
+                         replications: int, source) -> SelectionOutcome:
     """Descending-degree scan with non-negative-gain and budget gates."""
     _check_budget(g, econ, budget)
     order = sorted(g.nodes, key=lambda u: (-degree(g, u), u))
-    return _scored_scan(g, econ, budget, cfg, source, order)
+    return _scored_scan(g, econ, budget, replications, source, order)
 
 
 def baseline_clustering_coefficient(g: SocialGraph, econ: NodeEconomics, budget: int,
-                                    cfg: EstimatorConfig, source) -> SelectionOutcome:
+                                    replications: int, source) -> SelectionOutcome:
     """Descending clustering-coefficient scan with the same gates as high degree."""
     _check_budget(g, econ, budget)
     coefficient = clustering_coefficients(g)
     order = sorted(g.nodes, key=lambda u: (-coefficient[u], u))
-    return _scored_scan(g, econ, budget, cfg, source, order)
+    return _scored_scan(g, econ, budget, replications, source, order)
 
 
 def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
-                             cfg: EstimatorConfig, source) -> SelectionOutcome:
+                             replications: int, source) -> SelectionOutcome:
     """Degree scan where each selection discounts its neighbors' degrees by one.
 
     The next node is the unexamined one of highest effective degree, ties to
@@ -291,13 +282,13 @@ def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
         for v, _ in g.out_arcs(u):
             effective[v] -= 1
 
-    return _scored_scan(g, econ, budget, cfg, source, order(), discount)
+    return _scored_scan(g, econ, budget, replications, source, order(), discount)
 
 
 SELECTORS = {
     "single_greedy": single_greedy,
     "double_greedy": double_greedy,
-    "random": lambda g, econ, budget, cfg, source: baseline_random(g, econ, budget, source),
+    "random": lambda g, econ, budget, _, source: baseline_random(g, econ, budget, source),
     "high_degree": baseline_high_degree,
     "clustering_coefficient": baseline_clustering_coefficient,
     "single_discount": baseline_single_discount,
@@ -309,11 +300,12 @@ SNAPSHOT_SELECTORS = frozenset({"single_greedy", "double_greedy"})
 
 
 def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
-           cfg: EstimatorConfig, source, sample=None) -> SelectionOutcome:
+           replications: int, source, sample=None) -> SelectionOutcome:
     """Dispatch to a selector by registry name.
 
     A selector in :data:`SNAPSHOT_SELECTORS` needs ``sample`` and ignores
-    ``cfg`` and ``source``; the others take no sample.
+    ``replications`` and ``source``; the others take no sample, and the
+    score-ordered baselines estimate each gain from ``replications`` cascades.
     """
     try:
         selector = SELECTORS[name]
@@ -322,4 +314,6 @@ def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
     greedy = name in SNAPSHOT_SELECTORS
     if greedy == (sample is None):
         raise ValueError(f"{name} {'needs a' if greedy else 'takes no'} live-graph sample")
-    return selector(g, econ, budget, sample) if greedy else selector(g, econ, budget, cfg, source)
+    if greedy:
+        return selector(g, econ, budget, sample)
+    return selector(g, econ, budget, replications, source)

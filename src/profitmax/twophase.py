@@ -28,7 +28,7 @@ from math import fsum, sqrt
 from .diffusion import (_check_seeds, _live_worlds, observe_until, sample_live_graphs,
                         PartialObservation)
 from .graph import NodeEconomics, SocialGraph, exclude_nodes, seed_cost
-from .profit import EstimatorConfig, GainTable, ProfitEstimate, estimate_profit
+from .profit import GainTable, ProfitEstimate, estimate_profit
 from .rng import RandomSource
 from .selection import SELECTORS, SNAPSHOT_SELECTORS, SelectionOutcome, select
 
@@ -106,10 +106,6 @@ class TwoPhaseResult:
     total_seed_count: int
 
 
-def _selection_cfg(cfg: PhaseConfig) -> EstimatorConfig:
-    return EstimatorConfig(replications=cfg.selection_replications)
-
-
 def cell_sample(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     """What every selection of the cell scores on: R live graphs of ``g``.
 
@@ -136,7 +132,7 @@ def run_phase1(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics, sample=Non
     """
     source = RandomSource(cfg.master_seed)
     outcome = select(cfg.algorithm, g, econ, cfg.budget_phase1,
-                     _selection_cfg(cfg), source.child("phase1-select"), sample)
+                     cfg.selection_replications, source.child("phase1-select"), sample)
     observations = [
         observe_until(g, outcome.seeds, cfg.observation_step, source.stream("phase1-observe", i))
         for i in range(cfg.phase1_observations)
@@ -169,15 +165,13 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
     outcome = memo.get(key) if memo is not None else None
     if outcome is None:
         outcome = select(cfg.algorithm, selection_view, econ, budget,
-                         _selection_cfg(cfg), source.child("select"), sample)
+                         cfg.selection_replications, source.child("select"), sample)
         if memo is not None:
             memo[key] = outcome
     assert outcome.spent <= budget
-    est = estimate_profit(
-        exclude_nodes(g, already - newly), econ, outcome.seeds,
-        EstimatorConfig(replications=cfg.phase2_runs_per_observation),
-        source.stream("evaluate"), free_seeds=newly,
-    )
+    est = estimate_profit(exclude_nodes(g, already - newly), econ, outcome.seeds,
+                          cfg.phase2_runs_per_observation, source.stream("evaluate"),
+                          free_seeds=newly)
     phase1_component = fsum(econ.benefit[v] for v in sorted(already)) - phase1_outcome.spent
     return ObservationRecord(
         index=index,
@@ -236,10 +230,10 @@ def run_single_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     :func:`run_two_phase` draws it.
     """
     source = RandomSource(cfg.master_seed)
-    outcome = select(cfg.algorithm, g, econ, cfg.total_budget, _selection_cfg(cfg),
+    outcome = select(cfg.algorithm, g, econ, cfg.total_budget, cfg.selection_replications,
                      source.child("single-phase-select"), cell_sample(cfg, g, econ))
     replications = cfg.phase1_observations * cfg.phase2_runs_per_observation
-    est = estimate_profit(g, econ, outcome.seeds, EstimatorConfig(replications=replications),
+    est = estimate_profit(g, econ, outcome.seeds, replications,
                           source.stream("single-phase-evaluate"))
     return outcome, est
 

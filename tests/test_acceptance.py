@@ -17,7 +17,6 @@ from profitmax.experiment import BatchConfig, run_batch
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
 from profitmax.loader import AttributeSpec, generate_attributes, load_snap_edge_list, preferential_attachment_graph
 from profitmax.profit import (
-    EstimatorConfig,
     GainTable,
     estimate_profit,
     exact_benefit,
@@ -61,15 +60,15 @@ def test_criterion_1_estimator_matches_enumeration_oracle():
     started = time.perf_counter()
     rnd = random.Random(20240802)
     source = RandomSource(910)
-    cfg = EstimatorConfig(replications=200_000)
+    replications = 200_000
     failures = []
     for k in range(20):
         g, econ, seeds = _random_instance(rnd, uniform=(k % 2 == 0))
         true_benefit = exact_benefit(g, econ, seeds)
         true_profit = true_benefit - seed_cost(econ, seeds)
         # benefit is the profit estimate with the seed cost added back
-        est_b = estimate_profit(g, econ, seeds, cfg, source.stream("benefit", k))
-        est_p = estimate_profit(g, econ, seeds, cfg, source.stream("profit", k))
+        est_b = estimate_profit(g, econ, seeds, replications, source.stream("benefit", k))
+        est_p = estimate_profit(g, econ, seeds, replications, source.stream("profit", k))
         for name, est, mean, truth in (
                 ("benefit", est_b, est_b.mean + seed_cost(econ, seeds), true_benefit),
                 ("profit", est_p, est_p.mean, true_profit)):
@@ -87,16 +86,17 @@ def test_criterion_2_trivial_identities():
     failures = []
     g = build_graph([(0, 1, 0.5), (1, 2, 0.5)], directed=True)
     econ = NodeEconomics((3, 3, 3), (10, 10, 10))
-    cfg = EstimatorConfig(replications=100)
+    replications = 100
     src = RandomSource(0)
     # influence is profit plus the seed count under unit economics, and
     # benefit is profit plus the seed cost
     unit = NodeEconomics((1, 1, 1), (1, 1, 1))
-    if estimate_profit(g, unit, set(), cfg, src.stream("i")).mean != 0.0:  # no seeds to add
+    if estimate_profit(g, unit, set(), replications, src.stream("i")).mean != 0.0:
         failures.append("influence of empty seed set not exactly 0")
-    if estimate_profit(g, econ, set(), cfg, src.stream("b")).mean + seed_cost(econ, set()) != 0.0:
+    empty = estimate_profit(g, econ, set(), replications, src.stream("b"))
+    if empty.mean + seed_cost(econ, set()) != 0.0:
         failures.append("benefit of empty seed set not exactly 0")
-    if estimate_profit(g, econ, set(), cfg, src.stream("p")).mean != 0.0:
+    if estimate_profit(g, econ, set(), replications, src.stream("p")).mean != 0.0:
         failures.append("profit of empty seed set not exactly 0")
     if exact_benefit(g, econ, set()) != 0.0 or exact_profit(g, econ, set()) != 0.0:
         failures.append("exact oracle not exactly 0 on the empty set")
@@ -107,12 +107,12 @@ def test_criterion_2_trivial_identities():
     det_econ = NodeEconomics((7, 5, 5, 5, 5), (800, 850, 900, 950, 1000))
     hand_benefit = 800 + 850 + 900 + 950 + 1000  # seeds {0} reach everything
     hand_profit = hand_benefit - 7
-    est = estimate_profit(det, det_econ, {0}, cfg, src.stream("d"))
+    est = estimate_profit(det, det_econ, {0}, replications, src.stream("d"))
     if est.mean != hand_profit or est.std_error != 0.0:
         failures.append(f"deterministic estimate {est.mean} != {hand_profit}")
     if exact_profit(det, det_econ, {0}) != pytest.approx(hand_profit):
         failures.append("deterministic exact profit mismatch")
-    partial = estimate_profit(det, det_econ, {1}, cfg, src.stream("e"))
+    partial = estimate_profit(det, det_econ, {1}, replications, src.stream("e"))
     if partial.mean + seed_cost(det_econ, {1}) != 850 + 950 + 1000:  # 1 -> 3 -> 4
         failures.append("deterministic partial reachability mismatch")
     _report(2, "trivial identities hold exactly", failures)
@@ -202,12 +202,12 @@ def test_criterion_3_objective_shape_witnesses():
     _report(3, "objective sign/monotonicity/modularity/additivity witnesses found", failures, elapsed)
 
 
-def _shared(name, g, econ, cfg, source):
+def _shared(name, g, econ, replications, source):
     # what select takes for name: single greedy's gain table or double
     # greedy's sample, from source's snapshots stream; None for a baseline
     if name not in SNAPSHOT_SELECTORS:
         return None
-    sample = sample_live_graphs(g, cfg.replications, source.stream("snapshots"))
+    sample = sample_live_graphs(g, replications, source.stream("snapshots"))
     return GainTable(sample, econ.benefit) if name == "single_greedy" else sample
 
 
@@ -215,7 +215,7 @@ def test_criterion_4_selector_contracts():
     started = time.perf_counter()
     rnd = random.Random(515)
     failures = []
-    cfg = EstimatorConfig(replications=10)
+    replications = 10
     for trial in range(100):
         n = rnd.randint(2, 7)
         edges = [(u, v, rnd.choice([0.2, 0.5, 0.8]))
@@ -229,18 +229,18 @@ def test_criterion_4_selector_contracts():
         budget = rnd.randint(0, 30)
         source = RandomSource(trial)
         for name in SELECTORS:
-            out = select(name, g, econ, budget, cfg, source.child(name),
-                         _shared(name, g, econ, cfg, source.child(name)))
+            out = select(name, g, econ, budget, replications, source.child(name),
+                         _shared(name, g, econ, replications, source.child(name)))
             if out.spent > budget or out.spent != seed_cost(econ, out.seeds):
                 failures.append(f"trial {trial} {name}: budget violated")
-        table = _shared("single_greedy", g, econ, cfg, source.child("single_greedy"))
+        table = _shared("single_greedy", g, econ, replications, source.child("single_greedy"))
         sg_out = single_greedy(g, econ, budget, table)
         # a table rebuilt from the same stream replays the outcome
-        table = _shared("single_greedy", g, econ, cfg, source.child("single_greedy"))
+        table = _shared("single_greedy", g, econ, replications, source.child("single_greedy"))
         if not replay_single_greedy(g, econ, sg_out, table):
             failures.append(f"trial {trial}: single-greedy trace does not replay")
-        dg_out = double_greedy(g, econ, budget,
-                               _shared("double_greedy", g, econ, cfg, source.child("double_greedy")))
+        dg_sample = _shared("double_greedy", g, econ, replications, source.child("double_greedy"))
+        dg_out = double_greedy(g, econ, budget, dg_sample)
         added = {e.node for e in dg_out.trace if e.decision == "added"}
         dropped = {e.node for e in dg_out.trace if e.decision.startswith("dropped")}
         if added != set(dg_out.seeds) or added | dropped != set(g.nodes) or added & dropped:

@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from profitmax.diffusion import (
     ENUMERATION_LIMIT,
+    GEOMETRIC_P_CUTOFF,
     _ArcIndex,
     _gain_samples,
+    _geometric_scale,
     _live_worlds,
     observe_until,
 )
@@ -146,18 +149,62 @@ def test_stepwise_process_matches_live_graph_distribution():
 
 
 def test_sampling_modes_agree_with_enumeration():
-    # identical-distribution claim for both arc-sampling strategies
-    g = build_graph([(i, j, 0.1) for i in range(4) for j in range(4) if i < j], directed=True)
-    exact = _exact_expected_spread(g, {0}) - 1.0  # nodes activated beyond the seed
-    ones = [1.0] * g.base_node_count
+    # identical-distribution claim for both arc-sampling strategies, each
+    # reached through a graph that selects it: the same arcs at a uniform
+    # p=0.1 take geometric gaps, and with one probability changed every arc
+    # draws on its own
+    arcs = [(i, j) for i in range(4) for j in range(4) if i < j]
+    uniform = build_graph([(i, j, 0.1) for i, j in arcs], directed=True)
+    mixed = build_graph([(i, j, 0.3 if (i, j) == (0, 1) else 0.1) for i, j in arcs],
+                        directed=True)
+    assert _geometric_scale(uniform) is not None
+    assert _geometric_scale(mixed) is None
     src = RandomSource(77)
     n = 150_000
-    for mode in ("geometric", "bernoulli"):
-        samples = _gain_samples(g, ones, [0], n, src.stream(mode), mode=mode)
+    for mode, g in (("geometric", uniform), ("bernoulli", mixed)):
+        exact = _exact_expected_spread(g, {0}) - 1.0  # nodes activated beyond the seed
+        ones = [1.0] * g.base_node_count
+        samples = _gain_samples(g, ones, [0], n, src.stream(mode))
         mean = sum(samples) / n
         var = sum((s - mean) ** 2 for s in samples) / (n - 1)
         se = math.sqrt(var / n)
         assert abs(mean - exact) <= 3 * se, mode
+
+
+def test_geometric_sampler_only_below_the_cutoff():
+    def scale(*probs):
+        return _geometric_scale(build_graph([(0, 1, probs[0]), (1, 2, probs[-1])],
+                                            directed=True))
+
+    below = math.nextafter(GEOMETRIC_P_CUTOFF, 0.0)
+    assert scale(below) == 1.0 / math.log(1.0 - below)
+    assert scale(GEOMETRIC_P_CUTOFF) is None
+    assert scale(1.0) is None
+    assert scale(0.1, 0.2) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31))
+def test_fixpoint_cascade_matches_a_full_observation(seed):
+    # one step loop: on a graph that draws per arc, a one-replication gain
+    # sample and an observation watched to the fixpoint read the same stream
+    # the same way, so they reach the same nodes
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 9)
+    edges = [(u, v, rnd.choice([0.3, 0.6, 1.0]))
+             for u in range(n) for v in range(n) if u != v and rnd.random() < 0.35]
+    g = build_graph(edges or [(0, n - 1, 0.5)], directed=rnd.random() < 0.5)
+    if rnd.random() < 0.3:
+        g = exclude_nodes(g, rnd.sample(g.nodes, rnd.randint(1, g.node_count - 1)))
+    assert _geometric_scale(g) is None
+    seeds = sorted(rnd.sample(g.nodes, rnd.randint(1, g.node_count)))
+    # a distinct bit per node: the gain spells out the reached set
+    bits = [1 << v for v in range(g.base_node_count)]
+    gain, = _gain_samples(g, bits, seeds, 1, RandomSource(seed).stream("c"))
+    reached = {v for v in range(g.base_node_count) if gain >> v & 1}
+    obs = observe_until(g, seeds, g.base_node_count, RandomSource(seed).stream("c"))
+    assert obs.already_active == frozenset(seeds) | reached
+    assert obs.newly_active == frozenset()
 
 
 graphs = st.lists(

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profitmax.diffusion import _pick_mode
+from profitmax.diffusion import _geometric_scale
 from profitmax.graph import (
     NodeEconomics,
     build_graph,
@@ -100,13 +100,13 @@ def test_exclude_unknown_node():
 def test_view_keeps_base_sampling_mode():
     uniform = build_graph([(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.1)], directed=True)
     mixed = build_graph([(0, 1, 0.5), (1, 2, 0.1), (2, 3, 0.1)], directed=True)
-    assert _pick_mode(uniform, "auto") == "geometric"
-    assert _pick_mode(mixed, "auto") == "bernoulli"
+    assert _geometric_scale(uniform) is not None
+    assert _geometric_scale(mixed) is None
     for g in (uniform, mixed):
-        # the view shares the base arrays, so it keeps the base's mode even
+        # the view shares the base arrays, so it keeps the base's sampler even
         # where its surviving arcs all share one probability
         view = exclude_nodes(g, {0})
-        assert _pick_mode(view, "auto") == _pick_mode(g, "auto")
+        assert _geometric_scale(view) == _geometric_scale(g)
 
 
 def test_degree_and_clustering_examples():

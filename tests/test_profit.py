@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profitmax.diffusion import _live_worlds, sample_live_graphs
+from profitmax.diffusion import (GEOMETRIC_P_CUTOFF, _geometric_scale, _live_worlds,
+                                 sample_live_graphs)
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
 from profitmax.profit import (
-    EstimatorConfig,
     estimate_profit,
     exact_benefit,
     exact_profit,
@@ -18,7 +18,7 @@ from profitmax.profit import (
 )
 from profitmax.rng import RandomSource
 
-CFG = EstimatorConfig(replications=200)
+REPLICATIONS = 200
 
 
 def unit(g):
@@ -28,19 +28,19 @@ def unit(g):
 
 def test_influence_of_nothing_is_exactly_zero():
     g = build_graph([(0, 1, 0.5)], directed=True)
-    est = estimate_profit(g, unit(g), set(), CFG, RandomSource(0).stream("i"))
+    est = estimate_profit(g, unit(g), set(), REPLICATIONS, RandomSource(0).stream("i"))
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
 def test_influence_deterministic_chain():
     g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], directed=True)
-    est = estimate_profit(g, unit(g), {0}, CFG, RandomSource(0).stream("i"))
+    est = estimate_profit(g, unit(g), {0}, REPLICATIONS, RandomSource(0).stream("i"))
     assert est.mean + 1 == 3.0 and est.std_error == 0.0
 
 
 def test_influence_single_coin_flip():
     g = build_graph([(0, 1, 0.5)], directed=True)
-    est = estimate_profit(g, unit(g), {0}, EstimatorConfig(replications=50_000),
+    est = estimate_profit(g, unit(g), {0}, 50_000,
                           RandomSource(5).stream("i"))
     assert abs(est.mean + 1 - 1.5) <= 3 * est.std_error
 
@@ -66,7 +66,7 @@ def test_exact_benefit_refuses_large_graphs():
 def test_profit_of_nothing_is_exactly_zero():
     g = build_graph([(0, 1, 0.5)], directed=True)
     econ = NodeEconomics((3, 3), (10, 10))
-    est = estimate_profit(g, econ, set(), CFG, RandomSource(0).stream("p"))
+    est = estimate_profit(g, econ, set(), REPLICATIONS, RandomSource(0).stream("p"))
     assert est.mean == 0.0 and est.std_error == 0.0
     assert exact_profit(g, econ, set()) == 0.0
 
@@ -74,7 +74,7 @@ def test_profit_of_nothing_is_exactly_zero():
 def test_profit_isolated_node_is_deterministic():
     g = exclude_nodes(build_graph([(1, 2, 1.0)], directed=True), {1, 2})
     econ = NodeEconomics((3, 1, 1), (10, 1, 1))
-    est = estimate_profit(g, econ, {0}, CFG, RandomSource(0).stream("p"))
+    est = estimate_profit(g, econ, {0}, REPLICATIONS, RandomSource(0).stream("p"))
     assert est.mean == 7.0 and est.std_error == 0.0
 
 
@@ -83,7 +83,7 @@ def test_profit_estimate_tracks_exact_value():
     econ = NodeEconomics((3, 3), (10, 10))
     exact = exact_profit(g, econ, {0})
     assert exact == pytest.approx(12.0)
-    est = estimate_profit(g, econ, {0}, EstimatorConfig(replications=50_000),
+    est = estimate_profit(g, econ, {0}, 50_000,
                           RandomSource(11).stream("p"))
     assert abs(est.mean - exact) <= 3 * est.std_error
 
@@ -105,7 +105,7 @@ def test_free_seeds_earn_nothing_per_live_graph():
         assert exact_benefit(g, econ, seeds, free_seeds=free) == pytest.approx(truth)
         profit = exact_profit(g, econ, seeds, free_seeds=free)
         assert profit == pytest.approx(truth - seed_cost(econ, seeds))
-        est = estimate_profit(g, econ, seeds, EstimatorConfig(replications=20_000),
+        est = estimate_profit(g, econ, seeds, 20_000,
                               src.stream("free", k), free_seeds=free)
         assert abs(est.mean - profit) <= 3 * est.std_error, (seeds, free)
 
@@ -113,7 +113,7 @@ def test_free_seeds_earn_nothing_per_live_graph():
 def test_free_seeds_diffuse_without_cost():
     g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], directed=True)
     econ = NodeEconomics((5, 5, 5), (10, 20, 40))
-    est = estimate_profit(g, econ, set(), CFG, RandomSource(0).stream("p"), free_seeds={0})
+    est = estimate_profit(g, econ, set(), REPLICATIONS, RandomSource(0).stream("p"), free_seeds={0})
     # frontier node 0 costs and earns nothing; 1 and 2 count
     assert est.mean == 60.0 and est.std_error == 0.0
     assert exact_benefit(g, econ, set(), free_seeds={0}) == 60.0
@@ -122,18 +122,18 @@ def test_free_seeds_diffuse_without_cost():
 def test_marginal_gain_examples():
     lone = exclude_nodes(build_graph([(1, 2, 1.0)], directed=True), {1, 2})
     econ = NodeEconomics((3, 1, 1), (10, 1, 1))
-    gain = marginal_profit_gain(lone, econ, set(), 0, CFG, RandomSource(0).child("g"))
+    gain = marginal_profit_gain(lone, econ, set(), 0, REPLICATIONS, RandomSource(0).child("g"))
     assert gain == 7.0
 
     pricey = NodeEconomics((50, 1, 1), (5, 1, 1))
-    gain = marginal_profit_gain(lone, pricey, set(), 0, CFG, RandomSource(0).child("g"))
+    gain = marginal_profit_gain(lone, pricey, set(), 0, REPLICATIONS, RandomSource(0).child("g"))
     assert gain == -45.0
 
 
 def test_marginal_gain_of_already_covered_node():
     diamond = build_graph([(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)], directed=True)
     econ = NodeEconomics((2, 4, 6, 8), (10, 10, 10, 10))
-    gain = marginal_profit_gain(diamond, econ, {0}, 1, CFG, RandomSource(9).child("g"))
+    gain = marginal_profit_gain(diamond, econ, {0}, 1, REPLICATIONS, RandomSource(9).child("g"))
     exact = exact_profit(diamond, econ, {0, 1}) - exact_profit(diamond, econ, {0})
     assert exact == -econ.cost[1]
     assert gain == pytest.approx(exact)
@@ -143,23 +143,24 @@ def test_marginal_gain_rejects_member():
     g = build_graph([(0, 1, 0.5)], directed=True)
     econ = NodeEconomics((1, 1), (2, 2))
     with pytest.raises(ValueError):
-        marginal_profit_gain(g, econ, {0}, 0, CFG, RandomSource(0).child("g"))
+        marginal_profit_gain(g, econ, {0}, 0, REPLICATIONS, RandomSource(0).child("g"))
 
 
 def test_common_random_numbers_cancel_noise():
     g = build_graph([(0, 1, 0.3), (1, 2, 0.3), (2, 3, 0.3)], directed=True)
     econ = NodeEconomics((1, 1, 1, 1), (100, 100, 100, 100))
     # node 3 is disconnected downstream of S={0}; its true gain is constant
-    cfg = EstimatorConfig(replications=50)
+    replications = 50
     src = RandomSource(13)
 
     def independent_gain(source):
         # the same two estimates as marginal_profit_gain, on separate streams
-        with_u = estimate_profit(g, econ, {0, 3}, cfg, source.stream("with"))
-        without_u = estimate_profit(g, econ, {0}, cfg, source.stream("without"))
+        with_u = estimate_profit(g, econ, {0, 3}, replications, source.stream("with"))
+        without_u = estimate_profit(g, econ, {0}, replications, source.stream("without"))
         return with_u.mean - without_u.mean
 
-    crn_gains = [marginal_profit_gain(g, econ, {0}, 3, cfg, src.child("crn", i)) for i in range(30)]
+    crn_gains = [marginal_profit_gain(g, econ, {0}, 3, replications, src.child("crn", i))
+                 for i in range(30)]
     ind_gains = [independent_gain(src.child("ind", i)) for i in range(30)]
 
     def spread(xs):
@@ -173,12 +174,34 @@ def test_invalid_seed_rejected():
     g = build_graph([(0, 1, 0.5)], directed=True)
     econ = NodeEconomics((1, 1), (2, 2))
     with pytest.raises(ValueError):
-        estimate_profit(g, econ, {5}, CFG, RandomSource(0).stream("p"))
+        estimate_profit(g, econ, {5}, REPLICATIONS, RandomSource(0).stream("p"))
 
 
-def _snapshot_profit(g, econ, seeds, replications, rng, mode):
+def test_replication_count_must_be_positive():
+    g = build_graph([(0, 1, 0.5)], directed=True)
+    econ = NodeEconomics((1, 1), (2, 2))
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        estimate_profit(g, econ, {0}, 0, RandomSource(0).stream("p"))
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        marginal_profit_gain(g, econ, set(), 0, 0, RandomSource(0).child("g"))
+
+
+def test_blocked_copies_mark_a_views_removed_nodes():
+    g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], directed=True)
+    sample = sample_live_graphs(g, 3, RandomSource(0).stream("snapshots"))
+    view = exclude_nodes(g, {1, 3})
+    assert blocked_copies(sample, g) == bytearray(12)
+    assert blocked_copies(sample, view) == bytearray([0] * 3 + [1] * 3 + [0] * 3 + [1] * 3)
+    # a sample of another base graph does not fit, whatever the view removes
+    smaller = build_graph([(0, 1, 1.0), (1, 2, 1.0)], directed=True)
+    for other in (smaller, exclude_nodes(smaller, {0})):
+        with pytest.raises(ValueError, match="does not fit"):
+            blocked_copies(sample, other)
+
+
+def _snapshot_profit(g, econ, seeds, replications, rng):
     """Mean and standard error of a seed set's profit over sampled live graphs."""
-    sample = sample_live_graphs(g, replications, rng, mode)
+    sample = sample_live_graphs(g, replications, rng)
     cover = SnapshotCoverage(sample, econ.benefit)
     for u in seeds:
         cover.add(u)
@@ -196,11 +219,21 @@ def test_snapshot_profit_matches_enumeration_oracle():
     source = RandomSource(4)
     replications = 20_000
     levels = [round(0.1 * k, 1) for k in range(1, 10)]
+    # the graph picks the sampler: even instances share a probability below
+    # GEOMETRIC_P_CUTOFF and take geometric gaps; odd ones share a higher
+    # one or mix them, and draw per arc
+    below = [p for p in levels if p < GEOMETRIC_P_CUTOFF]
+    ran = {True: [], False: []}
     for k in range(12):
         n = rnd.randint(3, 6)
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         chosen = rnd.sample(pairs, rnd.randint(1, min(12, len(pairs))))
-        uniform = rnd.choice(levels) if k % 2 == 0 else None
+        if k % 2 == 0:
+            uniform = rnd.choice(below)
+        elif k % 4 == 1:
+            uniform = rnd.choice(levels[len(below):])
+        else:
+            uniform = None
         g = build_graph([(u, v, uniform or rnd.choice(levels)) for u, v in chosen], directed=True)
         size = g.base_node_count
         econ = NodeEconomics(tuple(rnd.randint(50, 100) for _ in range(size)),
@@ -209,15 +242,18 @@ def test_snapshot_profit_matches_enumeration_oracle():
         view = exclude_nodes(g, removed)
         seeds = sorted(rnd.sample(view.nodes, rnd.randint(1, 2)))
         truth = exact_profit(view, econ, seeds)
-        modes = ("bernoulli", "geometric") if uniform is not None else ("bernoulli",)
-        for mode in modes:
-            mean, se, sample = _snapshot_profit(view, econ, seeds, replications,
-                                                source.stream(mode, k), mode)
-            assert abs(mean - truth) <= 3 * se + 1e-9, (k, mode, mean, truth, se)
-            for u in removed:
-                assert all(y // replications != u for y in sample.targets)
-                x = u * replications
-                assert sample.offsets[x] == sample.offsets[x + replications]
+        geometric = _geometric_scale(view) is not None
+        ran[geometric].append(bool(removed))
+        mean, se, sample = _snapshot_profit(view, econ, seeds, replications,
+                                            source.stream("snapshots", k))
+        assert abs(mean - truth) <= 3 * se + 1e-9, (k, geometric, mean, truth, se)
+        for u in removed:
+            assert all(y // replications != u for y in sample.targets)
+            x = u * replications
+            assert sample.offsets[x] == sample.offsets[x + replications]
+    # both samplers ran on at least 4 instances each, a view among them
+    for views in ran.values():
+        assert len(views) >= 4 and any(views)
 
 
 def _gain_table_instance(seed, replications):
@@ -236,8 +272,7 @@ def _gain_table_instance(seed, replications):
     return rnd, g, value, sample
 
 
-def _coverage_gains(sample, value, removed, nodes):
-    blocked = blocked_copies(sample, removed)
+def _coverage_gains(sample, value, blocked, nodes):
     return [SnapshotCoverage(sample, value, blocked).gain(u) for u in nodes]
 
 
@@ -255,7 +290,7 @@ def test_gain_table_bounds_coverage_on_views(seed, replications):
     # blocking a view's removed copies only takes reach away; a view that
     # removes nothing beyond the sampled graph loses none
     for view in views:
-        gains = _coverage_gains(sample, value, view.removed, view.nodes)
+        gains = _coverage_gains(sample, value, blocked_copies(sample, view), view.nodes)
         if view.removed == sampled.removed:
             assert gains == [table.node[u] for u in view.nodes]
         else:
@@ -268,4 +303,4 @@ def test_gain_table_without_removed_nodes_is_the_node_sums(seed, replications):
     _, _, value, sample = _gain_table_instance(seed, replications)
     table = GainTable(sample, value)
     everyone = range(sample.node_count)
-    assert list(table.node) == _coverage_gains(sample, value, (), everyone)
+    assert list(table.node) == _coverage_gains(sample, value, None, everyone)

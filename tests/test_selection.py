@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from profitmax.diffusion import LiveSample, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
 from profitmax.profit import (
-    EstimatorConfig,
     GainTable,
     SnapshotCoverage,
     blocked_copies,
@@ -31,23 +30,23 @@ from profitmax.selection import (
     single_greedy,
 )
 
-CFG = EstimatorConfig(replications=60)
+REPLICATIONS = 60
 
 
-def _sample(g, cfg, source):
-    """``cfg.replications`` live graphs of ``g``, from ``source``'s snapshots stream."""
-    return sample_live_graphs(g, cfg.replications, source.stream("snapshots"))
+def _sample(g, replications, source):
+    """``replications`` live graphs of ``g``, from ``source``'s snapshots stream."""
+    return sample_live_graphs(g, replications, source.stream("snapshots"))
 
 
-def _table(g, econ, cfg, source):
-    return GainTable(_sample(g, cfg, source), econ.benefit)
+def _table(g, econ, replications, source):
+    return GainTable(_sample(g, replications, source), econ.benefit)
 
 
-def _shared(name, g, econ, cfg, source):
+def _shared(name, g, econ, replications, source):
     """What ``select`` takes for ``name``: a gain table, a sample, or None."""
     if name == "single_greedy":
-        return _table(g, econ, cfg, source)
-    return _sample(g, cfg, source) if name in SNAPSHOT_SELECTORS else None
+        return _table(g, econ, replications, source)
+    return _sample(g, replications, source) if name in SNAPSHOT_SELECTORS else None
 
 
 def isolated_nodes(costs, benefits):
@@ -61,7 +60,7 @@ def isolated_nodes(costs, benefits):
 
 def test_single_greedy_no_budget():
     g, econ = isolated_nodes([3, 5], [10, 10])
-    out = single_greedy(g, econ, 0, _table(g, econ, CFG, RandomSource(0)))
+    out = single_greedy(g, econ, 0, _table(g, econ, REPLICATIONS, RandomSource(0)))
     assert out.seeds == ()
     assert out.spent == 0 and out.remaining_budget == 0
     assert {e.decision for e in out.trace} == {"unaffordable"}
@@ -70,14 +69,14 @@ def test_single_greedy_no_budget():
 def test_single_greedy_prefers_best_ratio_within_budget():
     # exact ratios on isolated nodes: 7/3 for the cheap node vs 5/5
     g, econ = isolated_nodes([3, 5], [10, 10])
-    out = single_greedy(g, econ, 4, _table(g, econ, CFG, RandomSource(0)))
+    out = single_greedy(g, econ, 4, _table(g, econ, REPLICATIONS, RandomSource(0)))
     assert out.seeds == (0,)
     assert out.spent == 3 and out.remaining_budget == 1
 
 
 def test_single_greedy_stops_on_nonpositive_gain():
     g, econ = isolated_nodes([50, 60], [5, 5])
-    out = single_greedy(g, econ, 1000, _table(g, econ, CFG, RandomSource(0)))
+    out = single_greedy(g, econ, 1000, _table(g, econ, REPLICATIONS, RandomSource(0)))
     assert out.seeds == ()
     assert any(e.decision == "rejected_gain" for e in out.trace)
 
@@ -85,15 +84,15 @@ def test_single_greedy_stops_on_nonpositive_gain():
 def test_single_greedy_trace_replays():
     g, econ = isolated_nodes([3, 5, 4, 2], [10, 12, 4, 9])
     source = RandomSource(42)
-    out = single_greedy(g, econ, 9, _table(g, econ, CFG, source))
-    assert replay_single_greedy(g, econ, out, _table(g, econ, CFG, source))
+    out = single_greedy(g, econ, 9, _table(g, econ, REPLICATIONS, source))
+    assert replay_single_greedy(g, econ, out, _table(g, econ, REPLICATIONS, source))
 
 
 def test_single_greedy_replay_rejects_altered_outcomes():
     g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)], directed=True)
     econ = NodeEconomics((4, 5, 6, 7), (12, 3, 14, 5))
     source = RandomSource(3)
-    table = _table(g, econ, CFG, source)
+    table = _table(g, econ, REPLICATIONS, source)
     out = single_greedy(g, econ, 12, table)
     assert out.seeds and replay_single_greedy(g, econ, out, table)
     trace = list(out.trace)
@@ -109,7 +108,7 @@ def test_single_greedy_replay_rejects_altered_outcomes():
 
 def test_single_greedy_ties_go_to_lowest_id():
     g, econ = isolated_nodes([2, 2, 2, 2], [5, 5, 5, 5])
-    out = single_greedy(g, econ, 4, _table(g, econ, CFG, RandomSource(0)))
+    out = single_greedy(g, econ, 4, _table(g, econ, REPLICATIONS, RandomSource(0)))
     assert out.seeds == (0, 1)
     assert [e.node for e in out.trace if e.decision == "accepted"] == [0, 1]
 
@@ -136,7 +135,7 @@ def _eager_single_greedy(g, econ, budget, sample):
     # sample, with g's removed nodes blocked
     cost = econ.cost
     R = sample.replications
-    cover = SnapshotCoverage(sample, econ.benefit, blocked_copies(sample, g.removed))
+    cover = SnapshotCoverage(sample, econ.benefit, blocked_copies(sample, g))
     pool, accepted, remaining = g.nodes, [], budget
     while True:
         pool = [u for u in pool if cost[u] <= remaining]
@@ -158,7 +157,7 @@ def _eager_single_greedy(g, econ, budget, sample):
 def test_lazy_single_greedy_matches_eager_loop(seed, replications):
     rnd = random.Random(seed)
     g, econ, budget = _small_instance(rnd)
-    sample = _sample(g, EstimatorConfig(replications=replications), RandomSource(seed))
+    sample = _sample(g, replications, RandomSource(seed))
     table = GainTable(sample, econ.benefit)
     # on the sampled graph, and on a view of it as phase two selects: the
     # table's gains only bound the view's, whose removed copies are blocked
@@ -201,10 +200,10 @@ def _scan_instance(seed, replications):
     """
     rnd = random.Random(seed)
     g, econ, budget = _small_instance(rnd, directed=rnd.random() < 0.5)
-    sample = _sample(g, EstimatorConfig(replications=replications), RandomSource(seed))
+    sample = _sample(g, replications, RandomSource(seed))
     if rnd.random() < 0.5:
         g = exclude_nodes(g, rnd.sample(g.nodes, rnd.randint(0, g.node_count)))
-    return rnd, g, econ, budget, sample, blocked_copies(sample, g.removed)
+    return rnd, g, econ, budget, sample, blocked_copies(sample, g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,7 +246,7 @@ def _two_walk_double_greedy(g, econ, budget, sample):
     cost, value = econ.cost, econ.benefit
     nodes = g.nodes
     R = sample.replications
-    blocked = blocked_copies(sample, g.removed)
+    blocked = blocked_copies(sample, g)
     grow = SnapshotCoverage(sample, value, blocked)
     shrink = set(nodes)
     selected, remaining, trace = [], budget, []
@@ -314,8 +313,7 @@ def test_shared_sample_blocks_removed_nodes(seed, replications):
     # the sample is of the graph the selection's view restricts: the base
     # graph, or a view whose removed nodes already have no arcs in the sample
     sampled, selected = rnd.choice([(base, view), (base, nested), (view, nested)])
-    cfg = EstimatorConfig(replications=replications)
-    sample = _sample(sampled, cfg, RandomSource(seed))
+    sample = _sample(sampled, replications, RandomSource(seed))
     restricted = _restricted(sample, selected.removed)
     budget = rnd.randint(0, 12)
     shared = single_greedy(selected, econ, budget, GainTable(sample, econ.benefit))
@@ -332,22 +330,23 @@ def test_shared_sample_must_fit_the_graph():
     g, econ = isolated_nodes([3, 5], [10, 10])
     # a sample of a graph with one more node than g's base graph
     bigger, bigger_econ = isolated_nodes([3, 5, 4], [10, 10, 10])
-    sample = _sample(bigger, CFG, RandomSource(0))
+    sample = _sample(bigger, REPLICATIONS, RandomSource(0))
     with pytest.raises(ValueError, match="does not fit"):
         single_greedy(g, econ, 5, GainTable(sample, bigger_econ.benefit))
     with pytest.raises(ValueError, match="does not fit"):
         double_greedy(g, econ, 5, sample)
     # select refuses a sample for a baseline, and a greedy name without one
     with pytest.raises(ValueError, match="live-graph sample"):
-        select("high_degree", g, econ, 5, CFG, RandomSource(0), _sample(g, CFG, RandomSource(0)))
+        select("high_degree", g, econ, 5, REPLICATIONS, RandomSource(0),
+               _sample(g, REPLICATIONS, RandomSource(0)))
     for name in ("single_greedy", "double_greedy"):
         with pytest.raises(ValueError, match="live-graph sample"):
-            select(name, g, econ, 5, CFG, RandomSource(0))
+            select(name, g, econ, 5, REPLICATIONS, RandomSource(0))
 
 
 def test_gain_table_serves_only_its_benefits():
     g, econ = isolated_nodes([3, 5], [10, 10])
-    sample = _sample(g, CFG, RandomSource(0))
+    sample = _sample(g, REPLICATIONS, RandomSource(0))
     table = GainTable(sample, econ.benefit)
     assert single_greedy(g, econ, 5, table).seeds == (0,)
     other = NodeEconomics(econ.cost, (11, 10, 1, 1))
@@ -358,13 +357,13 @@ def test_gain_table_serves_only_its_benefits():
 def test_double_greedy_empty_universe():
     g = exclude_nodes(build_graph([(0, 1, 1.0)], directed=True), {0, 1})
     econ = NodeEconomics((1, 1), (1, 1))
-    out = double_greedy(g, econ, 10, _sample(g, CFG, RandomSource(0)))
+    out = double_greedy(g, econ, 10, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == ()
 
 
 def test_double_greedy_single_profitable_node():
     g, econ = isolated_nodes([3], [10])
-    out = double_greedy(g, econ, 5, _sample(g, CFG, RandomSource(0)))
+    out = double_greedy(g, econ, 5, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == (0,)
     entry = out.trace[0]
     assert entry.decision == "added"
@@ -374,7 +373,7 @@ def test_double_greedy_single_profitable_node():
 
 def test_double_greedy_budget_gate():
     g, econ = isolated_nodes([3], [10])
-    out = double_greedy(g, econ, 2, _sample(g, CFG, RandomSource(0)))
+    out = double_greedy(g, econ, 2, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == ()
     assert out.trace[0].decision == "dropped_budget"
 
@@ -382,7 +381,7 @@ def test_double_greedy_budget_gate():
 def test_double_greedy_grow_equals_shrink():
     g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)], directed=True)
     econ = NodeEconomics((4, 5, 6, 7), (12, 3, 14, 5))
-    out = double_greedy(g, econ, 12, _sample(g, CFG, RandomSource(7)))
+    out = double_greedy(g, econ, 12, _sample(g, REPLICATIONS, RandomSource(7)))
     added = {e.node for e in out.trace if e.decision == "added"}
     dropped = {e.node for e in out.trace if e.decision.startswith("dropped")}
     assert added == set(out.seeds)
@@ -402,15 +401,15 @@ def test_random_baseline():
 def test_high_degree_takes_star_center_first():
     g = build_graph([(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)], directed=False)
     econ = NodeEconomics((5, 5, 5, 5), (100, 100, 100, 100))
-    out = baseline_high_degree(g, econ, 5, CFG, RandomSource(0))
+    out = baseline_high_degree(g, econ, 5, REPLICATIONS, RandomSource(0))
     assert out.seeds == (0,)
-    assert baseline_high_degree(g, econ, 0, CFG, RandomSource(0)).seeds == ()
+    assert baseline_high_degree(g, econ, 0, REPLICATIONS, RandomSource(0)).seeds == ()
 
 
 def test_high_degree_ties_break_by_id():
     g = build_graph([(0, 1, 0.5), (2, 3, 0.5)], directed=True)
     econ = NodeEconomics((5, 5, 5, 5), (100, 100, 100, 100))
-    out = baseline_high_degree(g, econ, 5, CFG, RandomSource(0))
+    out = baseline_high_degree(g, econ, 5, REPLICATIONS, RandomSource(0))
     assert out.trace[0].node == 0
 
 
@@ -418,7 +417,7 @@ def test_clustering_baseline_prefers_triangle():
     edges = [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5), (3, 4, 0.5)]
     g = build_graph(edges, directed=False)
     econ = NodeEconomics((5,) * 5, (100,) * 5)
-    out = baseline_clustering_coefficient(g, econ, 5, CFG, RandomSource(0))
+    out = baseline_clustering_coefficient(g, econ, 5, REPLICATIONS, RandomSource(0))
     assert out.trace[0].node == 0
     assert out.seeds == (0,)
 
@@ -426,7 +425,7 @@ def test_clustering_baseline_prefers_triangle():
 def test_clustering_all_zero_scans_by_id():
     g = build_graph([(0, 1, 0.5), (2, 3, 0.5)], directed=True)
     econ = NodeEconomics((5,) * 4, (100,) * 4)
-    out = baseline_clustering_coefficient(g, econ, 20, CFG, RandomSource(0))
+    out = baseline_clustering_coefficient(g, econ, 20, REPLICATIONS, RandomSource(0))
     assert [e.node for e in out.trace] == [0, 1, 2, 3]
 
 
@@ -436,8 +435,8 @@ def test_single_discount_reorders_after_pick():
              (1, 2, 0.5), (1, 3, 0.5), (4, 5, 0.5), (4, 6, 0.5)]
     g = build_graph(edges, directed=True)
     econ = NodeEconomics((5,) * 7, (500,) * 7)
-    plain = baseline_high_degree(g, econ, 35, CFG, RandomSource(0))
-    discounted = baseline_single_discount(g, econ, 35, CFG, RandomSource(0))
+    plain = baseline_high_degree(g, econ, 35, REPLICATIONS, RandomSource(0))
+    discounted = baseline_single_discount(g, econ, 35, REPLICATIONS, RandomSource(0))
     # picking 0 discounts node 1's effective degree to 1, so 4 jumps ahead
     assert [e.node for e in plain.trace][:3] == [0, 1, 4]
     assert [e.node for e in discounted.trace][:3] == [0, 4, 1]
@@ -445,12 +444,12 @@ def test_single_discount_reorders_after_pick():
 
 def test_single_discount_no_edges_scans_by_id():
     g, econ = isolated_nodes([2, 2, 2], [9, 9, 9])
-    out = baseline_single_discount(g, econ, 5, CFG, RandomSource(0))
+    out = baseline_single_discount(g, econ, 5, REPLICATIONS, RandomSource(0))
     assert [e.node for e in out.trace] == [0, 1, 2]
     assert out.seeds == (0, 1)  # third node hits the budget gate
 
 
-def _min_scan_single_discount(g, econ, budget, cfg, source):
+def _min_scan_single_discount(g, econ, budget, replications, source):
     # reference: the whole-pool min() loop with its own gates and trace
     cost = econ.cost
     effective = {u: degree(g, u) for u in g.nodes}
@@ -466,7 +465,7 @@ def _min_scan_single_discount(g, econ, budget, cfg, source):
             trace.append(TraceEntry(i, u, "unaffordable"))
             i += 1
             continue
-        gain = marginal_profit_gain(g, econ, selected, u, cfg, source.child("evaluate", i))
+        gain = marginal_profit_gain(g, econ, selected, u, replications, source.child("evaluate", i))
         ratio = gain / cost[u]
         if gain >= 0.0:
             selected.append(u)
@@ -504,25 +503,24 @@ def test_single_discount_matches_min_scan(seed):
         g = exclude_nodes(g, rnd.sample(range(size), rnd.randint(1, size - 1)))
     # tight budgets: from nothing up to a few typical costs
     budget = rnd.randint(0, 20)
-    cfg = EstimatorConfig(replications=8)
     source = RandomSource(seed)
-    assert baseline_single_discount(g, econ, budget, cfg, source) == \
-        _min_scan_single_discount(g, econ, budget, cfg, source)
+    assert baseline_single_discount(g, econ, budget, 8, source) == \
+        _min_scan_single_discount(g, econ, budget, 8, source)
 
 
 def test_select_dispatch_and_unknown_name():
     g, econ = isolated_nodes([3], [10])
-    out = select("single_greedy", g, econ, 5, CFG, RandomSource(0),
-                 _table(g, econ, CFG, RandomSource(0)))
+    out = select("single_greedy", g, econ, 5, REPLICATIONS, RandomSource(0),
+                 _table(g, econ, REPLICATIONS, RandomSource(0)))
     assert out.seeds == (0,)
     with pytest.raises(ValueError):
-        select("does_not_exist", g, econ, 5, CFG, RandomSource(0))
+        select("does_not_exist", g, econ, 5, REPLICATIONS, RandomSource(0))
 
 
 def test_negative_budget_rejected():
     g, econ = isolated_nodes([3], [10])
     with pytest.raises(ValueError):
-        single_greedy(g, econ, -1, _table(g, econ, CFG, RandomSource(0)))
+        single_greedy(g, econ, -1, _table(g, econ, REPLICATIONS, RandomSource(0)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -540,7 +538,7 @@ def test_all_selectors_respect_budget_and_uniqueness(seed, budget):
     g = build_graph(edges, directed=True)
     econ = NodeEconomics(tuple(rnd.randint(1, 9) for _ in range(g.base_node_count)),
                          tuple(rnd.randint(1, 30) for _ in range(g.base_node_count)))
-    fast = EstimatorConfig(replications=12)
+    fast = 12
     for name in SELECTORS:
         source = RandomSource(seed).child(name)
         out = select(name, g, econ, budget, fast, source, _shared(name, g, econ, fast, source))

@@ -6,7 +6,7 @@ from profitmax import selection, twophase
 from profitmax.diffusion import PartialObservation
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes
 from profitmax.loader import AttributeSpec, generate_attributes, preferential_attachment_graph
-from profitmax.profit import EstimatorConfig, estimate_profit, exact_profit
+from profitmax.profit import estimate_profit, exact_profit
 from profitmax.rng import RandomSource
 from profitmax.selection import double_greedy, replay_single_greedy
 from profitmax.twophase import (
@@ -186,7 +186,7 @@ def test_greedy_cell_samples_once_and_selects_once_per_observation(monkeypatch, 
         # every record keeps its own evaluation stream
         est = estimate_profit(
             exclude_nodes(g, rec.already_active - rec.newly_active), econ,
-            rec.phase2_selection.seeds, EstimatorConfig(c.phase2_runs_per_observation),
+            rec.phase2_selection.seeds, c.phase2_runs_per_observation,
             RandomSource(c.master_seed).child("phase2", i).stream("evaluate"),
             free_seeds=rec.newly_active)
         assert rec.phase2_profit == est

@@ -34,7 +34,6 @@ from .selection import (
     baseline_random,
     baseline_single_discount,
     double_greedy,
-    replay_single_greedy,
     select,
     single_greedy,
 )

@@ -19,13 +19,15 @@ bounds the current one from above too, so only candidates that reach the top
 of the queue are evaluated, and the seeds equal those of the eager loop on
 the same sample.  Its trace holds one ``evaluated`` entry per ratio computed,
 ``unaffordable`` when a candidate leaves the pool for good, and the round's
-``accepted`` node or the final ``rejected_gain`` one.  Double greedy scores
-both sides of each scan step from one reach walk around its growing set's
-cover: the gain counts every uncovered copy found, the loss only those whose
-last coverer (:func:`~profitmax.profit.last_coverers`) is the scanned node.
-High degree, clustering coefficient and single discount share one scored
-scan, whose gain gate calls :func:`~profitmax.profit.marginal_profit_gain`
-with a plain replication count; its two estimates share one stream.
+``accepted`` node or the final ``rejected_gain`` one.  Every other selector
+is one budget-first scan of an order, with the same decisions but
+``evaluated``: a node that does not fit is ``unaffordable`` and never
+scored, and an affordable one is ``accepted`` unless its selector's gate
+turns it down (``rejected_gain``).  Random has no gate; high degree,
+clustering coefficient and single discount gate on a non-negative
+:func:`~profitmax.profit.marginal_profit_gain`, whose two estimates share
+one stream; double greedy gates on its two ratios, both read off one reach
+walk around its growing set's cover.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "baseline_high_degree",
     "baseline_clustering_coefficient",
     "baseline_single_discount",
-    "replay_single_greedy",
     "SELECTORS",
     "SNAPSHOT_SELECTORS",
     "select",
@@ -143,25 +144,37 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table) -> Se
     return _outcome(econ, budget, selected, trace)
 
 
-def replay_single_greedy(g: SocialGraph, econ: NodeEconomics, outcome: SelectionOutcome,
-                         table) -> bool:
-    """Re-run single greedy on the gain table an outcome was selected on.
-
-    True when the seeds, the spend and every trace entry (node, decision and
-    ratio) match exactly.
-    """
-    budget = outcome.spent + outcome.remaining_budget
-    return single_greedy(g, econ, budget, table) == outcome
+def _scan(econ, budget, order, gate=None) -> SelectionOutcome:
+    # a node that does not fit the remaining budget is never gated; a gate
+    # returns (taken, ratio[, remove_ratio]) and, before ``order`` yields the
+    # next node, updates any state of its own that follows the taken nodes
+    cost = econ.cost
+    selected = []
+    remaining = budget
+    trace = []
+    for i, u in enumerate(order):
+        if cost[u] > remaining:
+            trace.append(TraceEntry(i, u, "unaffordable"))
+            continue
+        taken, *ratios = gate(i, u, selected) if gate else (True,)
+        if taken:
+            selected.append(u)
+            remaining -= cost[u]
+        trace.append(TraceEntry(i, u, "accepted" if taken else "rejected_gain", *ratios))
+    return _outcome(econ, budget, selected, trace)
 
 
 def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample) -> SelectionOutcome:
     """Single pass keeping a growing set S and a shrinking set T; ends with S == T.
 
-    For each node the grow-side ratio is its profit gain when added to S, and
-    the shrink-side ratio (negated) its profit change when removed from T, both
-    per unit cost and exact on the sample.  The node joins S when the grow side
-    wins and its cost still fits the budget; otherwise it leaves T.  T is
-    never stored: it is S plus the nodes not yet scanned.  ``sample`` is a
+    Nodes are scanned in ascending id order; one that does not fit the
+    remaining budget leaves T unscored.  An affordable u of cost c joins S
+    when (gain/R - c)/c >= (loss/R - c)/c, with gain = f(S + u) - f(S) and
+    loss = f(T) - f(T - u) exact on ``sample``'s R live graphs, and leaves T
+    otherwise.  As S is a subset of T - u and coverage is submodular,
+    loss <= gain and every affordable node joins S (Buchbinder et al., FOCS
+    2012, weigh the gain against f(T - u) - f(T) instead).  T is never
+    stored: it is S plus the nodes not yet scanned.  ``sample`` is a
     ``LiveSample`` of the graph ``g`` restricts.
     """
     _check_budget(g, econ, budget)
@@ -173,68 +186,39 @@ def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample) -> S
     # at position idx, T is S plus nodes[idx:]: T less u covers a copy that S
     # leaves uncovered exactly when a later node covers it too
     last = last_coverers(sample, nodes, blocked)
-    selected = []
-    remaining = budget
-    trace = []
-    for idx, u in enumerate(nodes):
+
+    def gate(idx, u, selected):
         c = cost[u]
         # one walk around S's cover serves both sides, and the add if u joins
         reached = grow.reach(u)
         add_ratio = (grow.benefit(u, reached) / replications - c) / c
         remove_ratio = (grow.benefit(u, reached, last, idx + 2) / replications - c) / c
-        if add_ratio >= remove_ratio and c <= remaining:
+        taken = add_ratio >= remove_ratio
+        if taken:
             grow.add(u, reached)
-            selected.append(u)
-            remaining -= c
-            decision = "added"
-        else:
-            decision = "dropped_budget" if add_ratio >= remove_ratio else "dropped_ratio"
-        trace.append(TraceEntry(idx, u, decision, add_ratio, remove_ratio))
-    return _outcome(econ, budget, selected, trace)
+        return taken, add_ratio, remove_ratio
+
+    return _scan(econ, budget, nodes, gate)
 
 
 def baseline_random(g: SocialGraph, econ: NodeEconomics, budget: int, source) -> SelectionOutcome:
     """Uniform random order, taking every node that still fits the budget."""
     _check_budget(g, econ, budget)
-    cost = econ.cost
     order = g.nodes
     source.stream("order").shuffle(order)
-    selected = []
-    remaining = budget
-    trace = []
-    for i, u in enumerate(order):
-        if cost[u] <= remaining:
-            selected.append(u)
-            remaining -= cost[u]
-            trace.append(TraceEntry(i, u, "accepted"))
-        else:
-            trace.append(TraceEntry(i, u, "unaffordable"))
-    return _outcome(econ, budget, selected, trace)
+    return _scan(econ, budget, order)
 
 
-def _scored_scan(g, econ, budget, replications, source, order, on_accept=None) -> SelectionOutcome:
-    # shared scan for the score-ordered baselines: take a node when it fits
-    # the budget and its estimated profit gain is non-negative; ``on_accept``
-    # hears of each taken node before ``order`` yields the next one
+def _gain_gate(g, econ, replications, source):
+    # the score-ordered baselines take an affordable node when its estimated
+    # profit gain is non-negative; the ratio recorded is gain / cost
     cost = econ.cost
-    selected = []
-    remaining = budget
-    trace = []
-    for i, u in enumerate(order):
-        if cost[u] > remaining:
-            trace.append(TraceEntry(i, u, "unaffordable"))
-            continue
+
+    def gate(i, u, selected):
         gain = marginal_profit_gain(g, econ, selected, u, replications, source.child("evaluate", i))
-        ratio = gain / cost[u]
-        if gain >= 0.0:
-            selected.append(u)
-            remaining -= cost[u]
-            trace.append(TraceEntry(i, u, "accepted", ratio))
-            if on_accept is not None:
-                on_accept(u)
-        else:
-            trace.append(TraceEntry(i, u, "rejected_gain", ratio))
-    return _outcome(econ, budget, selected, trace)
+        return gain >= 0.0, gain / cost[u]
+
+    return gate
 
 
 def baseline_high_degree(g: SocialGraph, econ: NodeEconomics, budget: int,
@@ -242,7 +226,7 @@ def baseline_high_degree(g: SocialGraph, econ: NodeEconomics, budget: int,
     """Descending-degree scan with non-negative-gain and budget gates."""
     _check_budget(g, econ, budget)
     order = sorted(g.nodes, key=lambda u: (-degree(g, u), u))
-    return _scored_scan(g, econ, budget, replications, source, order)
+    return _scan(econ, budget, order, _gain_gate(g, econ, replications, source))
 
 
 def baseline_clustering_coefficient(g: SocialGraph, econ: NodeEconomics, budget: int,
@@ -251,7 +235,7 @@ def baseline_clustering_coefficient(g: SocialGraph, econ: NodeEconomics, budget:
     _check_budget(g, econ, budget)
     coefficient = clustering_coefficients(g)
     order = sorted(g.nodes, key=lambda u: (-coefficient[u], u))
-    return _scored_scan(g, econ, budget, replications, source, order)
+    return _scan(econ, budget, order, _gain_gate(g, econ, replications, source))
 
 
 def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
@@ -278,11 +262,17 @@ def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
             else:
                 heappush(queue, (-effective[u], u))
 
-    def discount(u):
-        for v, _ in g.out_arcs(u):
-            effective[v] -= 1
+    gain_gate = _gain_gate(g, econ, replications, source)
 
-    return _scored_scan(g, econ, budget, replications, source, order(), discount)
+    def gate(i, u, selected):
+        # a taken node discounts its neighbors before the heap yields again
+        verdict = gain_gate(i, u, selected)
+        if verdict[0]:
+            for v, _ in g.out_arcs(u):
+                effective[v] -= 1
+        return verdict
+
+    return _scan(econ, budget, order(), gate)
 
 
 SELECTORS = {

@@ -23,8 +23,7 @@ from profitmax.profit import (
     exact_profit,
 )
 from profitmax.rng import RandomSource
-from profitmax.selection import (SELECTORS, SNAPSHOT_SELECTORS, double_greedy,
-                                 replay_single_greedy, select, single_greedy)
+from profitmax.selection import SELECTORS, SNAPSHOT_SELECTORS, double_greedy, select, single_greedy
 from profitmax.twophase import PhaseConfig, exact_two_phase_profit, run_single_phase, run_two_phase
 
 DATA = Path(__file__).parent / "data"
@@ -237,12 +236,12 @@ def test_criterion_4_selector_contracts():
         sg_out = single_greedy(g, econ, budget, table)
         # a table rebuilt from the same stream replays the outcome
         table = _shared("single_greedy", g, econ, replications, source.child("single_greedy"))
-        if not replay_single_greedy(g, econ, sg_out, table):
+        if select("single_greedy", g, econ, budget, replications, None, table) != sg_out:
             failures.append(f"trial {trial}: single-greedy trace does not replay")
         dg_sample = _shared("double_greedy", g, econ, replications, source.child("double_greedy"))
         dg_out = double_greedy(g, econ, budget, dg_sample)
-        added = {e.node for e in dg_out.trace if e.decision == "added"}
-        dropped = {e.node for e in dg_out.trace if e.decision.startswith("dropped")}
+        added = {e.node for e in dg_out.trace if e.decision == "accepted"}
+        dropped = {e.node for e in dg_out.trace if e.decision in ("unaffordable", "rejected_gain")}
         if added != set(dg_out.seeds) or added | dropped != set(g.nodes) or added & dropped:
             failures.append(f"trial {trial}: double-greedy grow/shrink sets diverge")
     elapsed = time.perf_counter() - started

@@ -25,12 +25,12 @@ from profitmax.selection import (
     baseline_random,
     baseline_single_discount,
     double_greedy,
-    replay_single_greedy,
     select,
     single_greedy,
 )
 
 REPLICATIONS = 60
+DECISIONS = {"unaffordable", "evaluated", "accepted", "rejected_gain"}
 
 
 def _sample(g, replications, source):
@@ -81,11 +81,18 @@ def test_single_greedy_stops_on_nonpositive_gain():
     assert any(e.decision == "rejected_gain" for e in out.trace)
 
 
+def _replays(name, g, econ, outcome, shared):
+    # the one replay for a snapshot selector: select again on what the
+    # outcome was selected on
+    budget = outcome.spent + outcome.remaining_budget
+    return select(name, g, econ, budget, REPLICATIONS, None, shared) == outcome
+
+
 def test_single_greedy_trace_replays():
     g, econ = isolated_nodes([3, 5, 4, 2], [10, 12, 4, 9])
     source = RandomSource(42)
     out = single_greedy(g, econ, 9, _table(g, econ, REPLICATIONS, source))
-    assert replay_single_greedy(g, econ, out, _table(g, econ, REPLICATIONS, source))
+    assert _replays("single_greedy", g, econ, out, _table(g, econ, REPLICATIONS, source))
 
 
 def test_single_greedy_replay_rejects_altered_outcomes():
@@ -94,16 +101,16 @@ def test_single_greedy_replay_rejects_altered_outcomes():
     source = RandomSource(3)
     table = _table(g, econ, REPLICATIONS, source)
     out = single_greedy(g, econ, 12, table)
-    assert out.seeds and replay_single_greedy(g, econ, out, table)
+    assert out.seeds and _replays("single_greedy", g, econ, out, table)
     trace = list(out.trace)
     k = next(i for i, e in enumerate(trace) if e.decision == "evaluated")
     trace[k] = trace[k]._replace(ratio=trace[k].ratio + 1e-9)
-    assert not replay_single_greedy(g, econ, replace(out, trace=tuple(trace)), table)
+    assert not _replays("single_greedy", g, econ, replace(out, trace=tuple(trace)), table)
     trace = list(out.trace)
     k = next(i for i, e in enumerate(trace) if e.decision == "accepted")
     other = next(u for u in g.nodes if u != trace[k].node)
     trace[k] = trace[k]._replace(node=other)
-    assert not replay_single_greedy(g, econ, replace(out, trace=tuple(trace)), table)
+    assert not _replays("single_greedy", g, econ, replace(out, trace=tuple(trace)), table)
 
 
 def test_single_greedy_ties_go_to_lowest_id():
@@ -242,7 +249,8 @@ def test_shrink_loss_equals_coverage_difference(seed, replications):
 
 def _two_walk_double_greedy(g, econ, budget, sample):
     # reference: keeps the shrinking set T itself and takes each loss as
-    # coverage(T) - coverage(T - {u}), both recomputed from scratch
+    # coverage(T) - coverage(T - {u}), both recomputed from scratch; a node
+    # that does not fit the remaining budget leaves T unscored
     cost, value = econ.cost, econ.benefit
     nodes = g.nodes
     R = sample.replications
@@ -252,18 +260,22 @@ def _two_walk_double_greedy(g, econ, budget, sample):
     selected, remaining, trace = [], budget, []
     for idx, u in enumerate(nodes):
         c = cost[u]
+        if c > remaining:
+            shrink.discard(u)
+            trace.append(TraceEntry(idx, u, "unaffordable"))
+            continue
         add_ratio = (grow.gain(u) / R - c) / c
         loss = _coverage(sample, value, shrink, blocked) - \
             _coverage(sample, value, shrink - {u}, blocked)
         remove_ratio = (loss / R - c) / c
-        if add_ratio >= remove_ratio and c <= remaining:
+        if add_ratio >= remove_ratio:
             grow.add(u)
             selected.append(u)
             remaining -= c
-            decision = "added"
+            decision = "accepted"
         else:
             shrink.discard(u)
-            decision = "dropped_budget" if add_ratio >= remove_ratio else "dropped_ratio"
+            decision = "rejected_gain"
         trace.append(TraceEntry(idx, u, decision, add_ratio, remove_ratio))
     assert sorted(shrink) == selected, "grow and shrink sets must coincide at termination"
     spent = seed_cost(econ, selected)
@@ -366,7 +378,7 @@ def test_double_greedy_single_profitable_node():
     out = double_greedy(g, econ, 5, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == (0,)
     entry = out.trace[0]
-    assert entry.decision == "added"
+    assert entry.decision == "accepted"
     assert entry.ratio == pytest.approx(7 / 3)
     assert entry.remove_ratio == pytest.approx(7 / 3)
 
@@ -375,18 +387,57 @@ def test_double_greedy_budget_gate():
     g, econ = isolated_nodes([3], [10])
     out = double_greedy(g, econ, 2, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == ()
-    assert out.trace[0].decision == "dropped_budget"
+    assert out.trace[0].decision == "unaffordable"
 
 
 def test_double_greedy_grow_equals_shrink():
     g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)], directed=True)
     econ = NodeEconomics((4, 5, 6, 7), (12, 3, 14, 5))
     out = double_greedy(g, econ, 12, _sample(g, REPLICATIONS, RandomSource(7)))
-    added = {e.node for e in out.trace if e.decision == "added"}
-    dropped = {e.node for e in out.trace if e.decision.startswith("dropped")}
+    added = {e.node for e in out.trace if e.decision == "accepted"}
+    dropped = {e.node for e in out.trace if e.decision in ("unaffordable", "rejected_gain")}
     assert added == set(out.seeds)
     assert added | dropped == set(g.nodes)
     assert not added & dropped
+
+
+def test_double_greedy_walks_only_affordable_nodes(monkeypatch):
+    # one reach walk per scored node: an unaffordable one gets no walk and
+    # no ratio, whatever its gain would have been
+    walks = []
+    reach = SnapshotCoverage.reach
+
+    def counted(self, u):
+        walks.append(u)
+        return reach(self, u)
+
+    monkeypatch.setattr(SnapshotCoverage, "reach", counted)
+    g, econ = isolated_nodes([3, 5, 2, 4], [10, 10, 10, 10])
+    out = double_greedy(g, econ, 6, _sample(g, REPLICATIONS, RandomSource(0)))
+    assert [(e.node, e.decision) for e in out.trace] == [
+        (0, "accepted"), (1, "unaffordable"), (2, "accepted"), (3, "unaffordable")]
+    assert walks == [0, 2]
+    assert all(e.ratio is None and e.remove_ratio is None
+               for e in out.trace if e.decision == "unaffordable")
+    unaffordable = 0
+    for seed in range(40):
+        _, g, econ, budget, sample, _ = _scan_instance(seed, 3)
+        walks.clear()
+        out = double_greedy(g, econ, budget, sample)
+        assert walks == [e.node for e in out.trace if e.decision != "unaffordable"]
+        unaffordable += sum(e.decision == "unaffordable" for e in out.trace)
+    assert unaffordable
+
+
+@pytest.mark.xfail(strict=True, reason="the remove ratio is f(T) - f(T - u) per unit cost, never "
+                   "above the gain, so every affordable node joins S; flipping it to "
+                   "f(T - u) - f(T) waits for ROADMAP item 1's frontier-aware phase two")
+def test_double_greedy_skips_a_money_losing_node():
+    # node 0 earns 1 for a cost of 3, so its add ratio is -2/3 and Buchbinder's
+    # remove side, (cost - loss) / cost, is 2/3: the rule drops it, as single
+    # greedy never takes it
+    g, econ = isolated_nodes([3, 3], [1, 10])
+    assert double_greedy(g, econ, 10, _sample(g, REPLICATIONS, RandomSource(0))).seeds == (1,)
 
 
 def test_random_baseline():
@@ -506,6 +557,21 @@ def test_single_discount_matches_min_scan(seed):
     source = RandomSource(seed)
     assert baseline_single_discount(g, econ, budget, 8, source) == \
         _min_scan_single_discount(g, econ, budget, 8, source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_every_selector_emits_only_the_four_decisions(seed, replications):
+    rnd = random.Random(seed)
+    g, econ, budget = _small_instance(rnd, directed=rnd.random() < 0.5)
+    for name in SELECTORS:
+        source = RandomSource(seed).child(name)
+        out = select(name, g, econ, budget, replications, source,
+                     _shared(name, g, econ, replications, source))
+        assert {e.decision for e in out.trace} <= DECISIONS
+        assert {e.node for e in out.trace if e.decision == "accepted"} == set(out.seeds)
+        assert all(e.ratio is None and e.remove_ratio is None
+                   for e in out.trace if e.decision == "unaffordable")
 
 
 def test_select_dispatch_and_unknown_name():

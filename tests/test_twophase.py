@@ -8,7 +8,7 @@ from profitmax.graph import NodeEconomics, build_graph, exclude_nodes
 from profitmax.loader import AttributeSpec, generate_attributes, preferential_attachment_graph
 from profitmax.profit import estimate_profit, exact_profit
 from profitmax.rng import RandomSource
-from profitmax.selection import double_greedy, replay_single_greedy
+from profitmax.selection import select
 from profitmax.twophase import (
     PhaseConfig,
     cell_sample,
@@ -208,8 +208,10 @@ def test_replay_accepts_shared_sample_phase2_outcome():
     result = run_two_phase(c, g, econ)
     table = cell_sample(c, g, econ)
     for rec in result.observations:
-        assert replay_single_greedy(exclude_nodes(g, rec.already_active), econ,
-                                    rec.phase2_selection, table)
+        outcome = rec.phase2_selection
+        budget = outcome.spent + outcome.remaining_budget
+        assert select("single_greedy", exclude_nodes(g, rec.already_active), econ, budget,
+                      c.selection_replications, None, table) == outcome
 
 
 def _check_cell_draws(monkeypatch, algorithm):
@@ -241,11 +243,8 @@ def _check_cell_draws(monkeypatch, algorithm):
     selections = [(g, result.phase1), (g, single)] + [
         (exclude_nodes(g, r.already_active), r.phase2_selection) for r in result.observations]
     for view, outcome in selections:
-        if algorithm == "single_greedy":
-            assert replay_single_greedy(view, econ, outcome, shared)
-        else:
-            budget = outcome.spent + outcome.remaining_budget
-            assert double_greedy(view, econ, budget, shared) == outcome
+        budget = outcome.spent + outcome.remaining_budget
+        assert select(algorithm, view, econ, budget, c.selection_replications, None, shared) == outcome
 
 
 def test_baseline_cell_draws_no_phase2_sample(monkeypatch):

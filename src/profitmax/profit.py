@@ -19,7 +19,8 @@ per cell (:class:`SnapshotCoverage`): there benefit is exact weighted
 coverage, so a seed set's mean profit over the sample is a submodular
 coverage term minus a modular cost.  For double greedy's shrinking set,
 :func:`last_coverers` marks each copy with the last scan position that covers
-it, so a scanned node's loss is read off the walk that gives its gain.  A
+it, so a scanned node's loss is read off the walk that gives its gain; a
+selection builds it only once a gain cannot decide on its own.  A
 sample of a graph also serves its views: :func:`blocked_copies` marks the
 copies of the view's removed nodes, and no walk enters them.
 :class:`GainTable` holds every node's gain into an empty seed set on a
@@ -247,10 +248,11 @@ def last_coverers(sample, order, blocked) -> list:
     """For each flat id of ``sample``, 2 + the last position in ``order`` that covers it.
 
     A node covers its own copies and what it reaches around the copies that
-    ``blocked`` marks.  An entry is 1 on a blocked copy and 0 where no node of
-    ``order`` covers the copy.  So with S drawn from ``order[:k]``, the set S
-    plus ``order[k + 1:]`` covers an unblocked copy exactly when S covers it
-    or its entry exceeds ``k + 2``.
+    ``blocked`` marks: a view's removed copies, and any already covered.  An
+    entry is 1 on a blocked copy and 0 where no node of ``order`` covers the
+    copy.  So with S drawn from ``order[:k]``, the set S plus
+    ``order[k + 1:]`` covers an unblocked copy exactly when S covers it or
+    its entry exceeds ``k + 2``.
     """
     R = sample.replications
     last = list(blocked)

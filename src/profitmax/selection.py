@@ -4,14 +4,17 @@ The two greedy selectors pick by profit gain per unit cost; the four baselines
 order candidates by randomness, degree, clustering coefficient, or discounted
 degree.  Every selector works on whatever (possibly restricted) graph it is
 handed, never picks a node twice, and returns an audit trace of each examined
-candidate.
+candidate.  ``free`` nodes of that graph (phase two's observed frontier)
+seed every cascade at no cost and earn nothing: the candidates are the
+graph's other nodes.
 
 The greedy selectors draw nothing.  They are handed a sample of R live graphs
 of a graph their view restricts (a cell's, from
 :func:`~profitmax.twophase.cell_sample`), block the view's removed nodes on
-it (:func:`~profitmax.profit.blocked_copies`), and score every candidate
-exactly there: benefit is weighted coverage, so a gain is coverage gained
-minus the node's cost.  Single greedy evaluates
+it (:func:`~profitmax.profit.blocked_copies`), cover the frontier's reach on
+it before rating any candidate, and score every candidate exactly there:
+benefit is weighted coverage, so a gain is coverage gained minus the node's
+cost.  Single greedy evaluates
 lazily (CELF): it takes the sample's :class:`~profitmax.profit.GainTable`,
 whose whole-sample gains bound every gain on a view from above, and starts
 each candidate's ratio from that bound; a ratio computed in an earlier round
@@ -26,10 +29,12 @@ scored, and an affordable one is ``accepted`` unless its selector's gate
 turns it down (``rejected_gain``).  Random has no gate; high degree,
 clustering coefficient and single discount gate on a non-negative
 :func:`~profitmax.profit.marginal_profit_gain`, whose two estimates share
-one stream; double greedy gates on its two ratios, both read off one reach
-walk around its growing set's cover.
+one stream and start from the frontier too.  Double greedy gates on
+Buchbinder's rule in exact integers, gain + loss >= 2cR for a node of cost
+c: a gain of at least 2cR takes the node and one below cR rejects it, since
+the loss lies between 0 and the gain, and only a gain in between reads the
+loss, off the walk around its growing set's cover that gives the gain.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -78,13 +83,28 @@ def _outcome(econ, budget, selected, trace) -> SelectionOutcome:
     return SelectionOutcome(tuple(sorted(selected)), spent, budget - spent, tuple(trace))
 
 
-def _check_budget(g, econ, budget):
+def _candidates(g, econ, budget, free):
+    # what a selector may pick: the view's nodes outside the free frontier
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     econ.check_covers(g)
+    for v in free:
+        g._require(v, "free seed")
+    return [u for u in g.nodes if u not in free]
 
 
-def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table) -> SelectionOutcome:
+def _precovered(sample, econ, g, free) -> SnapshotCoverage:
+    # the view's removed copies are blocked, and the frontier's reach is
+    # covered before any candidate is rated: a copy the free seeds reach
+    # earns no candidate anything
+    cover = SnapshotCoverage(sample, econ.benefit, blocked_copies(sample, g))
+    for v in free:
+        cover.add(v)
+    return cover
+
+
+def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table,
+                  free=frozenset()) -> SelectionOutcome:
     """Iterated best gain-per-cost selection until gains turn non-positive.
 
     Each round accepts the affordable candidate with the highest ratio
@@ -94,26 +114,27 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table) -> Se
     guarantees termination.  ``table`` is the :class:`~profitmax.profit.GainTable`,
     for ``econ``'s benefits, of a ``LiveSample`` of the graph ``g`` restricts;
     its gains are the upper bounds each candidate's lazy evaluation starts
-    from.
+    from.  ``free`` nodes of ``g`` (an observed frontier) are covered before
+    any candidate is rated, and are neither charged nor selected.
     """
-    _check_budget(g, econ, budget)
+    candidates = _candidates(g, econ, budget, free)
     cost = econ.cost
     sample = table.sample
     replications = sample.replications
-    blocked = blocked_copies(sample, g)
+    cover = _precovered(sample, econ, g, free)
     if table.value != econ.benefit:
         raise ValueError("the gain table was built for other benefits")
-    cover = SnapshotCoverage(sample, econ.benefit, blocked)
 
     def ratio(u, gain):
         return (gain / replications - cost[u]) / cost[u]
 
     # every affordable node starts from its whole-sample ratio, a bound the
-    # view's blocked copies can only lower, stale from round -1: a node is
-    # rated exactly only when its stale ratio reaches the top
+    # view's blocked copies and the frontier's cover can only lower, stale
+    # from round -1: a node is rated exactly only when its stale ratio
+    # reaches the top
     trace = []
     queue = []
-    for u in g.nodes:
+    for u in candidates:
         if cost[u] > budget:
             trace.append(TraceEntry(0, u, "unaffordable"))
         else:
@@ -164,90 +185,108 @@ def _scan(econ, budget, order, gate=None) -> SelectionOutcome:
     return _outcome(econ, budget, selected, trace)
 
 
-def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample) -> SelectionOutcome:
+def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
+                  free=frozenset()) -> SelectionOutcome:
     """Single pass keeping a growing set S and a shrinking set T; ends with S == T.
 
     Nodes are scanned in ascending id order; one that does not fit the
     remaining budget leaves T unscored.  An affordable u of cost c joins S
-    when (gain/R - c)/c >= (loss/R - c)/c, with gain = f(S + u) - f(S) and
-    loss = f(T) - f(T - u) exact on ``sample``'s R live graphs, and leaves T
-    otherwise.  As S is a subset of T - u and coverage is submodular,
-    loss <= gain and every affordable node joins S (Buchbinder et al., FOCS
-    2012, weigh the gain against f(T - u) - f(T) instead).  T is never
-    stored: it is S plus the nodes not yet scanned.  ``sample`` is a
-    ``LiveSample`` of the graph ``g`` restricts.
+    when gain + loss >= 2cR, and leaves T otherwise (Buchbinder et al., FOCS
+    2012: the add ratio (gain/R - c)/c against the remove ratio
+    (c - loss/R)/c), with gain = f(S + u) - f(S) and loss = f(T) - f(T - u)
+    summed exactly over ``sample``'s R live graphs.  As S is a subset of
+    T - u, 0 <= loss <= gain: a gain of at least 2cR takes u and one below cR
+    rejects it, whatever the loss, so the loss is read only in between.  T is
+    never stored: it is S plus the candidates not yet scanned.  ``sample`` is
+    a ``LiveSample`` of the graph ``g`` restricts; ``free`` nodes of ``g``
+    (an observed frontier) are covered before any candidate is rated, and
+    are neither charged nor selected.
     """
-    _check_budget(g, econ, budget)
+    candidates = _candidates(g, econ, budget, free)
     cost = econ.cost
-    nodes = g.nodes
     replications = sample.replications
-    blocked = blocked_copies(sample, g)
-    grow = SnapshotCoverage(sample, econ.benefit, blocked)
-    # at position idx, T is S plus nodes[idx:]: T less u covers a copy that S
-    # leaves uncovered exactly when a later node covers it too
-    last = last_coverers(sample, nodes, blocked)
+    grow = _precovered(sample, econ, g, free)
+    # the reverse pass, built when the first gain cannot decide, over the
+    # candidates from there on: at position idx, T less u covers a copy that
+    # S leaves uncovered exactly when a later candidate covers it too.  Built
+    # around S's cover at that point, which only stops its walks sooner:
+    # what a covered copy reaches is covered too
+    last = first = None
 
     def gate(idx, u, selected):
+        nonlocal last, first
         c = cost[u]
-        # one walk around S's cover serves both sides, and the add if u joins
+        # one walk around S's cover gives the gain, the loss if it is read,
+        # and the add if u joins
         reached = grow.reach(u)
-        add_ratio = (grow.benefit(u, reached) / replications - c) / c
-        remove_ratio = (grow.benefit(u, reached, last, idx + 2) / replications - c) / c
-        taken = add_ratio >= remove_ratio
+        gain = grow.benefit(u, reached)
+        cost_sum = c * replications
+        remove_ratio = None
+        if cost_sum <= gain < 2 * cost_sum:
+            if last is None:
+                last, first = last_coverers(sample, candidates[idx:], grow.covered), idx
+            loss = grow.benefit(u, reached, last, idx - first + 2)
+            remove_ratio = (c - loss / replications) / c
+            taken = gain + loss >= 2 * cost_sum
+        else:
+            taken = gain >= 2 * cost_sum
         if taken:
             grow.add(u, reached)
-        return taken, add_ratio, remove_ratio
+        return taken, (gain / replications - c) / c, remove_ratio
 
-    return _scan(econ, budget, nodes, gate)
+    return _scan(econ, budget, candidates, gate)
 
 
-def baseline_random(g: SocialGraph, econ: NodeEconomics, budget: int, source) -> SelectionOutcome:
+def baseline_random(g: SocialGraph, econ: NodeEconomics, budget: int, source,
+                    free=frozenset()) -> SelectionOutcome:
     """Uniform random order, taking every node that still fits the budget."""
-    _check_budget(g, econ, budget)
-    order = g.nodes
+    order = _candidates(g, econ, budget, free)
     source.stream("order").shuffle(order)
     return _scan(econ, budget, order)
 
 
-def _gain_gate(g, econ, replications, source):
+def _gain_gate(g, econ, replications, source, free):
     # the score-ordered baselines take an affordable node when its estimated
-    # profit gain is non-negative; the ratio recorded is gain / cost
+    # profit gain, with the frontier as free seeds, is non-negative; the
+    # ratio recorded is gain / cost
     cost = econ.cost
 
     def gate(i, u, selected):
-        gain = marginal_profit_gain(g, econ, selected, u, replications, source.child("evaluate", i))
+        gain = marginal_profit_gain(g, econ, selected, u, replications,
+                                    source.child("evaluate", i), free_seeds=free)
         return gain >= 0.0, gain / cost[u]
 
     return gate
 
 
 def baseline_high_degree(g: SocialGraph, econ: NodeEconomics, budget: int,
-                         replications: int, source) -> SelectionOutcome:
+                         replications: int, source, free=frozenset()) -> SelectionOutcome:
     """Descending-degree scan with non-negative-gain and budget gates."""
-    _check_budget(g, econ, budget)
-    order = sorted(g.nodes, key=lambda u: (-degree(g, u), u))
-    return _scan(econ, budget, order, _gain_gate(g, econ, replications, source))
+    candidates = _candidates(g, econ, budget, free)
+    order = sorted(candidates, key=lambda u: (-degree(g, u), u))
+    return _scan(econ, budget, order, _gain_gate(g, econ, replications, source, free))
 
 
 def baseline_clustering_coefficient(g: SocialGraph, econ: NodeEconomics, budget: int,
-                                    replications: int, source) -> SelectionOutcome:
+                                    replications: int, source,
+                                    free=frozenset()) -> SelectionOutcome:
     """Descending clustering-coefficient scan with the same gates as high degree."""
-    _check_budget(g, econ, budget)
+    candidates = _candidates(g, econ, budget, free)
     coefficient = clustering_coefficients(g)
-    order = sorted(g.nodes, key=lambda u: (-coefficient[u], u))
-    return _scan(econ, budget, order, _gain_gate(g, econ, replications, source))
+    order = sorted(candidates, key=lambda u: (-coefficient[u], u))
+    return _scan(econ, budget, order, _gain_gate(g, econ, replications, source, free))
 
 
 def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
-                             replications: int, source) -> SelectionOutcome:
+                             replications: int, source, free=frozenset()) -> SelectionOutcome:
     """Degree scan where each selection discounts its neighbors' degrees by one.
 
     The next node is the unexamined one of highest effective degree, ties to
     the lowest id, with the same gates as high degree (the SingleDiscount
-    heuristic of Chen, Wang & Yang, KDD 2009).
+    heuristic of Chen, Wang & Yang, KDD 2009).  Only candidates are
+    discounted: the frontier is not in the pool.
     """
-    _check_budget(g, econ, budget)
-    effective = {u: degree(g, u) for u in g.nodes}
+    effective = {u: degree(g, u) for u in _candidates(g, econ, budget, free)}
     # one heap entry per unexamined node; effective degrees only go down, so a
     # stored degree is never below the current one and a top entry whose degree
     # is current is the true maximum; a stale one is pushed back, updated
@@ -262,14 +301,16 @@ def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
             else:
                 heappush(queue, (-effective[u], u))
 
-    gain_gate = _gain_gate(g, econ, replications, source)
+    gain_gate = _gain_gate(g, econ, replications, source, free)
 
     def gate(i, u, selected):
-        # a taken node discounts its neighbors before the heap yields again
+        # a taken node discounts its neighbors in the pool before the heap
+        # yields again; discounting an examined one changes nothing
         verdict = gain_gate(i, u, selected)
         if verdict[0]:
             for v, _ in g.out_arcs(u):
-                effective[v] -= 1
+                if v in effective:
+                    effective[v] -= 1
         return verdict
 
     return _scan(econ, budget, order(), gate)
@@ -278,7 +319,8 @@ def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
 SELECTORS = {
     "single_greedy": single_greedy,
     "double_greedy": double_greedy,
-    "random": lambda g, econ, budget, _, source: baseline_random(g, econ, budget, source),
+    "random": lambda g, econ, budget, _, source, free: (
+        baseline_random(g, econ, budget, source, free)),
     "high_degree": baseline_high_degree,
     "clustering_coefficient": baseline_clustering_coefficient,
     "single_discount": baseline_single_discount,
@@ -290,12 +332,14 @@ SNAPSHOT_SELECTORS = frozenset({"single_greedy", "double_greedy"})
 
 
 def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
-           replications: int, source, sample=None) -> SelectionOutcome:
+           replications: int, source, sample=None, free=frozenset()) -> SelectionOutcome:
     """Dispatch to a selector by registry name.
 
     A selector in :data:`SNAPSHOT_SELECTORS` needs ``sample`` and ignores
     ``replications`` and ``source``; the others take no sample, and the
     score-ordered baselines estimate each gain from ``replications`` cascades.
+    ``free`` nodes of ``g`` (phase two's observed frontier) seed every
+    cascade at no cost and earn nothing; no selector picks one.
     """
     try:
         selector = SELECTORS[name]
@@ -305,5 +349,5 @@ def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
     if greedy == (sample is None):
         raise ValueError(f"{name} {'needs a' if greedy else 'takes no'} live-graph sample")
     if greedy:
-        return selector(g, econ, budget, sample)
-    return selector(g, econ, budget, replications, source)
+        return selector(g, econ, budget, sample, free)
+    return selector(g, econ, budget, replications, source, free)

@@ -6,11 +6,13 @@ active and the frontier activated exactly at the horizon.  Phase two removes
 the already-active interior from the graph, rolls unspent budget over, selects
 fresh seeds among untouched nodes, and lets them diffuse together with the
 observed frontier (which costs nothing and earns nothing — its members were
-already counted in phase one).  Every selection of a greedy cell, in phase
-one, phase two and the single phase, scores on one sample of live graphs of
-the base graph, :func:`cell_sample`; a phase-two selection blocks its view's
-removed nodes on it, so it depends only on its observation, and identical
-observations select once.
+already counted in phase one).  Selection sees the frontier as the
+evaluation does: as free seeds, so it buys nothing the frontier reaches.
+Every selection of a greedy cell, in phase one, phase two and the single
+phase, scores on one sample of live graphs of the base graph,
+:func:`cell_sample`; a phase-two selection blocks its view's removed nodes
+on it and covers its frontier's reach, so it depends only on its
+observation, and identical observations select once.
 
 The module also carries an exact oracle for the full two-phase objective on
 enumerable instances: every live graph is expanded, grouped by the arc states
@@ -145,13 +147,14 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
                index: int = 0, sample=None, memo=None) -> ObservationRecord:
     """Reseed the residual graph for one observation and evaluate its profit.
 
-    Selection happens on the graph without every already-active node; the
-    evaluation keeps the observed frontier as free seeds, which pay and earn
-    nothing, on the graph without the already-active interior, so only
-    untouched nodes earn.  Unspent phase-one budget rolls over.  ``sample``
-    is the cell's :func:`cell_sample`.  ``memo`` maps an observation's (already active,
-    newly active) pair to the outcome selected for it; pass one only with
-    ``sample``, which makes selection a function of the observation.
+    Selection and evaluation both happen on the graph without the
+    already-active interior, with the observed frontier as free seeds, which
+    pay and earn nothing: the selectors pick among untouched nodes only, and
+    only untouched nodes earn.  Unspent phase-one budget rolls over.
+    ``sample`` is the cell's :func:`cell_sample`.  ``memo`` maps an
+    observation's (already active, newly active) pair to the outcome selected
+    for it; pass one only with ``sample``, which makes selection a function
+    of the observation.
     """
     already, newly = obs.already_active, obs.newly_active
     if not newly <= already:
@@ -160,18 +163,17 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
         raise ValueError("a phase-two memo needs the shared sample")
     budget = cfg.budget_phase2 + phase1_outcome.remaining_budget
     source = RandomSource(cfg.master_seed).child("phase2", index)
-    selection_view = exclude_nodes(g, already)
+    view = exclude_nodes(g, already - newly)
     key = (already, newly)
     outcome = memo.get(key) if memo is not None else None
     if outcome is None:
-        outcome = select(cfg.algorithm, selection_view, econ, budget,
-                         cfg.selection_replications, source.child("select"), sample)
+        outcome = select(cfg.algorithm, view, econ, budget, cfg.selection_replications,
+                         source.child("select"), sample, newly)
         if memo is not None:
             memo[key] = outcome
     assert outcome.spent <= budget
-    est = estimate_profit(exclude_nodes(g, already - newly), econ, outcome.seeds,
-                          cfg.phase2_runs_per_observation, source.stream("evaluate"),
-                          free_seeds=newly)
+    est = estimate_profit(view, econ, outcome.seeds, cfg.phase2_runs_per_observation,
+                          source.stream("evaluate"), free_seeds=newly)
     phase1_component = fsum(econ.benefit[v] for v in sorted(already)) - phase1_outcome.spent
     return ObservationRecord(
         index=index,
@@ -184,17 +186,19 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
     )
 
 
-def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics) -> TwoPhaseResult:
+def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
+                  sample=None) -> TwoPhaseResult:
     """Full protocol: phase one, all observations, phase two per observation.
 
     The headline aggregate takes the maximum total profit over observations
     (protocol convention); the mean and standard deviation across observations
     are reported alongside since the objective is an expectation.  A greedy
-    cell draws its sample once, and selects on it in phase one and once per
-    distinct observation; every observation is still evaluated on its own
-    stream.
+    cell selects on its :func:`cell_sample`, ``sample`` or else drawn here, in
+    phase one and once per distinct observation; every observation is still
+    evaluated on its own stream.
     """
-    sample = cell_sample(cfg, g, econ)
+    if sample is None:
+        sample = cell_sample(cfg, g, econ)
     phase1_outcome, observations = run_phase1(cfg, g, econ, sample)
     memo = {} if sample is not None else None
     records = [
@@ -221,17 +225,19 @@ def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics) -> TwoP
     )
 
 
-def run_single_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
+def run_single_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics, sample=None):
     """One selection with the whole budget and a fixpoint profit estimate.
 
     The estimate uses observations x runs-per-observation replications so the
     comparison against the two-phase aggregate rests on similar sample sizes.
-    A greedy selection scores on the cell's sample, drawn here as
-    :func:`run_two_phase` draws it.
+    A greedy selection scores on the cell's :func:`cell_sample`, ``sample``
+    or else drawn here as :func:`run_two_phase` draws it.
     """
+    if sample is None:
+        sample = cell_sample(cfg, g, econ)
     source = RandomSource(cfg.master_seed)
     outcome = select(cfg.algorithm, g, econ, cfg.total_budget, cfg.selection_replications,
-                     source.child("single-phase-select"), cell_sample(cfg, g, econ))
+                     source.child("single-phase-select"), sample)
     replications = cfg.phase1_observations * cfg.phase2_runs_per_observation
     est = estimate_profit(g, econ, outcome.seeds, replications,
                           source.stream("single-phase-evaluate"))

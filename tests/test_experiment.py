@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from profitmax import experiment
+from profitmax import experiment, twophase
 from profitmax.cli import main
 from profitmax.experiment import (
     RESULT_COLUMNS,
@@ -260,10 +260,59 @@ def test_cli_oracle_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _check_golden(tmp_path, config, golden):
+    cfg = replace(parse_config(CONFIGS / config), output_dir=str(tmp_path), workers=1)
+    run_batch(cfg)
+    for name in ("results.csv", "plot_seed_cardinality.csv", "plot_profit_difference.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / golden / name).read_bytes(), name
+
+
 def test_desk_outputs_match_golden_copy(tmp_path):
     # the desk config at desk scale; the pinned files change only with a
     # change that moves results on purpose
-    cfg = replace(parse_config(CONFIGS / "desk.cfg"), output_dir=str(tmp_path), workers=1)
-    run_batch(cfg)
-    for name in ("results.csv", "plot_seed_cardinality.csv", "plot_profit_difference.csv"):
-        assert (tmp_path / name).read_bytes() == (DATA / "desk_golden" / name).read_bytes(), name
+    _check_golden(tmp_path, "desk.cfg", "desk_golden")
+
+
+def test_desk_costly_outputs_match_golden_copy(tmp_path):
+    # the cost-bound desk config, where the profit gates turn nodes down
+    _check_golden(tmp_path, "desk-costly.cfg", "desk_costly_golden")
+
+
+def _cell(algorithm):
+    cfg = experiment.BatchConfig(dataset="pa:30:2:5", algorithms=(algorithm,), budgets=(12,),
+                                 probability=0.1, observations=4, phase2_runs=5,
+                                 selection_replications=6, cost_range=(2, 5),
+                                 benefit_range=(8, 20), attribute_seed=3, master_seed=7)
+    g = resolve_dataset(cfg.dataset, cfg.directed, cfg.probability)
+    econ = experiment.generate_attributes(g, cfg.attributes)
+    return g, econ, cfg.dataset, cfg.master_seed, cfg.cells[0]
+
+
+@pytest.mark.parametrize("algorithm", ["single_greedy", "double_greedy"])
+def test_greedy_cell_draws_its_sample_once(monkeypatch, algorithm):
+    # _run_cell hands one draw to both runs; with that hand-over taken away,
+    # each run draws its own, from the same stream, to the same record
+    cell = _cell(algorithm)
+    draws = []
+    draw = twophase.sample_live_graphs
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(twophase, "sample_live_graphs", counted)
+    shared = experiment._run_cell(cell)
+    assert len(draws) == 1
+    draws.clear()
+    monkeypatch.setattr(experiment, "cell_sample", lambda *args: None)
+    assert experiment._run_cell(cell) == shared
+    assert len(draws) == 2
+
+
+def test_baseline_cell_passes_no_sample(monkeypatch):
+    # a baseline cell has no sample, and calls both runs with the three
+    # arguments that the benchmark's output checks wrap them with
+    for name in ("run_two_phase", "run_single_phase"):
+        run = getattr(experiment, name)
+        monkeypatch.setattr(experiment, name, lambda cfg, g, econ, run=run: run(cfg, g, econ))
+    assert experiment._run_cell(_cell("high_degree")).algorithm == "high_degree"

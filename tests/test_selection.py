@@ -1,10 +1,12 @@
 import random
 from array import array
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from profitmax import selection
 from profitmax.diffusion import LiveSample, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
 from profitmax.profit import (
@@ -247,15 +249,17 @@ def test_shrink_loss_equals_coverage_difference(seed, replications):
             _coverage(sample, value, shrunk - {u}, blocked)
 
 
-def _two_walk_double_greedy(g, econ, budget, sample):
-    # reference: keeps the shrinking set T itself and takes each loss as
-    # coverage(T) - coverage(T - {u}), both recomputed from scratch; a node
-    # that does not fit the remaining budget leaves T unscored
+def _two_walk_double_greedy(g, econ, budget, sample, free=frozenset()):
+    # reference: keeps the shrinking set T itself, with the free frontier in
+    # both sets, and takes each gain as coverage(S + u) - coverage(S) and each
+    # loss as coverage(T) - coverage(T - {u}), all recomputed from scratch and
+    # the loss read for every scored node; a node that does not fit the
+    # remaining budget leaves T unscored
     cost, value = econ.cost, econ.benefit
-    nodes = g.nodes
+    nodes = [u for u in g.nodes if u not in free]
     R = sample.replications
     blocked = blocked_copies(sample, g)
-    grow = SnapshotCoverage(sample, value, blocked)
+    free = set(free)
     shrink = set(nodes)
     selected, remaining, trace = [], budget, []
     for idx, u in enumerate(nodes):
@@ -264,12 +268,15 @@ def _two_walk_double_greedy(g, econ, budget, sample):
             shrink.discard(u)
             trace.append(TraceEntry(idx, u, "unaffordable"))
             continue
-        add_ratio = (grow.gain(u) / R - c) / c
-        loss = _coverage(sample, value, shrink, blocked) - \
-            _coverage(sample, value, shrink - {u}, blocked)
-        remove_ratio = (loss / R - c) / c
-        if add_ratio >= remove_ratio:
-            grow.add(u)
+        grown = free.union(selected)
+        gain = _coverage(sample, value, grown | {u}, blocked) - \
+            _coverage(sample, value, grown, blocked)
+        loss = _coverage(sample, value, free | shrink, blocked) - \
+            _coverage(sample, value, free | (shrink - {u}), blocked)
+        add_ratio = (gain / R - c) / c
+        remove_ratio = (c - loss / R) / c
+        # add_ratio >= remove_ratio, in integers: the floats can split a tie
+        if gain + loss >= 2 * c * R:
             selected.append(u)
             remaining -= c
             decision = "accepted"
@@ -282,12 +289,103 @@ def _two_walk_double_greedy(g, econ, budget, sample):
     return SelectionOutcome(tuple(sorted(selected)), spent, budget - spent, tuple(trace))
 
 
+def _frontier(rnd, g):
+    # a free frontier as phase two hands it over: some of the view's nodes
+    return frozenset(rnd.sample(g.nodes, rnd.randint(0, g.node_count))) \
+        if rnd.random() < 0.5 else frozenset()
+
+
+def _settled_by(entry):
+    # which side of the rule decided a scored entry: its gain alone, when the
+    # add ratio is at least 1 or below 0, or else its loss too
+    if entry.decision == "unaffordable":
+        return None
+    return "loss" if 0.0 <= entry.ratio < 1.0 else "gain"
+
+
+def _agrees_with_reference(lazy, reference):
+    # seeds, spend, decisions and add ratios equal; the remove ratio is read
+    # exactly where the gain cannot decide, and equals the reference's there
+    assert (lazy.seeds, lazy.spent, lazy.remaining_budget) == \
+        (reference.seeds, reference.spent, reference.remaining_budget)
+    assert len(lazy.trace) == len(reference.trace)
+    for mine, theirs in zip(lazy.trace, reference.trace):
+        assert mine[:4] == theirs[:4]
+        if _settled_by(mine) == "loss":
+            assert mine.remove_ratio == theirs.remove_ratio
+        else:
+            assert mine.remove_ratio is None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(1, 6))
 def test_double_greedy_matches_two_walk_loop(seed, replications):
-    _, g, econ, budget, sample, _ = _scan_instance(seed, replications)
-    assert double_greedy(g, econ, budget, sample) == \
-        _two_walk_double_greedy(g, econ, budget, sample)
+    rnd, g, econ, budget, sample, _ = _scan_instance(seed, replications)
+    free = _frontier(rnd, g)
+    _agrees_with_reference(double_greedy(g, econ, budget, sample, free),
+                           _two_walk_double_greedy(g, econ, budget, sample, free))
+
+
+def test_double_greedy_takes_a_tie_between_its_ratios():
+    # three snapshots, by hand: node 1 reaches node 0 in the first and node 2
+    # in the second; node 0 does not fit and leaves T unscored
+    g = build_graph([(1, 0, 0.5), (1, 2, 0.5)], directed=True)
+    econ = NodeEconomics((9, 2, 9), (1, 1, 4))
+    sample = LiveSample(3, 3, array("q", [0, 0, 0, 0, 1, 2, 2, 2, 2, 2]), array("q", [0, 7]))
+    # node 1 gains 3 + 1 + 4 = 8 and T less node 1 loses 3 + 1 = 4; both
+    # ratios are 1/3, but as floats 0.33333333333333326 trails
+    # 0.33333333333333337, and the exact rule, 8 + 4 >= 2cR = 12, takes it
+    out = double_greedy(g, econ, 2, sample)
+    entry = out.trace[1]
+    assert entry.ratio < entry.remove_ratio
+    assert (out.seeds, entry.node, entry.decision) == ((1,), 1, "accepted")
+
+
+def test_lazy_loss_reference_sees_every_branch():
+    # the small instances' costs (1-3) and benefits (1-4) put gains on both
+    # sides of the band and in it: each of the rule's three branches fires,
+    # and the lazy selector agrees with the reference on every one of them;
+    # tripled budgets leave most nodes affordable, so most are scored
+    branches = Counter()
+    for seed in range(60):
+        rnd, g, econ, budget, sample, _ = _scan_instance(seed, 4)
+        free = _frontier(rnd, g)
+        lazy = double_greedy(g, econ, 3 * budget, sample, free)
+        _agrees_with_reference(lazy, _two_walk_double_greedy(g, econ, 3 * budget, sample, free))
+        branches.update((_settled_by(e), e.decision) for e in lazy.trace
+                        if e.decision != "unaffordable")
+    assert branches[("gain", "accepted")] and branches[("gain", "rejected_gain")]
+    assert branches[("loss", "accepted")] and branches[("loss", "rejected_gain")]
+
+
+def test_double_greedy_reads_the_loss_only_when_the_gain_cannot_decide(monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return last_coverers(*args)
+
+    monkeypatch.setattr(selection, "last_coverers", counted)
+    # gains of 10 and 1 per snapshot against a cost of 3: one clears 2c, one
+    # falls below c, and the reverse pass never runs
+    g, econ = isolated_nodes([3, 3], [10, 1])
+    out = double_greedy(g, econ, 10, _sample(g, REPLICATIONS, RandomSource(0)))
+    assert out.seeds == (0,)
+    assert [e.remove_ratio for e in out.trace] == [None, None]
+    assert builds == []
+    # gains of 4 and 5 lie in [c, 2c): the first of them builds the pass,
+    # once for the selection, and the second reads it
+    g, econ = isolated_nodes([3, 3, 3, 3], [10, 4, 1, 5])
+    out = double_greedy(g, econ, 12, _sample(g, REPLICATIONS, RandomSource(0)))
+    assert out.seeds == (0, 1, 3)
+    assert [_settled_by(e) for e in out.trace] == ["gain", "loss", "gain", "loss"]
+    assert len(builds) == 1
+    # one build per selection that reads a loss, none for the others
+    for seed in range(40):
+        rnd, g, econ, budget, sample, _ = _scan_instance(seed, 3)
+        builds.clear()
+        out = double_greedy(g, econ, budget, sample, _frontier(rnd, g))
+        assert len(builds) == any(e.remove_ratio is not None for e in out.trace)
 
 
 def _restricted(sample, removed):
@@ -380,7 +478,8 @@ def test_double_greedy_single_profitable_node():
     entry = out.trace[0]
     assert entry.decision == "accepted"
     assert entry.ratio == pytest.approx(7 / 3)
-    assert entry.remove_ratio == pytest.approx(7 / 3)
+    # a gain of 10 per snapshot clears 2c = 6 on its own: the loss is never read
+    assert entry.remove_ratio is None
 
 
 def test_double_greedy_budget_gate():
@@ -429,9 +528,6 @@ def test_double_greedy_walks_only_affordable_nodes(monkeypatch):
     assert unaffordable
 
 
-@pytest.mark.xfail(strict=True, reason="the remove ratio is f(T) - f(T - u) per unit cost, never "
-                   "above the gain, so every affordable node joins S; flipping it to "
-                   "f(T - u) - f(T) waits for ROADMAP item 1's frontier-aware phase two")
 def test_double_greedy_skips_a_money_losing_node():
     # node 0 earns 1 for a cost of 3, so its add ratio is -2/3 and Buchbinder's
     # remove side, (cost - loss) / cost, is 2/3: the rule drops it, as single
@@ -564,14 +660,27 @@ def test_single_discount_matches_min_scan(seed):
 def test_every_selector_emits_only_the_four_decisions(seed, replications):
     rnd = random.Random(seed)
     g, econ, budget = _small_instance(rnd, directed=rnd.random() < 0.5)
+    free = _frontier(rnd, g)
     for name in SELECTORS:
         source = RandomSource(seed).child(name)
         out = select(name, g, econ, budget, replications, source,
-                     _shared(name, g, econ, replications, source))
+                     _shared(name, g, econ, replications, source), free)
+        # the free frontier is never examined, let alone selected
+        assert free.isdisjoint(e.node for e in out.trace)
         assert {e.decision for e in out.trace} <= DECISIONS
         assert {e.node for e in out.trace if e.decision == "accepted"} == set(out.seeds)
         assert all(e.ratio is None and e.remove_ratio is None
                    for e in out.trace if e.decision == "unaffordable")
+
+
+def test_free_seeds_must_be_nodes_of_the_view():
+    # a removed node cannot seed the view's cascades, for free or not
+    g, econ = isolated_nodes([3, 3], [10, 10])
+    for name in SELECTORS:
+        source = RandomSource(0).child(name)
+        with pytest.raises(ValueError, match="unknown free seed id 2"):
+            select(name, g, econ, 5, REPLICATIONS, source,
+                   _shared(name, g, econ, REPLICATIONS, source), frozenset({2}))
 
 
 def test_select_dispatch_and_unknown_name():

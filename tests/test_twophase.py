@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -203,15 +204,23 @@ def test_greedy_cell_samples_once_and_selects_once_per_observation(monkeypatch, 
     assert counts["profitmax.twophase.select"] == 1 + len(keys)
 
 
+def _phase2_view(g, rec):
+    # what phase two selects on: the graph without the already-active
+    # interior, with the observed frontier as free seeds
+    return exclude_nodes(g, rec.already_active - rec.newly_active), rec.newly_active
+
+
 def test_replay_accepts_shared_sample_phase2_outcome():
     c, g, econ = _repeating_cell("single_greedy")
     result = run_two_phase(c, g, econ)
     table = cell_sample(c, g, econ)
+    assert any(rec.newly_active for rec in result.observations)
     for rec in result.observations:
         outcome = rec.phase2_selection
         budget = outcome.spent + outcome.remaining_budget
-        assert select("single_greedy", exclude_nodes(g, rec.already_active), econ, budget,
-                      c.selection_replications, None, table) == outcome
+        view, free = _phase2_view(g, rec)
+        assert select("single_greedy", view, econ, budget,
+                      c.selection_replications, None, table, free) == outcome
 
 
 def _check_cell_draws(monkeypatch, algorithm):
@@ -240,11 +249,12 @@ def _check_cell_draws(monkeypatch, algorithm):
     assert len({(r.already_active, r.newly_active) for r in result.observations}) > 1
     # phase one, every phase-two record and the single phase replay on the
     # cell's sample (or, for single greedy, its gain table)
-    selections = [(g, result.phase1), (g, single)] + [
-        (exclude_nodes(g, r.already_active), r.phase2_selection) for r in result.observations]
-    for view, outcome in selections:
+    selections = [(g, frozenset(), result.phase1), (g, frozenset(), single)] + [
+        (*_phase2_view(g, r), r.phase2_selection) for r in result.observations]
+    for view, free, outcome in selections:
         budget = outcome.spent + outcome.remaining_budget
-        assert select(algorithm, view, econ, budget, c.selection_replications, None, shared) == outcome
+        assert select(algorithm, view, econ, budget, c.selection_replications, None, shared,
+                      free) == outcome
 
 
 def test_baseline_cell_draws_no_phase2_sample(monkeypatch):
@@ -257,6 +267,60 @@ def test_single_greedy_cell_builds_one_gain_table(monkeypatch):
 
 def test_double_greedy_cell_draws_one_sample_and_no_table(monkeypatch):
     _check_cell_draws(monkeypatch, "double_greedy")
+
+
+DETERMINISTIC = sorted(set(selection.SELECTORS) - {"random"})
+
+
+@pytest.mark.parametrize("algorithm", DETERMINISTIC)
+def test_certain_chain_reseeds_nothing_the_frontier_reaches(algorithm):
+    # phase one seeds 0 and sees {0, 1} active with 1 on the frontier; the
+    # frontier reaches 2 for free, so the best reseed is none: 20 - 3 + 10
+    c = cfg(algorithm=algorithm)
+    result = run_two_phase(c, chain3(p=1.0), ECON3)
+    assert result.phase1.seeds == (0,)
+    oracle = exact_two_phase_profit(chain3(p=1.0), ECON3, (0,), c.observation_step,
+                                    c.budget_phase2 + result.phase1.remaining_budget)
+    assert oracle == 27.0
+    for rec in result.observations:
+        assert rec.newly_active == frozenset({1})
+        assert rec.phase2_selection.seeds == ()
+        assert rec.total_profit == oracle
+
+
+def _certain_chains(rnd):
+    """Disjoint certain chains, ids ascending along each, one cost for every node."""
+    lengths = [rnd.randint(1, 3) for _ in range(rnd.randint(2, 4))]
+    arcs, start = [], 0
+    for length in lengths:
+        arcs += [(u, u + 1, 1.0) for u in range(start, start + length - 1)]
+        start += length
+    # the last chain ends in one more node, so every id up to it is a node
+    g = build_graph(arcs + [(start - 1, start, 1.0)], directed=True)
+    cost = rnd.randint(1, 3)
+    econ = NodeEconomics((cost,) * (start + 1), tuple(rnd.randint(4, 9) for _ in range(start + 1)))
+    return g, econ, cost
+
+
+@pytest.mark.parametrize("algorithm", DETERMINISTIC)
+def test_certain_arcs_phase2_matches_the_oracle_best_reseed(algorithm):
+    # with one cost for all, every profitable reseed is an untouched chain's
+    # head, and the budget affords them all: each observation's phase-two
+    # value is the oracle's best, which never buys what the frontier reaches
+    rnd = random.Random(algorithm)
+    for trial in range(12):
+        g, econ, cost = _certain_chains(rnd)
+        total = 12 * cost
+        c = cfg(total_budget=total, split_fraction=cost / total,
+                observation_step=rnd.randint(1, 3), phase1_observations=2,
+                phase2_runs_per_observation=2, algorithm=algorithm, master_seed=trial,
+                selection_replications=3)
+        result = run_two_phase(c, g, econ)
+        assert len(result.phase1.seeds) == 1
+        for rec in result.observations:
+            oracle = exact_two_phase_profit(g, econ, result.phase1.seeds, c.observation_step,
+                                            rec.phase2_budget)
+            assert rec.total_profit == pytest.approx(oracle), (trial, rec)
 
 
 def test_single_phase_examples():

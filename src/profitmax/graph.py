@@ -171,10 +171,8 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
     two directed arcs.  ``original_ids`` and ``self_loops_dropped`` record
     what a loader did to its input before building; they are kept as given.
     """
-    adj = {}
-    seen = set()
+    rows = {}
     duplicates = 0
-    max_node = -1
     for u, v, p in edges:
         if u < 0 or v < 0:
             raise ValueError(f"node ids must be non-negative, got ({u}, {v})")
@@ -182,26 +180,33 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
             raise ValueError(f"self-loop on node {u} is not allowed")
         if not 0.0 < p <= 1.0:
             raise ValueError(f"arc probability must be in (0, 1], got {p}")
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
+        row = rows.get(u)
+        if row is None:
+            row = rows[u] = {}
+        elif v in row:
+            # an undirected edge sits in both rows, so its reverse lands here too
             duplicates += 1
             continue
-        seen.add(key)
-        adj.setdefault(u, []).append((v, p))
+        row[v] = p
         if not directed:
-            adj.setdefault(v, []).append((u, p))
-        max_node = max(max_node, u, v)
+            back = rows.get(v)
+            if back is None:
+                rows[v] = {u: p}
+            else:
+                back[u] = p
 
-    n = max_node + 1
+    # a directed graph's largest id may only ever appear as a target
+    n = max(max(rows), max(map(max, rows.values()))) + 1 if rows else 0
     offsets = [0] * (n + 1)
     targets = []
     probs = []
     for u in range(n):
-        out = sorted(adj.get(u, ()))
-        offsets[u + 1] = offsets[u] + len(out)
-        for v, p in out:
-            targets.append(v)
-            probs.append(p)
+        row = rows.get(u)
+        if row:
+            out = sorted(row)
+            targets += out
+            probs += map(row.__getitem__, out)
+        offsets[u + 1] = len(targets)
     first = probs[0] if probs else None
     uniform_p = first if all(p == first for p in probs) else None
     return SocialGraph(n, directed, offsets, targets, probs, uniform_p, [],
@@ -252,18 +257,49 @@ def degree(g: SocialGraph, u) -> int:
 
 
 def _base_among(g: SocialGraph) -> list:
-    # ordered neighbour pairs joined by an arc, per node of the base graph;
-    # counted on first use and published whole into the list the base shares
-    # with its views, so an interrupted count leaves it empty, not truncated
+    # ordered neighbour pairs joined by an arc, per node of the base graph.
+    # Such a pair and its node form a triangle of the symmetrised graph, so
+    # each triangle is listed once: nodes are ranked by (undirected degree, id),
+    # each edge is kept from its lower-ranked end only, and an edge (a, b)
+    # closes a triangle with each c that both keep.  A corner x with arcs to
+    # its other corners y and z gains [y->z] + [z->y]; on an undirected graph
+    # that is 2 at every corner.  Counted on first use and published whole
+    # into the list the base shares with its views, so an interrupted count
+    # leaves it empty, not truncated.
     among = g._among
     if not among:
-        offsets, targets = g._offsets, g._targets
-        counts = []
-        for u in range(g.base_node_count):
-            neighbors = set(targets[offsets[u]:offsets[u + 1]])
-            # build_graph keeps no self-loops or duplicate arcs: sizes count arcs
-            counts.append(sum(len(neighbors.intersection(targets[offsets[w]:offsets[w + 1]]))
-                              for w in neighbors))
+        n, offsets, targets = g.base_node_count, g._offsets, g._targets
+        outs = [set(targets[offsets[u]:offsets[u + 1]]) for u in range(n)]
+        if g.directed:
+            nbrs = [set(out) for out in outs]
+            for u, out in enumerate(outs):
+                for v in out:
+                    nbrs[v].add(u)
+        else:
+            nbrs = outs
+        rank = [0] * n
+        for i, u in enumerate(sorted(range(n), key=lambda u: len(nbrs[u]))):
+            rank[u] = i
+        fwd = []
+        for u in range(n):
+            r = rank[u]
+            fwd.append({v for v in nbrs[u] if rank[v] > r})
+        counts = [0] * n
+        for a in range(n):
+            fwd_a, out_a = fwd[a], outs[a]
+            for b in fwd_a:
+                fwd_b = fwd[b]
+                if fwd_a.isdisjoint(fwd_b):
+                    continue
+                out_b = outs[b]
+                for c in fwd_a & fwd_b:
+                    out_c = outs[c]
+                    if b in out_a and c in out_a:
+                        counts[a] += (c in out_b) + (b in out_c)
+                    if a in out_b and c in out_b:
+                        counts[b] += (c in out_a) + (a in out_c)
+                    if a in out_c and b in out_c:
+                        counts[c] += (b in out_a) + (a in out_b)
         among.extend(counts)
     return among
 
@@ -281,7 +317,10 @@ def clustering_coefficient(g: SocialGraph, u) -> float:
 def clustering_coefficients(g: SocialGraph) -> dict:
     """:func:`clustering_coefficient` of every surviving node, keyed by node id.
 
-    The base graph's pair counts are made once and shared with its views.  A
+    The base graph's pair counts are made once and shared with its views.
+    They come from listing each triangle once, over the arcs that run from
+    lower to higher (undirected degree, id) rank, in one path for directed
+    graphs (through their symmetrised neighbour sets) and undirected ones.  A
     view corrects only the nodes with a neighbour in its removed set: of the
     pairs joined by an arc, those with a removed end leave the count.  That is
     the arcs out of the removed neighbours plus those into them, less those

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from profitmax.diffusion import _geometric_scale
 from profitmax.graph import (
     NodeEconomics,
+    _base_among,
     build_graph,
     clustering_coefficient,
     clustering_coefficients,
@@ -11,6 +14,7 @@ from profitmax.graph import (
     exclude_nodes,
     seed_cost,
 )
+from profitmax.loader import preferential_attachment_graph
 
 
 def test_empty_graph():
@@ -223,3 +227,89 @@ def test_clustering_table_built_once_per_base_graph():
     for h, expected in ((g, 4 / 6), (view, 4 / 6), (nested, 0.0)):
         assert clustering_coefficients(h)[1] == expected
         assert clustering_coefficient(h, 1) == expected
+
+
+def _build_by_key_set(edges, directed):
+    # the tuple-key set and per-node (target, probability) lists that the
+    # per-node rows replaced: (offsets, targets, probs, uniform_p, duplicates, n)
+    adj, seen, duplicates, max_node = {}, set(), 0, -1
+    for u, v, p in edges:
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        adj.setdefault(u, []).append((v, p))
+        if not directed:
+            adj.setdefault(v, []).append((u, p))
+        max_node = max(max_node, u, v)
+    offsets, targets, probs = [0], [], []
+    for u in range(max_node + 1):
+        for v, p in sorted(adj.get(u, ())):
+            targets.append(v)
+            probs.append(p)
+        offsets.append(len(targets))
+    uniform_p = probs[0] if probs and all(p == probs[0] for p in probs) else None
+    return offsets, targets, probs, uniform_p, duplicates, max_node + 1
+
+
+@st.composite
+def messy_edge_lists(draw):
+    # ids with gaps, pairs repeated as drawn or reversed, mixed probabilities,
+    # and a largest id that only ever appears as a target
+    ids = draw(st.lists(st.integers(0, 40), min_size=2, max_size=8, unique=True))
+    pairs = [(u, v) for u, v in draw(st.lists(st.tuples(st.sampled_from(ids),
+                                                       st.sampled_from(ids)), max_size=20))
+             if u != v]
+    if pairs:
+        again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=10))
+        pairs = draw(st.permutations(pairs + [(v, u) if flip else (u, v)
+                                              for (u, v), flip in again]))
+    sink = max(ids) + draw(st.integers(1, 3))
+    pairs += [(u, sink) for u in draw(st.lists(st.sampled_from(ids), max_size=2))]
+    return [(u, v, draw(st.sampled_from((0.01, 0.25, 0.5, 1.0)))) for u, v in pairs]
+
+
+@given(messy_edge_lists(), st.booleans())
+def test_build_matches_key_set_reference(edges, directed):
+    g = build_graph(edges, directed)
+    assert (g._offsets, g._targets, g._probs, g._uniform_p, g.duplicates_collapsed,
+            g.base_node_count) == _build_by_key_set(edges, directed)
+
+
+def _among_by_intersection(g):
+    # each node's neighbour set intersected with every neighbour's full row,
+    # the count that triangle listing replaced
+    rows = [set(g._targets[g._offsets[u]:g._offsets[u + 1]]) for u in range(g.base_node_count)]
+    return [sum(len(row & rows[w]) for w in row) for row in rows]
+
+
+@settings(max_examples=200)
+@given(st.sets(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=90),
+       st.booleans(), st.integers(0, 13))
+def test_triangle_count_matches_intersection(arcs, directed, hub):
+    # dense draws over 14 nodes give degree ties and many triangles; on a
+    # directed graph the hub's arcs out to every other node are mostly one-way
+    arcs = {(u, v) for u, v in arcs if u != v}
+    arcs |= {(hub, v) for v in range(14) if v != hub and (v, hub) not in arcs}
+    g = build_graph([(u, v, 0.5) for u, v in sorted(arcs)], directed)
+    assert _base_among(g) == _among_by_intersection(g)
+
+
+def test_wiki_size_fixture_pinned():
+    # the pa:7115:15:7 stand-in for wiki-Vote; the digest of its arrays and
+    # per-node pair counts was taken from the key-set build and the per-node
+    # intersection count
+    g = preferential_attachment_graph(7115, 15, 7)
+    among = _base_among(g)
+    arcs = g.arc_list()
+    assert len(arcs) == 213_210 and g.duplicates_collapsed == 0
+    assert sum(u < v for u, v, _ in arcs) == 106_605
+    assert max(degree(g, u) for u in g.nodes) == 546
+    assert sum(among) == 262_464
+    digest = hashlib.sha256(repr((g._offsets, g._targets, g._probs, among)).encode())
+    assert digest.hexdigest()[:16] == "5b6a675c368c0e44"
+    # each edge again as both of its arcs: every second one is a duplicate
+    again = build_graph(arcs, directed=False)
+    assert again.duplicates_collapsed == 106_605
+    assert (again._offsets, again._targets, again._probs) == (g._offsets, g._targets, g._probs)

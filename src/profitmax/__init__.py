@@ -8,6 +8,7 @@ from .graph import (
     clustering_coefficient,
     clustering_coefficients,
     degree,
+    degrees,
     exclude_nodes,
     seed_cost,
 )

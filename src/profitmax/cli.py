@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .experiment import parse_config, resolve_dataset, run_batch
-from .graph import NodeEconomics, degree, exclude_nodes, seed_cost
+from .graph import NodeEconomics, degrees, exclude_nodes, seed_cost
 from .loader import load_snap_edge_list
 from .profit import exact_benefit
 from .twophase import exact_two_phase_profit
@@ -33,15 +33,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_inspect(args) -> int:
     g = resolve_dataset(args.dataset, args.directed, args.probability)
-    degrees = [degree(g, u) for u in g.nodes] or [0]
+    node_degrees = list(degrees(g).values()) or [0]
     edge_count = g.arc_count if g.directed else g.arc_count // 2
     print(f"dataset:      {args.dataset}")
     print(f"type:         {'directed' if g.directed else 'undirected'}")
     print(f"nodes:        {g.node_count}")
     print(f"edges:        {edge_count}")
     print(f"arcs stored:  {g.arc_count}")
-    print(f"max degree:   {max(degrees)}")
-    print(f"avg degree:   {sum(degrees) / len(degrees):.2f}")
+    print(f"max degree:   {max(node_degrees)}")
+    print(f"avg degree:   {sum(node_degrees) / len(node_degrees):.2f}")
     if g.self_loops_dropped:
         print(f"self-loops dropped:   {g.self_loops_dropped}")
     if g.duplicates_collapsed:

@@ -189,6 +189,19 @@ def dataset_label(spec: str) -> str:
     return Path(spec).stem
 
 
+# a pool worker's batch: (graph, economics, dataset label, master seed)
+_batch = None
+
+
+def _start_worker(*batch):
+    global _batch
+    _batch = batch
+
+
+def _run_pooled(phase_cfg):
+    return _run_cell((*_batch, phase_cfg))
+
+
 def _run_cell(args):
     g, econ, label, master_seed, phase_cfg = args
     started = time.perf_counter()
@@ -229,19 +242,22 @@ def run_batch(cfg: BatchConfig):
 
     Rows come back in config order whatever the worker count; each cell draws
     from streams derived only from names and the master seed, so scheduling
-    cannot change any result.
+    cannot change any result.  Pool workers receive the graph, economics,
+    label and master seed once, when they start (a forked worker inherits
+    them, a spawned one unpickles them once), and each task carries only
+    its cell's :class:`PhaseConfig`.
     """
     g = resolve_dataset(cfg.dataset, cfg.directed, cfg.probability)
     econ = generate_attributes(g, cfg.attributes)
-    label = dataset_label(cfg.dataset)
-    cells = [(g, econ, label, cfg.master_seed, phase_cfg) for phase_cfg in cfg.cells]
+    batch = (g, econ, dataset_label(cfg.dataset), cfg.master_seed)
     # a forked pool starts all its workers at once: never more than there are cells
-    workers = min(cfg.workers, len(cells))
+    workers = min(cfg.workers, len(cfg.cells))
     if workers == 1:
-        records = [_run_cell(cell) for cell in cells]
+        records = [_run_cell((*batch, phase_cfg)) for phase_cfg in cfg.cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_cell, cells))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=batch) as pool:
+            records = list(pool.map(_run_pooled, cfg.cells))
     write_outputs(cfg.output_dir, records)
     return records
 

@@ -9,7 +9,9 @@ selection builds many such views, so copying is deliberately avoided.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 __all__ = [
     "SocialGraph",
@@ -18,6 +20,7 @@ __all__ = [
     "seed_cost",
     "exclude_nodes",
     "degree",
+    "degrees",
     "clustering_coefficient",
     "clustering_coefficients",
 ]
@@ -30,10 +33,13 @@ class SocialGraph:
     probability.  ``uniform_p`` is the probability every arc shares, or None;
     :func:`build_graph` works it out once per base graph.  ``among`` is the
     base graph's per-node count of neighbour pairs joined by an arc, an empty
-    list until the first clustering query fills it.  A restricted view is the
-    same class with a non-empty ``removed`` set; it exposes only surviving
-    nodes and arcs while sharing the base arrays, their ``uniform_p`` and
-    their ``among`` list.
+    list until the first clustering query fills it.  ``reverse`` is a
+    directed base graph's reverse adjacency (in-arc offsets and sources),
+    an empty list until the first view query that needs a removed node's
+    in-neighbours fills it.  A restricted view is the same class with a
+    non-empty ``removed`` set; it exposes only surviving nodes and arcs while
+    sharing the base arrays, their ``uniform_p`` and their ``among`` and
+    ``reverse`` lists.
     """
 
     __slots__ = (
@@ -48,11 +54,12 @@ class SocialGraph:
         "_probs",
         "_uniform_p",
         "_among",
+        "_reverse",
         "_blocked_cache",
     )
 
     def __init__(self, base_node_count, directed, offsets, targets, probs, uniform_p,
-                 among, removed=frozenset(), original_ids=None, duplicates_collapsed=0,
+                 among, reverse, removed=frozenset(), original_ids=None, duplicates_collapsed=0,
                  self_loops_dropped=0):
         self.base_node_count = base_node_count
         self.directed = directed
@@ -65,6 +72,7 @@ class SocialGraph:
         self._probs = probs
         self._uniform_p = uniform_p
         self._among = among
+        self._reverse = reverse
         self._blocked_cache = None
 
     # -- node and arc access ------------------------------------------------
@@ -208,8 +216,8 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
             probs += map(row.__getitem__, out)
         offsets[u + 1] = len(targets)
     first = probs[0] if probs else None
-    uniform_p = first if all(p == first for p in probs) else None
-    return SocialGraph(n, directed, offsets, targets, probs, uniform_p, [],
+    uniform_p = first if probs.count(first) == len(probs) else None
+    return SocialGraph(n, directed, offsets, targets, probs, uniform_p, [], [],
                        original_ids=original_ids, duplicates_collapsed=duplicates,
                        self_loops_dropped=self_loops_dropped)
 
@@ -239,7 +247,7 @@ def exclude_nodes(g: SocialGraph, removed) -> SocialGraph:
         return g
     return SocialGraph(
         g.base_node_count, g.directed, g._offsets, g._targets, g._probs, g._uniform_p, g._among,
-        removed=g.removed | removed, original_ids=g.original_ids,
+        g._reverse, removed=g.removed | removed, original_ids=g.original_ids,
         duplicates_collapsed=g.duplicates_collapsed, self_loops_dropped=g.self_loops_dropped,
     )
 
@@ -254,6 +262,52 @@ def degree(g: SocialGraph, u) -> int:
     if not g.removed:
         return hi - lo
     return hi - lo - len(g.removed.intersection(g._targets[lo:hi]))
+
+
+def _removed_in_neighbours(g: SocialGraph) -> dict:
+    # each removed node's base in-neighbours.  An undirected graph stores
+    # each edge both ways, so a removed node's own row lists them; a directed
+    # one reads them off its base graph's reverse adjacency, built on first
+    # use and published whole into the list the base shares with its views,
+    # so an interrupted build leaves it empty, not truncated
+    offsets, targets, removed = g._offsets, g._targets, g.removed
+    if not g.directed:
+        return {r: targets[offsets[r]:offsets[r + 1]] for r in removed}
+    if not removed:
+        return {}
+    reverse = g._reverse
+    if not reverse:
+        n = g.base_node_count
+        counts = [0] * (n + 1)
+        for v in targets:
+            counts[v + 1] += 1
+        starts = list(accumulate(counts))
+        fill = starts[:-1]
+        sources = array("i", [0]) * len(targets)
+        for u in range(n):
+            for i in range(offsets[u], offsets[u + 1]):
+                v = targets[i]
+                sources[fill[v]] = u
+                fill[v] += 1
+        reverse.extend((array("l", starts), sources))
+    starts, sources = reverse
+    return {r: sources[starts[r]:starts[r + 1]] for r in removed}
+
+
+def degrees(g: SocialGraph) -> dict:
+    """:func:`degree` of every surviving node, keyed by node id.
+
+    Each node's base row length, less one for each of its arcs into a
+    removed node.  Those arcs are the removed nodes' in-arcs, so a view pays
+    for its removed nodes' neighbourhoods, not for a scan of every row.
+    """
+    offsets = g._offsets
+    result = {u: offsets[u + 1] - offsets[u] for u in g.nodes}
+    for sources in _removed_in_neighbours(g).values():
+        for s in sources:
+            if s in result:
+                result[s] -= 1
+    return result
 
 
 def _base_among(g: SocialGraph) -> list:
@@ -321,36 +375,39 @@ def clustering_coefficients(g: SocialGraph) -> dict:
     They come from listing each triangle once, over the arcs that run from
     lower to higher (undirected degree, id) rank, in one path for directed
     graphs (through their symmetrised neighbour sets) and undirected ones.  A
-    view corrects only the nodes with a neighbour in its removed set: of the
-    pairs joined by an arc, those with a removed end leave the count.  That is
-    the arcs out of the removed neighbours plus those into them, less those
-    among them, which both terms counted.  The removed nodes' in-neighbours
-    come from one scan of the arcs.
+    view corrects only the nodes with an arc into its removed set, found
+    among the removed nodes' in-neighbours: of the pairs joined by an arc,
+    those with a removed end leave the count.  That is the arcs out of the
+    removed neighbours plus those into them, less those among them, which
+    both terms counted.  Each removed node's out- and in-neighbours become a
+    set once per call, and a corrected node intersects its own neighbour set
+    with those, so no removed hub's row is walked once per neighbour.
     """
     among = _base_among(g)
-    removed = g.removed
-    offsets, targets = g._offsets, g._targets
-    if removed and g.directed:
-        sources = {r: [] for r in removed}
-        for s in range(g.base_node_count):
-            for r in removed.intersection(targets[offsets[s]:offsets[s + 1]]):
-                sources[r].append(s)
-    else:
-        # an undirected graph stores each edge both ways: in-arcs mirror out-arcs
-        sources = {r: targets[offsets[r]:offsets[r + 1]] for r in removed}
+    offsets, targets, directed, removed = g._offsets, g._targets, g.directed, g.removed
+    in_neighbours = _removed_in_neighbours(g)
+    outs = {r: set(targets[offsets[r]:offsets[r + 1]]) for r in in_neighbours}
+    # an undirected graph's arcs into a removed node mirror those out of it
+    ins = {r: set(sources) for r, sources in in_neighbours.items()} if directed else None
+    # each surviving node with an arc into the removed set, with the removed
+    # nodes those arcs reach
+    cut = {}
+    for r, sources in in_neighbours.items():
+        for s in sources:
+            if s not in removed:
+                cut.setdefault(s, []).append(r)
     coefficients = {}
     for u in g.nodes:
-        row = targets[offsets[u]:offsets[u + 1]]
-        k = len(row)
+        k = offsets[u + 1] - offsets[u]
         among_u = among[u]
-        gone = removed.intersection(row)
+        gone = cut.get(u)
         if gone:
-            neighbors = set(row)
+            neighbours = set(targets[offsets[u]:offsets[u + 1]])
             k -= len(gone)
             for r in gone:
-                out_r = targets[offsets[r]:offsets[r + 1]]
-                among_u -= (len(neighbors.intersection(out_r))
-                            + len(neighbors.intersection(sources[r]))
-                            - len(gone.intersection(out_r)))
+                out_r = outs[r]
+                shared = len(neighbours & out_r)
+                into = len(neighbours & ins[r]) if directed else shared
+                among_u -= shared + into - len(out_r.intersection(gone))
         coefficients[u] = among_u / (k * (k - 1)) if k >= 2 else 0.0
     return coefficients

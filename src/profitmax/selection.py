@@ -41,10 +41,10 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
-from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degree, seed_cost
+from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degrees, seed_cost
 from .profit import SnapshotCoverage, blocked_copies, last_coverers, marginal_profit_gain
 # unused here, but the benchmark's tracer patches these names on this module
-from .graph import clustering_coefficient  # noqa: F401
+from .graph import clustering_coefficient, degree  # noqa: F401
 from .profit import estimate_profit  # noqa: F401
 
 __all__ = [
@@ -261,9 +261,12 @@ def _gain_gate(g, econ, replications, source, free):
 
 def baseline_high_degree(g: SocialGraph, econ: NodeEconomics, budget: int,
                          replications: int, source, free=frozenset()) -> SelectionOutcome:
-    """Descending-degree scan with non-negative-gain and budget gates."""
+    """Descending-degree scan with non-negative-gain and budget gates.
+
+    Ties go to the lowest id: the sort is stable and the candidates ascend.
+    """
     candidates = _candidates(g, econ, budget, free)
-    order = sorted(candidates, key=lambda u: (-degree(g, u), u))
+    order = sorted(candidates, key=degrees(g).__getitem__, reverse=True)
     return _scan(econ, budget, order, _gain_gate(g, econ, replications, source, free))
 
 
@@ -272,8 +275,7 @@ def baseline_clustering_coefficient(g: SocialGraph, econ: NodeEconomics, budget:
                                     free=frozenset()) -> SelectionOutcome:
     """Descending clustering-coefficient scan with the same gates as high degree."""
     candidates = _candidates(g, econ, budget, free)
-    coefficient = clustering_coefficients(g)
-    order = sorted(candidates, key=lambda u: (-coefficient[u], u))
+    order = sorted(candidates, key=clustering_coefficients(g).__getitem__, reverse=True)
     return _scan(econ, budget, order, _gain_gate(g, econ, replications, source, free))
 
 
@@ -286,7 +288,9 @@ def baseline_single_discount(g: SocialGraph, econ: NodeEconomics, budget: int,
     heuristic of Chen, Wang & Yang, KDD 2009).  Only candidates are
     discounted: the frontier is not in the pool.
     """
-    effective = {u: degree(g, u) for u in _candidates(g, econ, budget, free)}
+    candidates = _candidates(g, econ, budget, free)
+    degree_of = degrees(g)
+    effective = {u: degree_of[u] for u in candidates}
     # one heap entry per unexamined node; effective degrees only go down, so a
     # stored degree is never below the current one and a top entry whose degree
     # is current is the true maximum; a stale one is pushed back, updated

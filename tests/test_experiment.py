@@ -180,10 +180,12 @@ def test_run_batch_pool_never_outnumbers_its_cells(tmp_path, monkeypatch, worker
     pools = []
 
     class RecordingPool:
-        # stands in for the process pool: checks its size and maps in-process
-        def __init__(self, max_workers):
+        # stands in for the process pool: checks its size, starts its one
+        # in-process worker as a pool would, and maps in-process
+        def __init__(self, max_workers, initializer, initargs):
             assert max_workers == min(workers, cells)
             pools.append(max_workers)
+            self.start = lambda: initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -192,9 +194,16 @@ def test_run_batch_pool_never_outnumbers_its_cells(tmp_path, monkeypatch, worker
             return False
 
         def map(self, fn, items):
+            # each task carries its cell's config only: the graph travels
+            # once per worker, in initargs
+            items = list(items)
+            assert all(isinstance(item, twophase.PhaseConfig) for item in items)
+            self.start()
             return map(fn, items)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    # the in-process worker's batch is dropped again after the test
+    monkeypatch.setattr(experiment, "_batch", None)
     cfg = parse_config(write_config(tmp_path / "c.txt", algorithms=algorithms, budgets=budgets,
                                     workers=str(workers)))
     assert len(run_batch(cfg)) == cells
@@ -276,6 +285,13 @@ def test_desk_outputs_match_golden_copy(tmp_path):
 def test_desk_costly_outputs_match_golden_copy(tmp_path):
     # the cost-bound desk config, where the profit gates turn nodes down
     _check_golden(tmp_path, "desk-costly.cfg", "desk_costly_golden")
+
+
+def test_desk_directed_outputs_match_golden_copy(tmp_path, monkeypatch):
+    # the directed desk config, whose views drop in-arcs as well as out-arcs;
+    # its dataset path is relative to the repository root
+    monkeypatch.setenv(experiment.DATA_DIR_ENV, str(CONFIGS.parent))
+    _check_golden(tmp_path, "desk-directed.cfg", "desk_directed_golden")
 
 
 def _cell(algorithm):

@@ -576,6 +576,42 @@ def test_clustering_all_zero_scans_by_id():
     assert [e.node for e in out.trace] == [0, 1, 2, 3]
 
 
+def _coefficient_by_arc_scan(g, u):
+    # ordered out-neighbour pairs of u joined by an arc, one out_arcs scan each
+    neighbours = {v for v, _ in g.out_arcs(u)}
+    k = len(neighbours)
+    if k < 2:
+        return 0.0
+    return sum(x in neighbours for w in neighbours for x, _ in g.out_arcs(w)) / (k * (k - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31))
+def test_score_ordered_baselines_scan_by_score_then_id(seed):
+    # the scan order is a per-node sort by (-score, id), on views with a free
+    # frontier and on rings, where every score ties
+    rnd = random.Random(seed)
+    n = rnd.randint(3, 9)
+    if rnd.random() < 0.3:
+        edges = [(u, (u + 1) % n, 0.3) for u in range(n)]
+    else:
+        edges = [(u, v, 0.3) for u in range(n) for v in range(n)
+                 if u != v and rnd.random() < 0.4] or [(0, n - 1, 0.3)]
+    g = build_graph(edges, directed=rnd.random() < 0.5)
+    size = g.base_node_count
+    econ = NodeEconomics(tuple(rnd.randint(1, 9) for _ in range(size)),
+                         tuple(rnd.randint(1, 12) for _ in range(size)))
+    if rnd.random() < 0.6:
+        g = exclude_nodes(g, rnd.sample(range(size), rnd.randint(1, size - 1)))
+    free = _frontier(rnd, g)
+    candidates = [u for u in g.nodes if u not in free]
+    for selector, score in ((baseline_high_degree, lambda u: len(g.out_arcs(u))),
+                            (baseline_clustering_coefficient,
+                             lambda u: _coefficient_by_arc_scan(g, u))):
+        out = selector(g, econ, rnd.randint(0, 20), 2, RandomSource(seed), free)
+        assert [e.node for e in out.trace] == sorted(candidates, key=lambda u: (-score(u), u))
+
+
 def test_single_discount_reorders_after_pick():
     # 0 -> {1,2,3} deg 3; 1 -> {2,3} deg 2; 4 -> {5,6} deg 2
     edges = [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5),

@@ -323,6 +323,39 @@ def test_certain_arcs_phase2_matches_the_oracle_best_reseed(algorithm):
             assert rec.total_profit == pytest.approx(oracle), (trial, rec)
 
 
+def _oracle_instance(rnd):
+    """At most 10 nodes and 12 arcs, with costs that make the budget bind."""
+    n = rnd.randint(3, 10)
+    directed = rnd.random() < 0.7
+    # an undirected edge is stored as two arcs
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edges = rnd.sample(pairs, rnd.randint(2, min(len(pairs), 12 if directed else 6)))
+    g = build_graph([(u, v, rnd.choice([0.3, 0.5, 0.8])) for u, v in edges], directed)
+    size = g.base_node_count
+    econ = NodeEconomics(tuple(rnd.randint(1, 4) for _ in range(size)),
+                         tuple(rnd.randint(2, 9) for _ in range(size)))
+    return g, econ
+
+
+@pytest.mark.parametrize("algorithm", sorted(selection.SELECTORS))
+def test_two_phase_mean_never_beats_the_oracle(algorithm):
+    # the oracle takes the best reseed for every observation, so it bounds
+    # every policy's expected two-phase profit from above: the protocol's
+    # mean over N observations may exceed it by sampling noise only
+    rnd = random.Random(f"oracle-{algorithm}")
+    for trial in range(6):
+        g, econ = _oracle_instance(rnd)
+        c = cfg(total_budget=rnd.randint(3, 8), observation_step=rnd.randint(1, 2),
+                phase1_observations=40, phase2_runs_per_observation=20,
+                algorithm=algorithm, master_seed=trial, selection_replications=20)
+        result = run_two_phase(c, g, econ)
+        oracle = exact_two_phase_profit(g, econ, result.phase1.seeds, c.observation_step,
+                                        c.budget_phase2 + result.phase1.remaining_budget)
+        se = result.std_total_profit / c.phase1_observations ** 0.5
+        slack = 3 * se if se > 0 else 1e-9
+        assert result.mean_total_profit <= oracle + slack, (trial, oracle, se)
+
+
 def test_single_phase_examples():
     outcome, est = run_single_phase(cfg(total_budget=0), chain3(), ECON3)
     assert outcome.seeds == () and est.mean == 0.0

@@ -9,9 +9,7 @@ selection builds many such views, so copying is deliberately avoided.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 
 __all__ = [
     "SocialGraph",
@@ -33,13 +31,10 @@ class SocialGraph:
     probability.  ``uniform_p`` is the probability every arc shares, or None;
     :func:`build_graph` works it out once per base graph.  ``among`` is the
     base graph's per-node count of neighbour pairs joined by an arc, an empty
-    list until the first clustering query fills it.  ``reverse`` is a
-    directed base graph's reverse adjacency (in-arc offsets and sources),
-    an empty list until the first view query that needs a removed node's
-    in-neighbours fills it.  A restricted view is the same class with a
-    non-empty ``removed`` set; it exposes only surviving nodes and arcs while
-    sharing the base arrays, their ``uniform_p`` and their ``among`` and
-    ``reverse`` lists.
+    list until the first clustering query fills it.  A restricted view is the
+    same class with a non-empty ``removed`` set; it exposes only surviving
+    nodes and arcs while sharing the base arrays, their ``uniform_p`` and
+    their ``among`` list.
     """
 
     __slots__ = (
@@ -54,12 +49,11 @@ class SocialGraph:
         "_probs",
         "_uniform_p",
         "_among",
-        "_reverse",
         "_blocked_cache",
     )
 
     def __init__(self, base_node_count, directed, offsets, targets, probs, uniform_p,
-                 among, reverse, removed=frozenset(), original_ids=None, duplicates_collapsed=0,
+                 among, removed=frozenset(), original_ids=None, duplicates_collapsed=0,
                  self_loops_dropped=0):
         self.base_node_count = base_node_count
         self.directed = directed
@@ -72,7 +66,6 @@ class SocialGraph:
         self._probs = probs
         self._uniform_p = uniform_p
         self._among = among
-        self._reverse = reverse
         self._blocked_cache = None
 
     # -- node and arc access ------------------------------------------------
@@ -217,7 +210,7 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
         offsets[u + 1] = len(targets)
     first = probs[0] if probs else None
     uniform_p = first if probs.count(first) == len(probs) else None
-    return SocialGraph(n, directed, offsets, targets, probs, uniform_p, [], [],
+    return SocialGraph(n, directed, offsets, targets, probs, uniform_p, [],
                        original_ids=original_ids, duplicates_collapsed=duplicates,
                        self_loops_dropped=self_loops_dropped)
 
@@ -247,7 +240,7 @@ def exclude_nodes(g: SocialGraph, removed) -> SocialGraph:
         return g
     return SocialGraph(
         g.base_node_count, g.directed, g._offsets, g._targets, g._probs, g._uniform_p, g._among,
-        g._reverse, removed=g.removed | removed, original_ids=g.original_ids,
+        removed=g.removed | removed, original_ids=g.original_ids,
         duplicates_collapsed=g.duplicates_collapsed, self_loops_dropped=g.self_loops_dropped,
     )
 
@@ -267,39 +260,25 @@ def degree(g: SocialGraph, u) -> int:
 def _removed_in_neighbours(g: SocialGraph) -> dict:
     # each removed node's base in-neighbours.  An undirected graph stores
     # each edge both ways, so a removed node's own row lists them; a directed
-    # one reads them off its base graph's reverse adjacency, built on first
-    # use and published whole into the list the base shares with its views,
-    # so an interrupted build leaves it empty, not truncated
+    # one finds them in one scan of the arcs
     offsets, targets, removed = g._offsets, g._targets, g.removed
     if not g.directed:
         return {r: targets[offsets[r]:offsets[r + 1]] for r in removed}
-    if not removed:
-        return {}
-    reverse = g._reverse
-    if not reverse:
-        n = g.base_node_count
-        counts = [0] * (n + 1)
-        for v in targets:
-            counts[v + 1] += 1
-        starts = list(accumulate(counts))
-        fill = starts[:-1]
-        sources = array("i", [0]) * len(targets)
-        for u in range(n):
-            for i in range(offsets[u], offsets[u + 1]):
-                v = targets[i]
-                sources[fill[v]] = u
-                fill[v] += 1
-        reverse.extend((array("l", starts), sources))
-    starts, sources = reverse
-    return {r: sources[starts[r]:starts[r + 1]] for r in removed}
+    sources = {r: [] for r in removed}
+    if removed:
+        for s in range(g.base_node_count):
+            for r in removed.intersection(targets[offsets[s]:offsets[s + 1]]):
+                sources[r].append(s)
+    return sources
 
 
 def degrees(g: SocialGraph) -> dict:
     """:func:`degree` of every surviving node, keyed by node id.
 
     Each node's base row length, less one for each of its arcs into a
-    removed node.  Those arcs are the removed nodes' in-arcs, so a view pays
-    for its removed nodes' neighbourhoods, not for a scan of every row.
+    removed node.  Those arcs are the removed nodes' in-arcs: an undirected
+    view reads them off the removed nodes' own rows, a directed one finds
+    them in one scan of the arcs.
     """
     offsets = g._offsets
     result = {u: offsets[u + 1] - offsets[u] for u in g.nodes}

@@ -330,28 +330,6 @@ def test_degrees_match_per_node_degree(pairs, directed, removed, more):
             assert degrees(h) == {u: degree(h, u) for u in h.nodes}
 
 
-def test_reverse_adjacency_built_once_per_directed_base_graph():
-    # 0 -> 1, 2 -> 1, 1 -> 3, 3 -> 2: the in-neighbours of 1 are 0 and 2
-    g = build_graph([(0, 1, 0.5), (2, 1, 0.5), (1, 3, 0.5), (3, 2, 0.5)], directed=True)
-    assert degrees(g) == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert g._reverse == []  # the base graph removes nothing, so needs no in-arcs
-    view = exclude_nodes(g, {1})
-    nested = exclude_nodes(view, {3})
-    assert degrees(view) == {0: 0, 2: 0, 3: 1}
-    assert g._reverse and view._reverse is g._reverse and nested._reverse is g._reverse
-    # a graph that rebuilt the adjacency, or kept its own, would not see this
-    # edit: node 1's in-neighbour 2 becomes 0 again, so 2 keeps its arc to 1
-    starts, sources = g._reverse
-    sources[starts[1] + 1] = 0
-    assert degrees(view) == {0: -1, 2: 1, 3: 1}
-    assert degrees(nested) == {0: -1, 2: 1}
-    # an undirected graph reads a removed node's in-neighbours off its own row
-    undirected = build_graph([(0, 1, 0.5), (1, 2, 0.5)], directed=False)
-    assert degrees(exclude_nodes(undirected, {1})) == {0: 0, 2: 0}
-    assert clustering_coefficients(exclude_nodes(undirected, {1})) == {0: 0.0, 2: 0.0}
-    assert undirected._reverse == []
-
-
 def test_wiki_size_view_queries_pinned():
     # pa:7115:15:7 without its 40 highest-degree nodes, the hubs a
     # high-degree phase one seeds; the digests were taken from the per-node

@@ -69,7 +69,7 @@ def observe_until(g: SocialGraph, seeds, d: int, rng) -> PartialObservation:
     if d < 0:
         raise ValueError(f"observation step must be >= 0, got {d}")
     seeds = _check_seeds(g, seeds)
-    state = bytearray(g._blocked_template())
+    state = g._blocked_template()
     for s in seeds:
         state[s] = 1
     reached, frontier = _cascade(g, state, seeds, d, rng.random)
@@ -182,7 +182,7 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd):
     """
     offsets, targets, _, _ = g._engine()
     scale = _geometric_scale(g)
-    template = bytearray(g._blocked_template())
+    template = g._blocked_template()
     for s in active0:
         template[s] = 1
     samples = []

@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 from .graph import SocialGraph
 from .loader import AttributeSpec, generate_attributes, load_snap_edge_list, preferential_attachment_graph
 from .rng import RandomSource
-from .twophase import PhaseConfig, cell_sample, run_single_phase, run_two_phase
+from .twophase import PhaseConfig, run_single_phase, run_two_phase
 
 __all__ = [
     "ExperimentRecord",
@@ -205,13 +205,8 @@ def _run_pooled(phase_cfg):
 def _run_cell(args):
     g, econ, label, master_seed, phase_cfg = args
     started = time.perf_counter()
-    # one draw serves both runs.  A baseline cell draws nothing and passes
-    # nothing on: the benchmark's output checks wrap these two functions with
-    # three parameters (perfbench/workloads.py)
-    sample = cell_sample(phase_cfg, g, econ)
-    shared = () if sample is None else (sample,)
-    two = run_two_phase(phase_cfg, g, econ, *shared)
-    _, single_est = run_single_phase(phase_cfg, g, econ, *shared)
+    two = run_two_phase(phase_cfg, g, econ)
+    _, single_est = run_single_phase(phase_cfg, g, econ)
     elapsed = time.perf_counter() - started
     best = two.observations[two.best_index]
     # profits carry the emitted 4-decimal precision so CSV rows round-trip

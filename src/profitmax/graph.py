@@ -49,7 +49,6 @@ class SocialGraph:
         "_probs",
         "_uniform_p",
         "_among",
-        "_blocked_cache",
     )
 
     def __init__(self, base_node_count, directed, offsets, targets, probs, uniform_p,
@@ -66,7 +65,6 @@ class SocialGraph:
         self._probs = probs
         self._uniform_p = uniform_p
         self._among = among
-        self._blocked_cache = None
 
     # -- node and arc access ------------------------------------------------
 
@@ -123,14 +121,12 @@ class SocialGraph:
     def _engine(self):
         return self._offsets, self._targets, self._probs, self._uniform_p
 
-    def _blocked_template(self) -> bytes:
+    def _blocked_template(self) -> bytearray:
         # removed nodes are pre-marked active so they never fire or count
-        if self._blocked_cache is None:
-            tmpl = bytearray(self.base_node_count)
-            for r in self.removed:
-                tmpl[r] = 1
-            self._blocked_cache = bytes(tmpl)
-        return self._blocked_cache
+        tmpl = bytearray(self.base_node_count)
+        for r in self.removed:
+            tmpl[r] = 1
+        return tmpl
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"

@@ -12,7 +12,9 @@ Every selection of a greedy cell, in phase one, phase two and the single
 phase, scores on one sample of live graphs of the base graph,
 :func:`cell_sample`; a phase-two selection blocks its view's removed nodes
 on it and covers its frontier's reach, so it depends only on its
-observation, and identical observations select once.
+observation, and identical observations select once.  Each run asks
+:func:`cell_sample` for the sample itself; the module keeps one cell's draw
+at a time and releases it when another cell asks.
 
 The module also carries an exact oracle for the full two-phase objective on
 enumerable instances: every live graph is expanded, grouped by the arc states
@@ -108,33 +110,45 @@ class TwoPhaseResult:
     total_seed_count: int
 
 
+# the last cell's draw: (cfg, g, econ, what cell_sample returned)
+_last_cell = None
+
+
 def cell_sample(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     """What every selection of the cell scores on: R live graphs of ``g``.
 
     Drawn from the cell's ``snapshots`` stream.  Returns the ``LiveSample``
     for double greedy, that sample's :class:`GainTable` for single greedy,
-    and None for a baseline cell, which draws nothing.
+    and None for a baseline cell, which draws nothing.  The module keeps one
+    cell's draw at a time: a call with the same ``g`` and ``econ`` objects and
+    an equal ``cfg`` returns it again, and any other call releases it before
+    drawing its own.
     """
-    if cfg.algorithm not in SNAPSHOT_SELECTORS:
-        return None
-    sample = sample_live_graphs(g, cfg.selection_replications,
-                                RandomSource(cfg.master_seed).stream("snapshots"))
-    if cfg.algorithm == "single_greedy":
-        return GainTable(sample, econ.benefit)
-    return sample
+    global _last_cell
+    last = _last_cell
+    if last is not None and last[1] is g and last[2] is econ and last[0] == cfg:
+        return last[3]
+    _last_cell = last = None  # the old draw goes before the new one is made
+    drawn = None
+    if cfg.algorithm in SNAPSHOT_SELECTORS:
+        drawn = sample_live_graphs(g, cfg.selection_replications,
+                                   RandomSource(cfg.master_seed).stream("snapshots"))
+        if cfg.algorithm == "single_greedy":
+            drawn = GainTable(drawn, econ.benefit)
+    _last_cell = (cfg, g, econ, drawn)
+    return drawn
 
 
-def run_phase1(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics, sample=None):
+def run_phase1(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     """Select phase-one seeds and draw the independent observations.
 
-    ``sample`` is the cell's :func:`cell_sample`.  Returns the selection
-    outcome and ``cfg.phase1_observations`` partial observations of
-    independent cascades from those seeds, each watched up to the observation
-    step.
+    Selects on the cell's :func:`cell_sample`.  Returns the selection outcome
+    and ``cfg.phase1_observations`` partial observations of independent
+    cascades from those seeds, each watched up to the observation step.
     """
     source = RandomSource(cfg.master_seed)
-    outcome = select(cfg.algorithm, g, econ, cfg.budget_phase1,
-                     cfg.selection_replications, source.child("phase1-select"), sample)
+    outcome = select(cfg.algorithm, g, econ, cfg.budget_phase1, cfg.selection_replications,
+                     source.child("phase1-select"), cell_sample(cfg, g, econ))
     observations = [
         observe_until(g, outcome.seeds, cfg.observation_step, source.stream("phase1-observe", i))
         for i in range(cfg.phase1_observations)
@@ -144,33 +158,33 @@ def run_phase1(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics, sample=Non
 
 def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
                phase1_outcome: SelectionOutcome, obs: PartialObservation,
-               index: int = 0, sample=None, memo=None) -> ObservationRecord:
+               index: int = 0, memo=None) -> ObservationRecord:
     """Reseed the residual graph for one observation and evaluate its profit.
 
     Selection and evaluation both happen on the graph without the
     already-active interior, with the observed frontier as free seeds, which
     pay and earn nothing: the selectors pick among untouched nodes only, and
     only untouched nodes earn.  Unspent phase-one budget rolls over.
-    ``sample`` is the cell's :func:`cell_sample`.  ``memo`` maps an
+    Selects on the cell's :func:`cell_sample`.  ``memo`` maps an
     observation's (already active, newly active) pair to the outcome selected
-    for it; pass one only with ``sample``, which makes selection a function
-    of the observation.
+    for it; only a cell with a sample consults it, since a baseline selects
+    from its observation's own stream.
     """
     already, newly = obs.already_active, obs.newly_active
     if not newly <= already:
         raise ValueError("invalid observation: frontier not contained in active set")
-    if memo is not None and sample is None:
-        raise ValueError("a phase-two memo needs the shared sample")
     budget = cfg.budget_phase2 + phase1_outcome.remaining_budget
     source = RandomSource(cfg.master_seed).child("phase2", index)
     view = exclude_nodes(g, already - newly)
+    sample = cell_sample(cfg, g, econ)
+    if memo is None or sample is None:
+        memo = {}
     key = (already, newly)
-    outcome = memo.get(key) if memo is not None else None
+    outcome = memo.get(key)
     if outcome is None:
-        outcome = select(cfg.algorithm, view, econ, budget, cfg.selection_replications,
-                         source.child("select"), sample, newly)
-        if memo is not None:
-            memo[key] = outcome
+        outcome = memo[key] = select(cfg.algorithm, view, econ, budget,
+                                     cfg.selection_replications, source.child("select"),
+                                     sample, newly)
     assert outcome.spent <= budget
     est = estimate_profit(view, econ, outcome.seeds, cfg.phase2_runs_per_observation,
                           source.stream("evaluate"), free_seeds=newly)
@@ -186,23 +200,19 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
     )
 
 
-def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
-                  sample=None) -> TwoPhaseResult:
+def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics) -> TwoPhaseResult:
     """Full protocol: phase one, all observations, phase two per observation.
 
     The headline aggregate takes the maximum total profit over observations
     (protocol convention); the mean and standard deviation across observations
     are reported alongside since the objective is an expectation.  A greedy
-    cell selects on its :func:`cell_sample`, ``sample`` or else drawn here, in
-    phase one and once per distinct observation; every observation is still
-    evaluated on its own stream.
+    cell selects on its :func:`cell_sample` in phase one and once per distinct
+    observation; every observation is still evaluated on its own stream.
     """
-    if sample is None:
-        sample = cell_sample(cfg, g, econ)
-    phase1_outcome, observations = run_phase1(cfg, g, econ, sample)
-    memo = {} if sample is not None else None
+    phase1_outcome, observations = run_phase1(cfg, g, econ)
+    memo = {}
     records = [
-        run_phase2(cfg, g, econ, phase1_outcome, obs, i, sample, memo)
+        run_phase2(cfg, g, econ, phase1_outcome, obs, i, memo)
         for i, obs in enumerate(observations)
     ]
     totals = [rec.total_profit for rec in records]
@@ -225,19 +235,17 @@ def run_two_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
     )
 
 
-def run_single_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics, sample=None):
+def run_single_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     """One selection with the whole budget and a fixpoint profit estimate.
 
     The estimate uses observations x runs-per-observation replications so the
     comparison against the two-phase aggregate rests on similar sample sizes.
-    A greedy selection scores on the cell's :func:`cell_sample`, ``sample``
-    or else drawn here as :func:`run_two_phase` draws it.
+    A greedy selection scores on the cell's :func:`cell_sample`, the same
+    draw :func:`run_two_phase` selects on.
     """
-    if sample is None:
-        sample = cell_sample(cfg, g, econ)
     source = RandomSource(cfg.master_seed)
     outcome = select(cfg.algorithm, g, econ, cfg.total_budget, cfg.selection_replications,
-                     source.child("single-phase-select"), sample)
+                     source.child("single-phase-select"), cell_sample(cfg, g, econ))
     replications = cfg.phase1_observations * cfg.phase2_runs_per_observation
     est = estimate_profit(g, econ, outcome.seeds, replications,
                           source.stream("single-phase-evaluate"))

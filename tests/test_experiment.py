@@ -12,6 +12,7 @@ from profitmax.experiment import (
     resolve_dataset,
     run_batch,
 )
+from profitmax.selection import SELECTORS
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -306,8 +307,8 @@ def _cell(algorithm):
 
 @pytest.mark.parametrize("algorithm", ["single_greedy", "double_greedy"])
 def test_greedy_cell_draws_its_sample_once(monkeypatch, algorithm):
-    # _run_cell hands one draw to both runs; with that hand-over taken away,
-    # each run draws its own, from the same stream, to the same record
+    # both runs of a cell select on one draw; run each from an empty slot
+    # instead, and each draws its own, from the same stream, to the same record
     cell = _cell(algorithm)
     draws = []
     draw = twophase.sample_live_graphs
@@ -320,15 +321,27 @@ def test_greedy_cell_draws_its_sample_once(monkeypatch, algorithm):
     shared = experiment._run_cell(cell)
     assert len(draws) == 1
     draws.clear()
-    monkeypatch.setattr(experiment, "cell_sample", lambda *args: None)
+    for name in ("run_two_phase", "run_single_phase"):
+        run = getattr(experiment, name)
+
+        def from_empty_slot(cfg, g, econ, run=run):
+            monkeypatch.setattr(twophase, "_last_cell", None)
+            return run(cfg, g, econ)
+
+        monkeypatch.setattr(experiment, name, from_empty_slot)
     assert experiment._run_cell(cell) == shared
     assert len(draws) == 2
 
 
-def test_baseline_cell_passes_no_sample(monkeypatch):
-    # a baseline cell has no sample, and calls both runs with the three
-    # arguments that the benchmark's output checks wrap them with
+def _three_arguments(run):
+    # the benchmark's output checks wrap both runs with exactly these parameters
+    def checked(cfg, g, econ):
+        return run(cfg, g, econ)
+    return checked
+
+
+@pytest.mark.parametrize("algorithm", sorted(SELECTORS))
+def test_cell_calls_both_runs_with_three_arguments(monkeypatch, algorithm):
     for name in ("run_two_phase", "run_single_phase"):
-        run = getattr(experiment, name)
-        monkeypatch.setattr(experiment, name, lambda cfg, g, econ, run=run: run(cfg, g, econ))
-    assert experiment._run_cell(_cell("high_degree")).algorithm == "high_degree"
+        monkeypatch.setattr(experiment, name, _three_arguments(getattr(experiment, name)))
+    assert experiment._run_cell(_cell(algorithm)).algorithm == algorithm

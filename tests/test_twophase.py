@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -55,14 +58,13 @@ def test_config_validation_and_split():
 
 def test_phase1_zero_budget():
     c = cfg(total_budget=0)
-    outcome, observations = run_phase1(c, chain3(), ECON3, cell_sample(c, chain3(), ECON3))
+    outcome, observations = run_phase1(c, chain3(), ECON3)
     assert outcome.seeds == ()
     assert all(o.already_active == frozenset() == o.newly_active for o in observations)
 
 
 def test_phase1_deterministic_graph_identical_observations():
-    outcome, observations = run_phase1(cfg(), chain3(p=1.0), ECON3,
-                                       cell_sample(cfg(), chain3(p=1.0), ECON3))
+    outcome, observations = run_phase1(cfg(), chain3(p=1.0), ECON3)
     assert outcome.seeds == (0,)
     assert len({(o.already_active, o.newly_active) for o in observations}) == 1
     assert observations[0].already_active == frozenset({0, 1})
@@ -73,7 +75,7 @@ def test_phase1_observation_frequencies_match_arc_probability():
     g = build_graph([(0, 1, 0.5)], directed=True)
     econ = NodeEconomics((3, 3), (10, 10))
     c = cfg(total_budget=6, phase1_observations=2000)
-    outcome, observations = run_phase1(c, g, econ, cell_sample(c, g, econ))
+    outcome, observations = run_phase1(c, g, econ)
     assert outcome.seeds == (0,)
     hits = sum(1 in o.already_active for o in observations)
     se = (0.25 / len(observations)) ** 0.5
@@ -82,19 +84,17 @@ def test_phase1_observation_frequencies_match_arc_probability():
 
 def test_phase2_everything_already_active():
     obs = PartialObservation(frozenset({0, 1, 2}), frozenset({1}))
-    sample = cell_sample(cfg(), chain3(), ECON3)
-    outcome, _ = run_phase1(cfg(), chain3(), ECON3, sample)
-    rec = run_phase2(cfg(), chain3(), ECON3, outcome, obs, 0, sample)
+    outcome, _ = run_phase1(cfg(), chain3(), ECON3)
+    rec = run_phase2(cfg(), chain3(), ECON3, outcome, obs, 0)
     assert rec.phase2_selection.seeds == ()
     assert rec.phase2_profit.mean == 0.0
 
 
 def test_phase2_dead_phase_is_zero():
     c = cfg(total_budget=0)
-    sample = cell_sample(c, chain3(), ECON3)
-    outcome, _ = run_phase1(c, chain3(), ECON3, sample)
+    outcome, _ = run_phase1(c, chain3(), ECON3)
     obs = PartialObservation(frozenset(), frozenset())
-    rec = run_phase2(c, chain3(), ECON3, outcome, obs, 0, sample)
+    rec = run_phase2(c, chain3(), ECON3, outcome, obs, 0)
     assert rec.phase2_selection.seeds == ()
     assert rec.phase2_profit.mean == 0.0
 
@@ -102,10 +102,9 @@ def test_phase2_dead_phase_is_zero():
 def test_phase2_frontier_carries_cascade_for_free():
     # frontier {0} on a certain chain delivers the benefit of 1 and 2 at no cost
     c = cfg(total_budget=0)
-    sample = cell_sample(c, chain3(p=1.0), ECON3)
-    outcome, _ = run_phase1(c, chain3(p=1.0), ECON3, sample)
+    outcome, _ = run_phase1(c, chain3(p=1.0), ECON3)
     obs = PartialObservation(frozenset({0}), frozenset({0}))
-    rec = run_phase2(c, chain3(p=1.0), ECON3, outcome, obs, 0, sample)
+    rec = run_phase2(c, chain3(p=1.0), ECON3, outcome, obs, 0)
     assert rec.phase2_selection.seeds == ()
     assert rec.phase2_profit.mean == ECON3.benefit[1] + ECON3.benefit[2]
     assert rec.phase2_profit.std_error == 0.0
@@ -195,8 +194,8 @@ def test_greedy_cell_samples_once_and_selects_once_per_observation(monkeypatch, 
     # the same cell with the memo bypassed selects per observation, and agrees
     unmemoized = twophase.run_phase2
 
-    def without_memo(cfg, g, econ, phase1_outcome, obs, index, sample, memo):
-        return unmemoized(cfg, g, econ, phase1_outcome, obs, index, sample, None)
+    def without_memo(cfg, g, econ, phase1_outcome, obs, index, memo):
+        return unmemoized(cfg, g, econ, phase1_outcome, obs, index, None)
 
     monkeypatch.setattr(twophase, "run_phase2", without_memo)
     counts.clear()
@@ -225,7 +224,7 @@ def test_replay_accepts_shared_sample_phase2_outcome():
 
 def _check_cell_draws(monkeypatch, algorithm):
     # the selectors draw nothing and build no table; cell_sample does both,
-    # once for the two-phase run and once for the single phase run
+    # once for the cell: the single phase run reuses the two-phase run's draw
     assert not hasattr(selection, "sample_live_graphs") and not hasattr(selection, "GainTable")
     counts = Counter()
     for name in ("sample_live_graphs", "GainTable", "select"):
@@ -236,9 +235,10 @@ def _check_cell_draws(monkeypatch, algorithm):
     two_phase = Counter(counts)
     counts.clear()
     single, _ = run_single_phase(c, g, econ)
-    for drawn in (two_phase, counts):
-        assert drawn["profitmax.twophase.sample_live_graphs"] == greedy
-        assert drawn["profitmax.twophase.GainTable"] == (algorithm == "single_greedy")
+    assert two_phase["profitmax.twophase.sample_live_graphs"] == greedy
+    assert two_phase["profitmax.twophase.GainTable"] == (algorithm == "single_greedy")
+    assert counts["profitmax.twophase.sample_live_graphs"] == 0
+    assert counts["profitmax.twophase.GainTable"] == 0
     monkeypatch.undo()
     shared = cell_sample(c, g, econ)
     if not greedy:
@@ -267,6 +267,63 @@ def test_single_greedy_cell_builds_one_gain_table(monkeypatch):
 
 def test_double_greedy_cell_draws_one_sample_and_no_table(monkeypatch):
     _check_cell_draws(monkeypatch, "double_greedy")
+
+
+def test_cell_sample_is_kept_for_the_same_cell_only(monkeypatch):
+    # a hit needs the same graph and economics objects and an equal config
+    c, g, econ = _repeating_cell("double_greedy")
+    _, twin, twin_econ = _repeating_cell("double_greedy")
+    counts = Counter()
+    _count_calls(monkeypatch, counts, twophase, "sample_live_graphs")
+    sample = cell_sample(c, g, econ)
+    assert cell_sample(replace(c), g, econ) is sample
+    assert counts["profitmax.twophase.sample_live_graphs"] == 1
+    for other in ((c, twin, econ), (c, g, twin_econ), (replace(c, master_seed=12), g, econ)):
+        cell_sample(c, g, econ)
+        counts.clear()
+        cell_sample(*other)
+        assert counts["profitmax.twophase.sample_live_graphs"] == 1
+
+
+@pytest.mark.parametrize("next_algorithm", ["double_greedy", "single_greedy", "high_degree"])
+def test_cell_sample_releases_the_last_cell_before_drawing(monkeypatch, next_algorithm):
+    # cell A's draw is gone once cell B asks, before B's own draw starts
+    c, g, econ = _repeating_cell("double_greedy")
+    gone = weakref.ref(cell_sample(c, g, econ))
+    alive_at_draw = []
+    draw = twophase.sample_live_graphs
+
+    def watched(*args):
+        gc.collect()
+        alive_at_draw.append(gone() is not None)
+        return draw(*args)
+
+    monkeypatch.setattr(twophase, "sample_live_graphs", watched)
+    cell_sample(replace(c, algorithm=next_algorithm, master_seed=12), g, econ)
+    gc.collect()
+    assert gone() is None
+    assert not any(alive_at_draw)
+    assert len(alive_at_draw) == (next_algorithm != "high_degree")
+
+
+def test_interleaved_cells_match_cells_run_from_an_empty_slot(monkeypatch):
+    _, g, econ = _repeating_cell("double_greedy")
+    cells = [cfg(total_budget=12, algorithm=algorithm, master_seed=seed, phase1_observations=6,
+                 phase2_runs_per_observation=10, selection_replications=15)
+             for algorithm, seed in (("single_greedy", 3), ("double_greedy", 4))]
+
+    def runs(c, fresh):
+        out = []
+        for run in (run_two_phase, run_single_phase):
+            if fresh:
+                monkeypatch.setattr(twophase, "_last_cell", None)
+            out.append(run(c, g, econ))
+        return out
+
+    a, b = cells
+    interleaved = [runs(c, False) for c in (a, b, a)]
+    assert interleaved == [runs(c, True) for c in (a, b, a)]
+    assert interleaved[0] == interleaved[2]
 
 
 DETERMINISTIC = sorted(set(selection.SELECTORS) - {"random"})

@@ -122,7 +122,7 @@ class SocialGraph:
         return self._offsets, self._targets, self._probs, self._uniform_p
 
     def _blocked_template(self) -> bytearray:
-        # removed nodes are pre-marked active so they never fire or count
+        # a fresh array, removed nodes pre-marked active: they never fire or count
         tmpl = bytearray(self.base_node_count)
         for r in self.removed:
             tmpl[r] = 1

@@ -16,7 +16,7 @@ shares a probability below ``GEOMETRIC_P_CUTOFF``, the estimator and
 per success instead of one per arc, which is what makes the experiment
 protocol affordable at small probabilities); otherwise they draw once per
 arc.  Both give the same outcome distribution.  :func:`sample_live_graphs`
-draws whole live graphs for the greedy selectors' snapshot estimator.
+draws the snapshot estimator's live graphs, always of a base graph.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd):
 
 @dataclass(frozen=True)
 class LiveSample:
-    """``replications`` sampled live graphs of one graph view, in two flat arrays.
+    """``replications`` sampled live graphs of one base graph, in two flat arrays.
 
     Node ``u`` of snapshot ``r`` has the flat id ``u * replications + r``, so
     one node's copies are contiguous.  The kept arcs out of flat id ``x`` are
@@ -239,18 +239,18 @@ class LiveSample:
 
 
 def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
-    """Draw ``replications`` independent live graphs of ``g``.
+    """Draw ``replications`` independent live graphs of the base graph ``g`` shares.
 
-    Arcs with a removed endpoint are never kept.  Arcs are visited node-major:
-    each node, each snapshot, each out-arc in adjacency order.  At a uniform
-    probability below ``GEOMETRIC_P_CUTOFF`` the draws jump between kept
-    positions of that sequence; otherwise each surviving arc is drawn once.
+    A view gives its base's sample from the same stream; ``blocked_copies``
+    restricts that to the view.  Arcs are visited node-major: each node, each
+    snapshot, each out-arc in adjacency order.  At a uniform probability
+    below ``GEOMETRIC_P_CUTOFF`` the draws jump between kept positions of
+    that sequence; otherwise each arc is drawn once.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     offsets, targets, probs, _ = g._engine()
     scale = _geometric_scale(g)
-    blocked = g._blocked_template()
     n, R = g.base_node_count, replications
     # kept arcs arrive in flat-id order: counting them per flat id gives offsets
     counts = [0] * (n * R)
@@ -266,18 +266,13 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
             span = d * R
             while i < span:
                 r, k = divmod(i, d)
-                v = targets[lo + k]
-                if not blocked[u] and not blocked[v]:
-                    counts[u * R + r] += 1
-                    append(v * R + r)
+                counts[u * R + r] += 1
+                append(targets[lo + k] * R + r)
                 i += 1 + int(log(1.0 - rand()) * scale)
             i -= span
     else:
         for u in range(n):
-            if blocked[u]:
-                continue
-            arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])
-                    if not blocked[targets[i]]]
+            arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])]
             for r in range(R):
                 x = u * R + r
                 for v, p in arcs:

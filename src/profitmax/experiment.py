@@ -164,10 +164,12 @@ def parse_config(path) -> BatchConfig:
 def resolve_dataset(spec: str, directed: bool, probability: float) -> SocialGraph:
     """Materialize a dataset spec: a file path or a ``pa:<n>:<attach>:<seed>`` fixture.
 
-    Relative paths are also tried against the directory named by the
-    PROFITMAX_DATA_DIR environment variable.
+    A ``pa:`` fixture is undirected.  Relative paths are also tried against
+    the directory named by the PROFITMAX_DATA_DIR environment variable.
     """
     if spec.startswith("pa:"):
+        if directed:
+            raise ValueError(f"pa: fixtures are undirected; {spec!r} cannot be directed")
         try:
             n, attach, seed = (int(part) for part in spec[3:].split(":"))
         except ValueError:

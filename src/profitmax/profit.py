@@ -21,8 +21,8 @@ coverage term minus a modular cost.  For double greedy's shrinking set,
 :func:`last_coverers` marks each copy with the last scan position that covers
 it, so a scanned node's loss is read off the walk that gives its gain; a
 selection builds it only once a gain cannot decide on its own.  A
-sample of a graph also serves its views: :func:`blocked_copies` marks the
-copies of the view's removed nodes, and no walk enters them.
+sample is of a base graph and serves every view of it: :func:`blocked_copies`
+marks the copies of the view's removed nodes, and no walk enters them.
 :class:`GainTable` holds every node's gain into an empty seed set on a
 sample; blocking can only take reach away, so on any view of the sample that
 gain bounds the node's gain from above.  A single-greedy cell builds the
@@ -163,9 +163,9 @@ def _walk(sample, lo, hi, stop):
 def blocked_copies(sample, g: SocialGraph) -> bytearray:
     """Flat-id mask of ``sample`` that marks all copies of ``g``'s removed nodes.
 
-    ``sample`` is a sample of a graph that the view ``g`` restricts: a walk
+    ``sample`` is a sample of the base graph the view ``g`` shares: a walk
     never enters a marked copy, so it keeps only the arcs between surviving
-    nodes, as a sample of the view itself would.
+    nodes.  This is the one way a sample is restricted to a view.
     """
     if sample.node_count != g.base_node_count:
         raise ValueError(f"sample of {sample.node_count} nodes does not fit a graph of "

@@ -9,7 +9,7 @@ seed every cascade at no cost and earn nothing: the candidates are the
 graph's other nodes.
 
 The greedy selectors draw nothing.  They are handed a sample of R live graphs
-of a graph their view restricts (a cell's, from
+of the base graph their view shares (a cell's, from
 :func:`~profitmax.twophase.cell_sample`), block the view's removed nodes on
 it (:func:`~profitmax.profit.blocked_copies`), cover the frontier's reach on
 it before rating any candidate, and score every candidate exactly there:
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
+from . import diffusion, profit
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degrees, seed_cost
 from .profit import SnapshotCoverage, blocked_copies, last_coverers, marginal_profit_gain
 # unused here, but the benchmark's tracer patches these names on this module
@@ -112,7 +113,7 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table,
     lowest id.  Candidates whose cost exceeds the remaining budget can never
     become affordable again and leave the pool permanently, which also
     guarantees termination.  ``table`` is the :class:`~profitmax.profit.GainTable`,
-    for ``econ``'s benefits, of a ``LiveSample`` of the graph ``g`` restricts;
+    for ``econ``'s benefits, of a ``LiveSample`` of the base graph ``g`` shares;
     its gains are the upper bounds each candidate's lazy evaluation starts
     from.  ``free`` nodes of ``g`` (an observed frontier) are covered before
     any candidate is rated, and are neither charged nor selected.
@@ -198,7 +199,7 @@ def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
     T - u, 0 <= loss <= gain: a gain of at least 2cR takes u and one below cR
     rejects it, whatever the loss, so the loss is read only in between.  T is
     never stored: it is S plus the candidates not yet scanned.  ``sample`` is
-    a ``LiveSample`` of the graph ``g`` restricts; ``free`` nodes of ``g``
+    a ``LiveSample`` of the base graph ``g`` shares; ``free`` nodes of ``g``
     (an observed frontier) are covered before any candidate is rated, and
     are neither charged nor selected.
     """
@@ -330,28 +331,30 @@ SELECTORS = {
     "single_discount": baseline_single_discount,
 }
 
-# the selectors that score on a sample of live graphs: single greedy on its
-# gain table, double greedy on the sample itself
-SNAPSHOT_SELECTORS = frozenset({"single_greedy", "double_greedy"})
+# the selectors that score on a sample of live graphs, and what each takes:
+# single greedy the sample's gain table, double greedy the sample itself
+SNAPSHOT_SELECTORS = {"single_greedy": profit.GainTable, "double_greedy": diffusion.LiveSample}
 
 
 def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
            replications: int, source, sample=None, free=frozenset()) -> SelectionOutcome:
     """Dispatch to a selector by registry name.
 
-    A selector in :data:`SNAPSHOT_SELECTORS` needs ``sample`` and ignores
-    ``replications`` and ``source``; the others take no sample, and the
-    score-ordered baselines estimate each gain from ``replications`` cascades.
-    ``free`` nodes of ``g`` (phase two's observed frontier) seed every
-    cascade at no cost and earn nothing; no selector picks one.
+    A selector in :data:`SNAPSHOT_SELECTORS` takes ``sample`` of the class
+    mapped to its name and ignores ``replications`` and ``source``; the rest
+    take no sample, and the score-ordered baselines estimate each gain from
+    ``replications`` cascades.  ``free`` nodes of ``g`` (phase two's observed
+    frontier) seed every cascade at no cost and earn nothing; none is picked.
     """
     try:
         selector = SELECTORS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(sorted(SELECTORS))}")
-    greedy = name in SNAPSHOT_SELECTORS
-    if greedy == (sample is None):
-        raise ValueError(f"{name} {'needs a' if greedy else 'takes no'} live-graph sample")
-    if greedy:
+    kind = SNAPSHOT_SELECTORS.get(name)
+    if kind is None:
+        if sample is None:
+            return selector(g, econ, budget, replications, source, free)
+        raise ValueError(f"{name} takes no live-graph sample")
+    if isinstance(sample, kind):
         return selector(g, econ, budget, sample, free)
-    return selector(g, econ, budget, replications, source, free)
+    raise ValueError(f"{name} needs a live-graph sample as a {kind.__name__}")

@@ -12,6 +12,7 @@ from profitmax.diffusion import (
     _geometric_scale,
     _live_worlds,
     observe_until,
+    sample_live_graphs,
 )
 from profitmax.graph import build_graph, exclude_nodes
 from profitmax.rng import RandomSource
@@ -181,6 +182,29 @@ def test_geometric_sampler_only_below_the_cutoff():
     assert scale(GEOMETRIC_P_CUTOFF) is None
     assert scale(1.0) is None
     assert scale(0.1, 0.2) is None
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize("probs, geometric", [((0.1,), True), ((0.6,), False),
+                                              ((0.3, 0.6, 1.0), False)],
+                         ids=["uniform-low", "uniform-high", "mixed"])
+def test_a_view_samples_its_base_graph(probs, geometric, directed):
+    # whatever a view removes, its sample is its base graph's, drawn from the
+    # same stream; blocked_copies alone restricts it to the view
+    edges = [(u, v, probs[(u + v) % len(probs)]) for u in range(6) for v in range(u + 1, 6)]
+    base = build_graph(edges, directed=directed)
+    assert (_geometric_scale(base) is not None) == geometric
+    view = exclude_nodes(base, {1, 4})
+    nested = exclude_nodes(view, {0})
+    R = 30
+    drawn = sample_live_graphs(base, R, RandomSource(3).stream("snapshots"))
+    # the removed nodes keep kept arcs in the base graph's sample
+    heads = {y // R for y in drawn.targets}
+    tails = {x // R for x in range(6 * R) if drawn.offsets[x] < drawn.offsets[x + 1]}
+    assert {0, 1, 4} <= heads | tails
+    for g in (view, nested):
+        sample = sample_live_graphs(g, R, RandomSource(3).stream("snapshots"))
+        assert sample.offsets == drawn.offsets and sample.targets == drawn.targets
 
 
 @settings(max_examples=60, deadline=None)

@@ -130,6 +130,11 @@ def test_resolve_dataset_sources(tmp_path, monkeypatch):
         resolve_dataset("pa:10:0:1", directed=False, probability=0.1)
     with pytest.raises(ValueError, match="bad synthetic dataset spec 'pa:x:1:1'"):
         resolve_dataset("pa:x:1:1", directed=False, probability=0.1)
+    # a pa: fixture is undirected: asking for a directed one fails before
+    # anything is generated, instead of silently running undirected
+    monkeypatch.setattr(experiment, "preferential_attachment_graph", None)
+    with pytest.raises(ValueError, match="pa: fixtures are undirected"):
+        resolve_dataset("pa:50:2:1", directed=True, probability=0.01)
 
 
 def test_run_batch_shape_and_round_trip(tmp_path):
@@ -224,6 +229,10 @@ def test_cli_run_bad_config(tmp_path, capsys):
     bad.write_text("dataset = missing.txt\nalgorithms = random\nbudgets = 5\n")
     assert main(["run", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+    # a directed pa: fixture fails before any cell runs
+    assert main(["run", str(write_config(tmp_path / "c.txt", directed="true"))]) == 1
+    assert "pa: fixtures are undirected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_inspect(capsys):
@@ -237,6 +246,9 @@ def test_cli_inspect(capsys):
 def test_cli_inspect_synthetic(capsys):
     assert main(["inspect", "pa:20:2:1"]) == 0
     assert "nodes:        20" in capsys.readouterr().out
+    # a pa: fixture is undirected, and says so rather than printing one
+    assert main(["inspect", "pa:50:2:1", "--directed"]) == 1
+    assert "pa: fixtures are undirected" in capsys.readouterr().err
 
 
 def test_cli_oracle(capsys):

@@ -420,8 +420,9 @@ def test_shared_sample_blocks_removed_nodes(seed, replications):
                          tuple(rnd.randint(1, 4) for _ in range(size)))
     view = exclude_nodes(base, rnd.sample(range(size), rnd.randint(0, size - 1)))
     nested = exclude_nodes(view, rnd.sample(view.nodes, rnd.randint(0, view.node_count)))
-    # the sample is of the graph the selection's view restricts: the base
-    # graph, or a view whose removed nodes already have no arcs in the sample
+    # drawn through the base graph or through a view, the sample is the base
+    # graph's, whose removed nodes keep their arcs: the selectors block the
+    # selected view's removed copies themselves
     sampled, selected = rnd.choice([(base, view), (base, nested), (view, nested)])
     sample = _sample(sampled, replications, RandomSource(seed))
     restricted = _restricted(sample, selected.removed)
@@ -452,6 +453,12 @@ def test_shared_sample_must_fit_the_graph():
     for name in ("single_greedy", "double_greedy"):
         with pytest.raises(ValueError, match="live-graph sample"):
             select(name, g, econ, 5, REPLICATIONS, RandomSource(0))
+    # and a greedy name handed the other greedy selector's object
+    sample = _sample(g, REPLICATIONS, RandomSource(0))
+    for name, wrong, kind in (("single_greedy", sample, "GainTable"),
+                              ("double_greedy", GainTable(sample, econ.benefit), "LiveSample")):
+        with pytest.raises(ValueError, match=f"{name} needs a live-graph sample as a {kind}"):
+            select(name, g, econ, 5, REPLICATIONS, RandomSource(0), wrong)
 
 
 def test_gain_table_serves_only_its_benefits():

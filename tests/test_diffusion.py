@@ -198,7 +198,7 @@ def test_a_view_samples_its_base_graph(probs, geometric, directed):
     nested = exclude_nodes(view, {0})
     R = 30
     drawn = sample_live_graphs(base, R, RandomSource(3).stream("snapshots"))
-    # the removed nodes keep kept arcs in the base graph's sample
+    # the removed nodes keep arcs in the base graph's sample
     heads = {y // R for y in drawn.targets}
     tails = {x // R for x in range(6 * R) if drawn.offsets[x] < drawn.offsets[x + 1]}
     assert {0, 1, 4} <= heads | tails

@@ -58,12 +58,13 @@ def _cmd_oracle(args) -> int:
     seeds = set(_int_list(args.seeds))
     view = exclude_nodes(g, _int_list(args.exclude))
     benefit = exact_benefit(view, econ, seeds, free_seeds=_int_list(args.free))
-    print(f"exact benefit: {benefit:.6f}")
-    print(f"exact profit:  {benefit - seed_cost(econ, seeds):.6f}")
+    lines = [f"exact benefit: {benefit:.6f}",
+             f"exact profit:  {benefit - seed_cost(econ, seeds):.6f}"]
     if args.phase2_budget is not None:
         value = exact_two_phase_profit(view, econ, seeds, args.observation_step, args.phase2_budget)
-        print(f"exact two-phase objective (d={args.observation_step}, "
-              f"phase-two budget {args.phase2_budget}): {value:.6f}")
+        lines.append(f"exact two-phase objective (d={args.observation_step}, "
+                     f"phase-two budget {args.phase2_budget}): {value:.6f}")
+    print("\n".join(lines))
     return 0
 
 

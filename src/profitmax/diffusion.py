@@ -22,7 +22,7 @@ draws the snapshot estimator's live graphs, always of a base graph.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import log
 
@@ -230,12 +230,15 @@ class LiveSample:
     ``targets[offsets[x]:offsets[x + 1]]``, themselves flat ids of the same
     snapshot; the kept arcs of ``u`` in every snapshot are therefore the single
     range ``offsets[u * replications]:offsets[(u + 1) * replications]``.
+    ``bounds`` keeps :func:`profitmax.profit.gain_bounds`' last build with the
+    draw, as a ``[benefits, gains]`` pair outside the sample's equality.
     """
 
     node_count: int
     replications: int
     offsets: array
     targets: array
+    bounds: list = field(default_factory=list, compare=False, repr=False)
 
 
 def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:

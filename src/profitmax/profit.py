@@ -23,10 +23,11 @@ it, so a scanned node's loss is read off the walk that gives its gain; a
 selection builds it only once a gain cannot decide on its own.  A
 sample is of a base graph and serves every view of it: :func:`blocked_copies`
 marks the copies of the view's removed nodes, and no walk enters them.
-:class:`GainTable` holds every node's gain into an empty seed set on a
+:func:`gain_bounds` gives every node's gain into an empty seed set on a
 sample; blocking can only take reach away, so on any view of the sample that
-gain bounds the node's gain from above.  A single-greedy cell builds the
-table once, and all its selections start their lazy queues from it.
+gain bounds the node's gain from above.  The sample keeps the bounds once
+built, so all the selections of a single-greedy cell start their lazy
+queues from one build.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ __all__ = [
     "marginal_profit_gain",
     "SnapshotCoverage",
     "last_coverers",
-    "GainTable",
+    "gain_bounds",
     "blocked_copies",
 ]
 
@@ -269,21 +270,19 @@ def last_coverers(sample, order, blocked) -> list:
     return last
 
 
-class GainTable:
-    """Every node's gain into an empty seed set on a sample: an upper bound on its views.
+def gain_bounds(sample, value) -> array:
+    """Every node's gain into an empty seed set on ``sample``: an upper bound on its views.
 
-    ``node[u]`` is the benefit, summed over snapshots, that ``u`` covers alone
+    Entry ``u`` is the benefit, summed over snapshots, that ``u`` covers alone
     on the unblocked sample.  A view blocks its removed nodes' copies, which
-    can only take reach away, so ``node[u]`` bounds from above
+    can only take reach away, so the entry bounds from above
     ``SnapshotCoverage(sample, value, blocked).gain(u)`` for every surviving
-    ``u`` of every view, and equals it when nothing is blocked.  The table
-    never changes once built.
+    ``u`` of every view, and equals it when nothing is blocked.  Built on the
+    first call for ``value`` and kept on the sample until a call for other
+    benefits replaces it.
     """
-
-    __slots__ = ("sample", "value", "node")
-
-    def __init__(self, sample, value):
-        self.sample = sample
-        self.value = value
+    kept = sample.bounds
+    if not kept or kept[0] != value:
         empty = SnapshotCoverage(sample, value)
-        self.node = array("q", [empty.gain(u) for u in range(sample.node_count)])
+        kept[:] = value, array("q", [empty.gain(u) for u in range(sample.node_count)])
+    return kept[1]

@@ -14,26 +14,26 @@ of the base graph their view shares (a cell's, from
 it (:func:`~profitmax.profit.blocked_copies`), cover the frontier's reach on
 it before rating any candidate, and score every candidate exactly there:
 benefit is weighted coverage, so a gain is coverage gained minus the node's
-cost.  Single greedy evaluates
-lazily (CELF): it takes the sample's :class:`~profitmax.profit.GainTable`,
-whose whole-sample gains bound every gain on a view from above, and starts
-each candidate's ratio from that bound; a ratio computed in an earlier round
-bounds the current one from above too, so only candidates that reach the top
-of the queue are evaluated, and the seeds equal those of the eager loop on
-the same sample.  Its trace holds one ``evaluated`` entry per ratio computed,
-``unaffordable`` when a candidate leaves the pool for good, and the round's
-``accepted`` node or the final ``rejected_gain`` one.  Every other selector
-is one budget-first scan of an order, with the same decisions but
-``evaluated``: a node that does not fit is ``unaffordable`` and never
-scored, and an affordable one is ``accepted`` unless its selector's gate
-turns it down (``rejected_gain``).  Random has no gate; high degree,
-clustering coefficient and single discount gate on a non-negative
-:func:`~profitmax.profit.marginal_profit_gain`, whose two estimates share
-one stream and start from the frontier too.  Double greedy gates on
-Buchbinder's rule in exact integers, gain + loss >= 2cR for a node of cost
-c: a gain of at least 2cR takes the node and one below cR rejects it, since
-the loss lies between 0 and the gain, and only a gain in between reads the
-loss, off the walk around its growing set's cover that gives the gain.
+cost.  Both take the sample itself.  Single greedy evaluates lazily (CELF):
+it reads the sample's :func:`~profitmax.profit.gain_bounds`, whose
+whole-sample gains bound every gain on a view from above and are built once
+per sample, and starts each candidate's ratio from that bound; a ratio
+computed in an earlier round bounds the current one from above too, so only
+candidates that reach the top of the queue are evaluated, and the seeds equal
+those of the eager loop on the same sample.  Its trace holds one
+``evaluated`` entry per ratio computed, ``unaffordable`` when a candidate
+leaves the pool for good, and the round's ``accepted`` node or the final
+``rejected_gain`` one.  Every other selector is one budget-first scan of an
+order, with the same decisions but ``evaluated``: a node that does not fit is
+``unaffordable`` and never scored, and an affordable one is ``accepted``
+unless its selector's gate turns it down (``rejected_gain``).  Random has no
+gate; high degree, clustering coefficient and single discount gate on a
+non-negative :func:`~profitmax.profit.marginal_profit_gain`, whose two
+estimates share one stream and start from the frontier too.  Double greedy
+gates on Buchbinder's rule in exact integers, gain + loss >= 2cR for a node
+of cost c: a gain of at least 2cR takes the node and one below cR rejects it,
+since the loss lies between 0 and the gain, and only a gain in between reads
+the loss, off the walk around its growing set's cover that gives the gain.
 """
 from __future__ import annotations
 
@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
-from . import diffusion, profit
+from .diffusion import LiveSample
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degrees, seed_cost
-from .profit import SnapshotCoverage, blocked_copies, last_coverers, marginal_profit_gain
+from .profit import SnapshotCoverage, blocked_copies, gain_bounds, last_coverers, marginal_profit_gain
 # unused here, but the benchmark's tracer patches these names on this module
 from .graph import clustering_coefficient, degree  # noqa: F401
 from .profit import estimate_profit  # noqa: F401
@@ -104,7 +104,7 @@ def _precovered(sample, econ, g, free) -> SnapshotCoverage:
     return cover
 
 
-def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table,
+def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
                   free=frozenset()) -> SelectionOutcome:
     """Iterated best gain-per-cost selection until gains turn non-positive.
 
@@ -112,19 +112,17 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table,
     (coverage gain / replications - cost) / cost on the sample, ties to the
     lowest id.  Candidates whose cost exceeds the remaining budget can never
     become affordable again and leave the pool permanently, which also
-    guarantees termination.  ``table`` is the :class:`~profitmax.profit.GainTable`,
-    for ``econ``'s benefits, of a ``LiveSample`` of the base graph ``g`` shares;
-    its gains are the upper bounds each candidate's lazy evaluation starts
+    guarantees termination.  ``sample`` is a ``LiveSample`` of the base graph
+    ``g`` shares; its :func:`~profitmax.profit.gain_bounds` for ``econ``'s
+    benefits are the upper bounds each candidate's lazy evaluation starts
     from.  ``free`` nodes of ``g`` (an observed frontier) are covered before
     any candidate is rated, and are neither charged nor selected.
     """
     candidates = _candidates(g, econ, budget, free)
     cost = econ.cost
-    sample = table.sample
     replications = sample.replications
     cover = _precovered(sample, econ, g, free)
-    if table.value != econ.benefit:
-        raise ValueError("the gain table was built for other benefits")
+    bound = gain_bounds(sample, econ.benefit)
 
     def ratio(u, gain):
         return (gain / replications - cost[u]) / cost[u]
@@ -139,7 +137,7 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, table,
         if cost[u] > budget:
             trace.append(TraceEntry(0, u, "unaffordable"))
         else:
-            queue.append((-ratio(u, table.node[u]), u, -1))
+            queue.append((-ratio(u, bound[u]), u, -1))
     heapify(queue)
     selected = []
     remaining = budget
@@ -331,17 +329,16 @@ SELECTORS = {
     "single_discount": baseline_single_discount,
 }
 
-# the selectors that score on a sample of live graphs, and what each takes:
-# single greedy the sample's gain table, double greedy the sample itself
-SNAPSHOT_SELECTORS = {"single_greedy": profit.GainTable, "double_greedy": diffusion.LiveSample}
+# the selectors that score on a cell's sample of live graphs
+SNAPSHOT_SELECTORS = frozenset({"single_greedy", "double_greedy"})
 
 
 def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
            replications: int, source, sample=None, free=frozenset()) -> SelectionOutcome:
     """Dispatch to a selector by registry name.
 
-    A selector in :data:`SNAPSHOT_SELECTORS` takes ``sample`` of the class
-    mapped to its name and ignores ``replications`` and ``source``; the rest
+    A selector in :data:`SNAPSHOT_SELECTORS` takes ``sample``, a
+    ``LiveSample``, and ignores ``replications`` and ``source``; the rest
     take no sample, and the score-ordered baselines estimate each gain from
     ``replications`` cascades.  ``free`` nodes of ``g`` (phase two's observed
     frontier) seed every cascade at no cost and earn nothing; none is picked.
@@ -350,11 +347,10 @@ def select(name: str, g: SocialGraph, econ: NodeEconomics, budget: int,
         selector = SELECTORS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(sorted(SELECTORS))}")
-    kind = SNAPSHOT_SELECTORS.get(name)
-    if kind is None:
+    if name not in SNAPSHOT_SELECTORS:
         if sample is None:
             return selector(g, econ, budget, replications, source, free)
         raise ValueError(f"{name} takes no live-graph sample")
-    if isinstance(sample, kind):
+    if isinstance(sample, LiveSample):
         return selector(g, econ, budget, sample, free)
-    raise ValueError(f"{name} needs a live-graph sample as a {kind.__name__}")
+    raise ValueError(f"{name} needs a live-graph sample as a LiveSample")

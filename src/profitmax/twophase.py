@@ -32,7 +32,7 @@ from math import fsum, sqrt
 from .diffusion import (_check_seeds, _live_worlds, observe_until, sample_live_graphs,
                         PartialObservation)
 from .graph import NodeEconomics, SocialGraph, exclude_nodes, seed_cost
-from .profit import GainTable, ProfitEstimate, estimate_profit
+from .profit import ProfitEstimate, estimate_profit
 from .rng import RandomSource
 from .selection import SELECTORS, SNAPSHOT_SELECTORS, SelectionOutcome, select
 
@@ -117,12 +117,13 @@ _last_cell = None
 def cell_sample(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     """What every selection of the cell scores on: R live graphs of ``g``.
 
-    Drawn from the cell's ``snapshots`` stream.  Returns the ``LiveSample``
-    for double greedy, that sample's :class:`GainTable` for single greedy,
-    and None for a baseline cell, which draws nothing.  The module keeps one
-    cell's draw at a time: a call with the same ``g`` and ``econ`` objects and
-    an equal ``cfg`` returns it again, and any other call releases it before
-    drawing its own.
+    Drawn from the cell's ``snapshots`` stream as a ``LiveSample`` for a cell
+    whose algorithm is in ``SNAPSHOT_SELECTORS``; None for a baseline cell,
+    which draws nothing.  Single greedy's gain bounds are built on the
+    sample by the first selection that reads them, and go with it.  The
+    module keeps one cell's draw at a time: a call with the same ``g`` and
+    ``econ`` objects and an equal ``cfg`` returns it again, and any other
+    call releases it before drawing its own.
     """
     global _last_cell
     last = _last_cell
@@ -133,8 +134,6 @@ def cell_sample(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     if cfg.algorithm in SNAPSHOT_SELECTORS:
         drawn = sample_live_graphs(g, cfg.selection_replications,
                                    RandomSource(cfg.master_seed).stream("snapshots"))
-        if cfg.algorithm == "single_greedy":
-            drawn = GainTable(drawn, econ.benefit)
     _last_cell = (cfg, g, econ, drawn)
     return drawn
 

@@ -17,7 +17,6 @@ from profitmax.experiment import BatchConfig, run_batch
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
 from profitmax.loader import AttributeSpec, generate_attributes, load_snap_edge_list, preferential_attachment_graph
 from profitmax.profit import (
-    GainTable,
     estimate_profit,
     exact_benefit,
     exact_profit,
@@ -201,13 +200,12 @@ def test_criterion_3_objective_shape_witnesses():
     _report(3, "objective sign/monotonicity/modularity/additivity witnesses found", failures, elapsed)
 
 
-def _shared(name, g, econ, replications, source):
-    # what select takes for name: single greedy's gain table or double
-    # greedy's sample, from source's snapshots stream; None for a baseline
+def _shared(name, g, replications, source):
+    # what select takes for name: a greedy selector's sample, from source's
+    # snapshots stream; None for a baseline
     if name not in SNAPSHOT_SELECTORS:
         return None
-    sample = sample_live_graphs(g, replications, source.stream("snapshots"))
-    return GainTable(sample, econ.benefit) if name == "single_greedy" else sample
+    return sample_live_graphs(g, replications, source.stream("snapshots"))
 
 
 def test_criterion_4_selector_contracts():
@@ -229,16 +227,16 @@ def test_criterion_4_selector_contracts():
         source = RandomSource(trial)
         for name in SELECTORS:
             out = select(name, g, econ, budget, replications, source.child(name),
-                         _shared(name, g, econ, replications, source.child(name)))
+                         _shared(name, g, replications, source.child(name)))
             if out.spent > budget or out.spent != seed_cost(econ, out.seeds):
                 failures.append(f"trial {trial} {name}: budget violated")
-        table = _shared("single_greedy", g, econ, replications, source.child("single_greedy"))
-        sg_out = single_greedy(g, econ, budget, table)
-        # a table rebuilt from the same stream replays the outcome
-        table = _shared("single_greedy", g, econ, replications, source.child("single_greedy"))
-        if select("single_greedy", g, econ, budget, replications, None, table) != sg_out:
+        sample = _shared("single_greedy", g, replications, source.child("single_greedy"))
+        sg_out = single_greedy(g, econ, budget, sample)
+        # a sample redrawn from the same stream replays the outcome
+        sample = _shared("single_greedy", g, replications, source.child("single_greedy"))
+        if select("single_greedy", g, econ, budget, replications, None, sample) != sg_out:
             failures.append(f"trial {trial}: single-greedy trace does not replay")
-        dg_sample = _shared("double_greedy", g, econ, replications, source.child("double_greedy"))
+        dg_sample = _shared("double_greedy", g, replications, source.child("double_greedy"))
         dg_out = double_greedy(g, econ, budget, dg_sample)
         added = {e.node for e in dg_out.trace if e.decision == "accepted"}
         dropped = {e.node for e in dg_out.trace if e.decision in ("unaffordable", "rejected_gain")}

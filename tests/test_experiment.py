@@ -277,6 +277,15 @@ def test_cli_oracle_free_seeds_earn_nothing(tmp_path, capsys):
     assert "exact profit:  17.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", [["--phase2-budget", "-1"],
+                                 ["--phase2-budget", "6", "--observation-step", "-1"]])
+def test_cli_oracle_refuses_before_printing(capsys, bad):
+    assert main(["oracle", str(DATA / "mini_directed.txt"), "--seeds", "0", *bad]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be >= 0" in err
+
+
 def test_cli_oracle_missing_file(capsys):
     assert main(["oracle", "nope.txt", "--seeds", "0"]) == 1
     assert "error:" in capsys.readouterr().err

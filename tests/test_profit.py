@@ -12,9 +12,9 @@ from profitmax.profit import (
     exact_benefit,
     exact_profit,
     marginal_profit_gain,
-    GainTable,
     SnapshotCoverage,
     blocked_copies,
+    gain_bounds,
 )
 from profitmax.rng import RandomSource
 
@@ -285,22 +285,21 @@ def test_gain_table_bounds_coverage_on_views(seed, replications):
         views.append(view)
         if view.nodes:
             views.append(exclude_nodes(view, rnd.sample(view.nodes, rnd.randint(1, view.node_count))))
-    table = GainTable(sample, value)
+    bounds = gain_bounds(sample, value)
     # the sample is of the base graph, whatever the sampled view removes:
     # blocking a view's removed copies only takes reach away, and a view
     # that removes nothing loses none
     for view in views:
         gains = _coverage_gains(sample, value, blocked_copies(sample, view), view.nodes)
         if not view.removed:
-            assert gains == [table.node[u] for u in view.nodes]
+            assert gains == [bounds[u] for u in view.nodes]
         else:
-            assert all(table.node[u] >= gain for u, gain in zip(view.nodes, gains))
+            assert all(bounds[u] >= gain for u, gain in zip(view.nodes, gains))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(1, 6))
 def test_gain_table_without_removed_nodes_is_the_node_sums(seed, replications):
     _, _, value, sample = _gain_table_instance(seed, replications)
-    table = GainTable(sample, value)
     everyone = range(sample.node_count)
-    assert list(table.node) == _coverage_gains(sample, value, None, everyone)
+    assert list(gain_bounds(sample, value)) == _coverage_gains(sample, value, None, everyone)

@@ -10,7 +10,6 @@ from profitmax import selection
 from profitmax.diffusion import LiveSample, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
 from profitmax.profit import (
-    GainTable,
     SnapshotCoverage,
     blocked_copies,
     last_coverers,
@@ -40,14 +39,8 @@ def _sample(g, replications, source):
     return sample_live_graphs(g, replications, source.stream("snapshots"))
 
 
-def _table(g, econ, replications, source):
-    return GainTable(_sample(g, replications, source), econ.benefit)
-
-
-def _shared(name, g, econ, replications, source):
-    """What ``select`` takes for ``name``: a gain table, a sample, or None."""
-    if name == "single_greedy":
-        return _table(g, econ, replications, source)
+def _shared(name, g, replications, source):
+    """What ``select`` takes for ``name``: a sample for a greedy selector, else None."""
     return _sample(g, replications, source) if name in SNAPSHOT_SELECTORS else None
 
 
@@ -62,7 +55,7 @@ def isolated_nodes(costs, benefits):
 
 def test_single_greedy_no_budget():
     g, econ = isolated_nodes([3, 5], [10, 10])
-    out = single_greedy(g, econ, 0, _table(g, econ, REPLICATIONS, RandomSource(0)))
+    out = single_greedy(g, econ, 0, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == ()
     assert out.spent == 0 and out.remaining_budget == 0
     assert {e.decision for e in out.trace} == {"unaffordable"}
@@ -71,14 +64,14 @@ def test_single_greedy_no_budget():
 def test_single_greedy_prefers_best_ratio_within_budget():
     # exact ratios on isolated nodes: 7/3 for the cheap node vs 5/5
     g, econ = isolated_nodes([3, 5], [10, 10])
-    out = single_greedy(g, econ, 4, _table(g, econ, REPLICATIONS, RandomSource(0)))
+    out = single_greedy(g, econ, 4, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == (0,)
     assert out.spent == 3 and out.remaining_budget == 1
 
 
 def test_single_greedy_stops_on_nonpositive_gain():
     g, econ = isolated_nodes([50, 60], [5, 5])
-    out = single_greedy(g, econ, 1000, _table(g, econ, REPLICATIONS, RandomSource(0)))
+    out = single_greedy(g, econ, 1000, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == ()
     assert any(e.decision == "rejected_gain" for e in out.trace)
 
@@ -93,31 +86,31 @@ def _replays(name, g, econ, outcome, shared):
 def test_single_greedy_trace_replays():
     g, econ = isolated_nodes([3, 5, 4, 2], [10, 12, 4, 9])
     source = RandomSource(42)
-    out = single_greedy(g, econ, 9, _table(g, econ, REPLICATIONS, source))
-    assert _replays("single_greedy", g, econ, out, _table(g, econ, REPLICATIONS, source))
+    out = single_greedy(g, econ, 9, _sample(g, REPLICATIONS, source))
+    assert _replays("single_greedy", g, econ, out, _sample(g, REPLICATIONS, source))
 
 
 def test_single_greedy_replay_rejects_altered_outcomes():
     g = build_graph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)], directed=True)
     econ = NodeEconomics((4, 5, 6, 7), (12, 3, 14, 5))
     source = RandomSource(3)
-    table = _table(g, econ, REPLICATIONS, source)
-    out = single_greedy(g, econ, 12, table)
-    assert out.seeds and _replays("single_greedy", g, econ, out, table)
+    sample = _sample(g, REPLICATIONS, source)
+    out = single_greedy(g, econ, 12, sample)
+    assert out.seeds and _replays("single_greedy", g, econ, out, sample)
     trace = list(out.trace)
     k = next(i for i, e in enumerate(trace) if e.decision == "evaluated")
     trace[k] = trace[k]._replace(ratio=trace[k].ratio + 1e-9)
-    assert not _replays("single_greedy", g, econ, replace(out, trace=tuple(trace)), table)
+    assert not _replays("single_greedy", g, econ, replace(out, trace=tuple(trace)), sample)
     trace = list(out.trace)
     k = next(i for i, e in enumerate(trace) if e.decision == "accepted")
     other = next(u for u in g.nodes if u != trace[k].node)
     trace[k] = trace[k]._replace(node=other)
-    assert not _replays("single_greedy", g, econ, replace(out, trace=tuple(trace)), table)
+    assert not _replays("single_greedy", g, econ, replace(out, trace=tuple(trace)), sample)
 
 
 def test_single_greedy_ties_go_to_lowest_id():
     g, econ = isolated_nodes([2, 2, 2, 2], [5, 5, 5, 5])
-    out = single_greedy(g, econ, 4, _table(g, econ, REPLICATIONS, RandomSource(0)))
+    out = single_greedy(g, econ, 4, _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == (0, 1)
     assert [e.node for e in out.trace if e.decision == "accepted"] == [0, 1]
 
@@ -167,12 +160,12 @@ def test_lazy_single_greedy_matches_eager_loop(seed, replications):
     rnd = random.Random(seed)
     g, econ, budget = _small_instance(rnd)
     sample = _sample(g, replications, RandomSource(seed))
-    table = GainTable(sample, econ.benefit)
     # on the sampled graph, and on a view of it as phase two selects: the
-    # table's gains only bound the view's, whose removed copies are blocked
+    # sample's gain bounds only bound the view's gains, whose removed copies
+    # are blocked
     view = exclude_nodes(g, rnd.sample(g.nodes, rnd.randint(1, g.node_count)))
     for selected in (g, view):
-        out = single_greedy(selected, econ, budget, table)
+        out = single_greedy(selected, econ, budget, sample)
         accepted = [(e.node, e.ratio) for e in out.trace if e.decision == "accepted"]
         assert accepted == _eager_single_greedy(selected, econ, budget, sample)
         assert out.seeds == tuple(sorted(u for u, _ in accepted))
@@ -427,9 +420,9 @@ def test_shared_sample_blocks_removed_nodes(seed, replications):
     sample = _sample(sampled, replications, RandomSource(seed))
     restricted = _restricted(sample, selected.removed)
     budget = rnd.randint(0, 12)
-    shared = single_greedy(selected, econ, budget, GainTable(sample, econ.benefit))
-    alone = single_greedy(selected, econ, budget, GainTable(restricted, econ.benefit))
-    # round 0 starts from the table's bounds, which blocking only loosens:
+    shared = single_greedy(selected, econ, budget, sample)
+    alone = single_greedy(selected, econ, budget, restricted)
+    # round 0 starts from the sample's gain bounds, which blocking only loosens:
     # the evaluated entries differ, every decision does not
     assert (shared.seeds, shared.spent) == (alone.seeds, alone.spent)
     assert _decisions(shared) == _decisions(alone)
@@ -440,10 +433,10 @@ def test_shared_sample_blocks_removed_nodes(seed, replications):
 def test_shared_sample_must_fit_the_graph():
     g, econ = isolated_nodes([3, 5], [10, 10])
     # a sample of a graph with one more node than g's base graph
-    bigger, bigger_econ = isolated_nodes([3, 5, 4], [10, 10, 10])
+    bigger, _ = isolated_nodes([3, 5, 4], [10, 10, 10])
     sample = _sample(bigger, REPLICATIONS, RandomSource(0))
     with pytest.raises(ValueError, match="does not fit"):
-        single_greedy(g, econ, 5, GainTable(sample, bigger_econ.benefit))
+        single_greedy(g, econ, 5, sample)
     with pytest.raises(ValueError, match="does not fit"):
         double_greedy(g, econ, 5, sample)
     # select refuses a sample for a baseline, and a greedy name without one
@@ -453,22 +446,24 @@ def test_shared_sample_must_fit_the_graph():
     for name in ("single_greedy", "double_greedy"):
         with pytest.raises(ValueError, match="live-graph sample"):
             select(name, g, econ, 5, REPLICATIONS, RandomSource(0))
-    # and a greedy name handed the other greedy selector's object
+    # and a greedy name handed anything but a sample
     sample = _sample(g, REPLICATIONS, RandomSource(0))
-    for name, wrong, kind in (("single_greedy", sample, "GainTable"),
-                              ("double_greedy", GainTable(sample, econ.benefit), "LiveSample")):
-        with pytest.raises(ValueError, match=f"{name} needs a live-graph sample as a {kind}"):
-            select(name, g, econ, 5, REPLICATIONS, RandomSource(0), wrong)
+    for name in ("single_greedy", "double_greedy"):
+        with pytest.raises(ValueError, match=f"{name} needs a live-graph sample as a LiveSample"):
+            select(name, g, econ, 5, REPLICATIONS, RandomSource(0), sample.targets)
 
 
-def test_gain_table_serves_only_its_benefits():
-    g, econ = isolated_nodes([3, 5], [10, 10])
+def test_gain_bounds_follow_the_benefits():
+    # one sample, two sets of benefits: bounds built for the first and read
+    # for the second would rate node 0 first, then accept it on a gain of 4
+    g, econ = isolated_nodes([3, 3], [10, 4])
     sample = _sample(g, REPLICATIONS, RandomSource(0))
-    table = GainTable(sample, econ.benefit)
-    assert single_greedy(g, econ, 5, table).seeds == (0,)
-    other = NodeEconomics(econ.cost, (11, 10, 1, 1))
-    with pytest.raises(ValueError, match="other benefits"):
-        single_greedy(g, other, 5, table)
+    swapped = NodeEconomics(econ.cost, (4, 10, 1, 1))
+    assert single_greedy(g, econ, 3, sample).seeds == (0,)
+    assert single_greedy(g, swapped, 3, sample).seeds == (1,)
+    assert single_greedy(g, econ, 3, sample).seeds == (0,)
+    # the bounds kept on the sample are no part of its equality
+    assert sample == _sample(g, REPLICATIONS, RandomSource(0))
 
 
 def test_double_greedy_empty_universe():
@@ -707,7 +702,7 @@ def test_every_selector_emits_only_the_four_decisions(seed, replications):
     for name in SELECTORS:
         source = RandomSource(seed).child(name)
         out = select(name, g, econ, budget, replications, source,
-                     _shared(name, g, econ, replications, source), free)
+                     _shared(name, g, replications, source), free)
         # the free frontier is never examined, let alone selected
         assert free.isdisjoint(e.node for e in out.trace)
         assert {e.decision for e in out.trace} <= DECISIONS
@@ -723,13 +718,13 @@ def test_free_seeds_must_be_nodes_of_the_view():
         source = RandomSource(0).child(name)
         with pytest.raises(ValueError, match="unknown free seed id 2"):
             select(name, g, econ, 5, REPLICATIONS, source,
-                   _shared(name, g, econ, REPLICATIONS, source), frozenset({2}))
+                   _shared(name, g, REPLICATIONS, source), frozenset({2}))
 
 
 def test_select_dispatch_and_unknown_name():
     g, econ = isolated_nodes([3], [10])
     out = select("single_greedy", g, econ, 5, REPLICATIONS, RandomSource(0),
-                 _table(g, econ, REPLICATIONS, RandomSource(0)))
+                 _sample(g, REPLICATIONS, RandomSource(0)))
     assert out.seeds == (0,)
     with pytest.raises(ValueError):
         select("does_not_exist", g, econ, 5, REPLICATIONS, RandomSource(0))
@@ -738,7 +733,7 @@ def test_select_dispatch_and_unknown_name():
 def test_negative_budget_rejected():
     g, econ = isolated_nodes([3], [10])
     with pytest.raises(ValueError):
-        single_greedy(g, econ, -1, _table(g, econ, REPLICATIONS, RandomSource(0)))
+        single_greedy(g, econ, -1, _sample(g, REPLICATIONS, RandomSource(0)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -759,7 +754,7 @@ def test_all_selectors_respect_budget_and_uniqueness(seed, budget):
     fast = 12
     for name in SELECTORS:
         source = RandomSource(seed).child(name)
-        out = select(name, g, econ, budget, fast, source, _shared(name, g, econ, fast, source))
+        out = select(name, g, econ, budget, fast, source, _shared(name, g, fast, source))
         assert out.spent <= budget
         assert out.spent == seed_cost(econ, out.seeds)
         assert out.remaining_budget == budget - out.spent

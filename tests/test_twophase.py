@@ -1,12 +1,13 @@
 import gc
 import random
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from profitmax import selection, twophase
+from profitmax import diffusion, profit, selection, twophase
 from profitmax.diffusion import PartialObservation
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes
 from profitmax.loader import AttributeSpec, generate_attributes, preferential_attachment_graph
@@ -212,43 +213,60 @@ def _phase2_view(g, rec):
 def test_replay_accepts_shared_sample_phase2_outcome():
     c, g, econ = _repeating_cell("single_greedy")
     result = run_two_phase(c, g, econ)
-    table = cell_sample(c, g, econ)
+    shared = cell_sample(c, g, econ)
     assert any(rec.newly_active for rec in result.observations)
     for rec in result.observations:
         outcome = rec.phase2_selection
         budget = outcome.spent + outcome.remaining_budget
         view, free = _phase2_view(g, rec)
         assert select("single_greedy", view, econ, budget,
-                      c.selection_replications, None, table, free) == outcome
+                      c.selection_replications, None, shared, free) == outcome
+
+
+def _record_everywhere(monkeypatch, fn, results):
+    # rebind fn under every name a profitmax module holds it by, so each call
+    # is seen wherever it comes from; results keeps what each call returned
+    def recorded(*args):
+        out = fn(*args)
+        results.append(out)
+        return out
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "profitmax" or module_name.startswith("profitmax."):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, recorded)
 
 
 def _check_cell_draws(monkeypatch, algorithm):
-    # the selectors draw nothing and build no table; cell_sample does both,
-    # once for the cell: the single phase run reuses the two-phase run's draw
-    assert not hasattr(selection, "sample_live_graphs") and not hasattr(selection, "GainTable")
+    # a cell draws its sample once and builds single greedy's gain bounds on
+    # it once, over both runs: the single phase run reuses the two-phase run's
+    # draw and bounds, whoever draws or builds them
+    draws, bounds = [], []
+    _record_everywhere(monkeypatch, diffusion.sample_live_graphs, draws)
+    _record_everywhere(monkeypatch, profit.gain_bounds, bounds)
     counts = Counter()
-    for name in ("sample_live_graphs", "GainTable", "select"):
-        _count_calls(monkeypatch, counts, twophase, name)
+    _count_calls(monkeypatch, counts, twophase, "select")
     c, g, econ = _repeating_cell(algorithm)
     greedy = algorithm in selection.SNAPSHOT_SELECTORS
     result = run_two_phase(c, g, econ)
-    two_phase = Counter(counts)
-    counts.clear()
+    two_phase_selects = counts["profitmax.twophase.select"]
     single, _ = run_single_phase(c, g, econ)
-    assert two_phase["profitmax.twophase.sample_live_graphs"] == greedy
-    assert two_phase["profitmax.twophase.GainTable"] == (algorithm == "single_greedy")
-    assert counts["profitmax.twophase.sample_live_graphs"] == 0
-    assert counts["profitmax.twophase.GainTable"] == 0
+    assert len(draws) == greedy
+    # the same bounds array for every read of one build
+    assert len({id(b) for b in bounds}) == (algorithm == "single_greedy")
     monkeypatch.undo()
     shared = cell_sample(c, g, econ)
     if not greedy:
         assert shared is None
         # a baseline cell keeps no memo: it selects once per observation
-        assert two_phase["profitmax.twophase.select"] == 1 + c.phase1_observations
+        assert two_phase_selects == 1 + c.phase1_observations
         return
+    assert shared is draws[0]
     assert len({(r.already_active, r.newly_active) for r in result.observations}) > 1
+    assert any(r.newly_active for r in result.observations)
     # phase one, every phase-two record and the single phase replay on the
-    # cell's sample (or, for single greedy, its gain table)
+    # cell's sample
     selections = [(g, frozenset(), result.phase1), (g, frozenset(), single)] + [
         (*_phase2_view(g, r), r.phase2_selection) for r in result.observations]
     for view, free, outcome in selections:
@@ -287,21 +305,25 @@ def test_cell_sample_is_kept_for_the_same_cell_only(monkeypatch):
 
 @pytest.mark.parametrize("next_algorithm", ["double_greedy", "single_greedy", "high_degree"])
 def test_cell_sample_releases_the_last_cell_before_drawing(monkeypatch, next_algorithm):
-    # cell A's draw is gone once cell B asks, before B's own draw starts
-    c, g, econ = _repeating_cell("double_greedy")
-    gone = weakref.ref(cell_sample(c, g, econ))
+    # cell A's draw, and the gain bounds its selection built on it, are gone
+    # once cell B asks, before B's own draw starts
+    c, g, econ = _repeating_cell("single_greedy")
+    run_phase1(c, g, econ)
+    sample = cell_sample(c, g, econ)
+    gone = [weakref.ref(sample), weakref.ref(profit.gain_bounds(sample, econ.benefit))]
+    del sample
     alive_at_draw = []
     draw = twophase.sample_live_graphs
 
     def watched(*args):
         gc.collect()
-        alive_at_draw.append(gone() is not None)
+        alive_at_draw.append(any(ref() is not None for ref in gone))
         return draw(*args)
 
     monkeypatch.setattr(twophase, "sample_live_graphs", watched)
     cell_sample(replace(c, algorithm=next_algorithm, master_seed=12), g, econ)
     gc.collect()
-    assert gone() is None
+    assert all(ref() is None for ref in gone)
     assert not any(alive_at_draw)
     assert len(alive_at_draw) == (next_algorithm != "high_degree")
 

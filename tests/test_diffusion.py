@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -254,3 +255,132 @@ def test_trace_invariants(edges, seeds, seed):
         assert after.newly_active == after.already_active - before.already_active
         for v in after.newly_active:
             assert in_neighbors.get(v, set()) & before.newly_active
+
+
+def _stepwise_gain_samples(g, value, active0, replications, rnd):
+    # the estimator's loops as they were before each kept its own fixpoint
+    # loop: the reference they must match draw for draw.  The per-arc sampler
+    # runs a step-loop cascade per replication and sums what it reached; the
+    # geometric one walks every step, the first too, node by node
+    offsets, targets, probs, _ = g._engine()
+    scale = _geometric_scale(g)
+    template = g._blocked_template()
+    for s in active0:
+        template[s] = 1
+    samples = []
+    rand = rnd.random
+    if scale is None:
+        for _ in range(replications):
+            state = template[:]
+            frontier = active0
+            reached = []
+            for _ in range(g.base_node_count):
+                if not frontier:
+                    break
+                nxt = []
+                for u in frontier:
+                    for i in range(offsets[u], offsets[u + 1]):
+                        v = targets[i]
+                        if not state[v] and rand() < probs[i]:
+                            state[v] = 1
+                            nxt.append(v)
+                nxt.sort()
+                reached += nxt
+                frontier = nxt
+            samples.append(sum(map(value.__getitem__, reached)))
+        return samples
+    for _ in range(replications):
+        state = template[:]
+        frontier = active0
+        gain = 0
+        while frontier:
+            nxt = []
+            need = int(math.log(1.0 - rand()) * scale)
+            for u in frontier:
+                i = offsets[u] + need
+                end = offsets[u + 1]
+                while i < end:
+                    v = targets[i]
+                    if not state[v]:
+                        state[v] = 1
+                        nxt.append(v)
+                        gain += value[v]
+                    i += 1 + int(math.log(1.0 - rand()) * scale)
+                need = i - end
+            nxt.sort()
+            frontier = nxt
+        samples.append(gain)
+    return samples
+
+
+def _per_copy_live_graphs(g, R, rnd):
+    # the live-graph sampler as it was before its per-arc branch pre-scaled
+    # targets and counted in a local: one counter per flat id throughout
+    offsets, targets, probs, _ = g._engine()
+    scale = _geometric_scale(g)
+    n = g.base_node_count
+    counts = [0] * (n * R)
+    kept = []
+    rand = rnd.random
+    if scale is not None:
+        i = int(math.log(1.0 - rand()) * scale)
+        for u in range(n):
+            lo = offsets[u]
+            d = offsets[u + 1] - lo
+            span = d * R
+            while i < span:
+                r, k = divmod(i, d)
+                counts[u * R + r] += 1
+                kept.append(targets[lo + k] * R + r)
+                i += 1 + int(math.log(1.0 - rand()) * scale)
+            i -= span
+    else:
+        for u in range(n):
+            arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])]
+            for r in range(R):
+                x = u * R + r
+                for v, p in arcs:
+                    if rand() < p:
+                        counts[x] += 1
+                        kept.append(v * R + r)
+    return list(itertools.accumulate(counts, initial=0)), kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31), st.sampled_from(["geometric", "uniform-high", "mixed"]),
+       st.sampled_from(["empty", "some", "all"]))
+def test_samplers_draw_as_the_step_loop(seed, probs, initial):
+    # the same draws in the same order and number: equal samples, and the
+    # stream's next draw equal after the call
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 9)
+    p = {"geometric": lambda: 0.2, "uniform-high": lambda: 0.6,
+         "mixed": lambda: rnd.choice([0.3, 0.6, 1.0])}[probs]
+    edges = [(u, v, p()) for u in range(n) for v in range(n)
+             if u != v and rnd.random() < 0.5]
+    g = build_graph(edges or [(0, n - 1, p())], directed=rnd.random() < 0.5)
+    for _ in range(rnd.choice([0, 1, 2])):
+        if g.node_count > 1:
+            g = exclude_nodes(g, rnd.sample(g.nodes, rnd.randint(1, g.node_count - 1)))
+    assert (_geometric_scale(g) is not None) == (probs == "geometric")
+    if initial == "all":
+        seeds, free = g.nodes, []
+    elif initial == "some":
+        seeds = rnd.sample(g.nodes, rnd.randint(1, g.node_count))
+        # a free frontier joins the priced seeds in the initial active set
+        free = rnd.sample(g.nodes, rnd.randint(0, g.node_count))
+    else:
+        seeds, free = [], []
+    active0 = sorted(set(seeds) | set(free))
+    value = [rnd.randint(1, 1000) for _ in range(g.base_node_count)]
+    R = rnd.randint(1, 30)
+
+    def after(call):
+        rng = RandomSource(seed).stream("draws")
+        return call(rng), rng.random()
+
+    assert (after(lambda rng: _gain_samples(g, value, active0, R, rng))
+            == after(lambda rng: _stepwise_gain_samples(g, value, active0, R, rng)))
+    sample, next_draw = after(lambda rng: sample_live_graphs(g, R, rng))
+    assert ((list(sample.offsets), list(sample.targets)), next_draw) == after(
+        lambda rng: _per_copy_live_graphs(g, R, rng))

@@ -1,11 +1,10 @@
 """Independent cascade simulation and the exhaustive live-graph oracle.
 
-Two routes to the same distribution live here.  The step-wise cascade
-samples each arc out of a newly active node toward a still-inactive target
-exactly once: :func:`observe_until` watches it for a given number of steps,
-and the Monte Carlo estimator runs it to the fixpoint in its own loop, which
-draws as the observation's loop does (a test holds the two to the same
-draws).  The enumeration core expands all 2^m arc subsets with their
+Two routes to the same distribution live here.  One step loop runs the
+step-wise cascade, sampling each arc out of a newly active node toward a
+still-inactive target exactly once: :func:`observe_until` runs it for a given
+number of steps, and the Monte Carlo estimator's per-arc sampler to the
+fixpoint.  The enumeration core expands all 2^m arc subsets with their
 generation probabilities, and diffusion outcome on a live graph is plain reachability;
 the exact oracles in :mod:`profitmax.profit` and :mod:`profitmax.twophase`
 sum over it.  Tests hold the two routes against each other, so keep them
@@ -179,23 +178,16 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd):
     ``active0`` is the sorted initial active set (already validated); ``value``
     is a dense per-node payoff table, and nodes of ``active0`` earn nothing.
     Returns a list of ``replications`` gains, each a plain sum of ``value``
-    entries added in activation order (an ``int`` for integer values).
+    entries (an ``int`` for integer values).
 
-    The per-arc sampler keeps its own fixpoint loop over per-node
-    ``(target, p)`` rows, adding ``value[v]`` as it activates ``v``.  The
-    shared :func:`_cascade`, a call per replication with arcs read by index
-    and a second pass summing the reached nodes, took about 1.5x as long at
-    R=300 on a weighted-cascade ``pa:200:3:7``.  This loop draws as
-    :func:`observe_until` does, and
-    ``test_fixpoint_cascade_matches_a_full_observation`` holds the two loops
-    to the same draws.  The first step always fires all of ``active0``, so
-    the geometric sampler walks it as one list of their arc targets in firing
-    order: a replication whose first gap overshoots that list costs one draw
-    and no state copy.
+    The first step always fires all of ``active0``, so the geometric sampler
+    walks it as one list of their arc targets in firing order, built once per
+    call: a replication whose first gap overshoots that list costs one draw
+    and no state copy.  Later steps fire a different frontier each time and
+    carry the gap from node to node instead, since copying a frontier's arcs
+    into one list costs more than the few draws that land in it.
     """
-    if not active0:
-        return [0] * replications
-    offsets, targets, probs, _ = g._engine()
+    offsets, targets, _, _ = g._engine()
     scale = _geometric_scale(g)
     template = g._blocked_template()
     for s in active0:
@@ -205,24 +197,15 @@ def _gain_samples(g: SocialGraph, value, active0, replications, rnd):
     rand = rnd.random
 
     if scale is None:
-        rows = [list(zip(targets[offsets[u]:offsets[u + 1]], probs[offsets[u]:offsets[u + 1]]))
-                for u in range(g.base_node_count)]
+        # a cascade that still spreads activates a node per step, so this many
+        # steps reach the fixpoint
+        steps = g.base_node_count
         for _ in range(replications):
-            state = template[:]
-            frontier = active0
-            gain = 0
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v, p in rows[u]:
-                        if not state[v] and rand() < p:
-                            state[v] = 1
-                            nxt.append(v)
-                            gain += value[v]
-                nxt.sort()
-                frontier = nxt
-            append(gain)
+            reached, _ = _cascade(g, template[:], active0, steps, rand)
+            append(sum(map(value.__getitem__, reached)))
         return samples
+    if not active0:
+        return [0] * replications
     first = [v for u in active0 for v in targets[offsets[u]:offsets[u + 1]]]
     width = len(first)
     for _ in range(replications):
@@ -315,14 +298,11 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
             i -= span
     else:
         for u in range(n):
-            lo, hi = offsets[u], offsets[u + 1]
-            arcs = list(zip([v * R for v in targets[lo:hi]], probs[lo:hi]))
-            x = u * R
+            arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])]
             for r in range(R):
-                kept_here = 0
-                for y, p in arcs:
+                x = u * R + r
+                for v, p in arcs:
                     if rand() < p:
-                        kept_here += 1
-                        append(y + r)
-                counts[x + r] = kept_here
+                        counts[x] += 1
+                        append(v * R + r)
     return LiveSample(n, R, array("q", accumulate(counts, initial=0)), kept)

@@ -258,10 +258,9 @@ def test_trace_invariants(edges, seeds, seed):
 
 
 def _stepwise_gain_samples(g, value, active0, replications, rnd):
-    # the estimator's loops as they were before each kept its own fixpoint
-    # loop: the reference they must match draw for draw.  The per-arc sampler
-    # runs a step-loop cascade per replication and sums what it reached; the
-    # geometric one walks every step, the first too, node by node
+    # the reference the estimator must match draw for draw: the per-arc
+    # sampler runs a step-loop cascade per replication and sums what it
+    # reached; the geometric one walks every step, the first too, node by node
     offsets, targets, probs, _ = g._engine()
     scale = _geometric_scale(g)
     template = g._blocked_template()
@@ -314,8 +313,8 @@ def _stepwise_gain_samples(g, value, active0, replications, rnd):
 
 
 def _per_copy_live_graphs(g, R, rnd):
-    # the live-graph sampler as it was before its per-arc branch pre-scaled
-    # targets and counted in a local: one counter per flat id throughout
+    # the reference the live-graph sampler must match draw for draw: one
+    # counter per flat id, arcs visited node-major, snapshot, adjacency order
     offsets, targets, probs, _ = g._engine()
     scale = _geometric_scale(g)
     n = g.base_node_count

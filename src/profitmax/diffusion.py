@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import repeat
 from math import log
 
 from .graph import SocialGraph
@@ -39,6 +39,8 @@ __all__ = [
 GEOMETRIC_P_CUTOFF = 0.25
 # the exact oracles expand 2^m live graphs: an oracle's budget, not a run's
 ENUMERATION_LIMIT = 20
+# the largest value a live-graph sample's 4-byte array("i") entries can hold
+SAMPLE_INT_MAX = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -253,8 +255,11 @@ class LiveSample:
     ``targets[offsets[x]:offsets[x + 1]]``, themselves flat ids of the same
     snapshot; the kept arcs of ``u`` in every snapshot are therefore the single
     range ``offsets[u * replications]:offsets[(u + 1) * replications]``.
-    ``bounds`` keeps :func:`profitmax.profit.gain_bounds`' last build with the
-    draw, as a ``[benefits, gains]`` pair outside the sample's equality.
+    Both arrays hold 4-byte ints (``array("i")``), so :func:`sample_live_graphs`
+    refuses a graph whose node or arc count times ``replications`` exceeds
+    ``SAMPLE_INT_MAX``.  ``bounds`` keeps :func:`profitmax.profit.gain_bounds`'
+    last build with the draw, as a ``[benefits, gains]`` pair outside the
+    sample's equality.
     """
 
     node_count: int
@@ -271,20 +276,27 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
     restricts that to the view.  Arcs are visited node-major: each node, each
     snapshot, each out-arc in adjacency order.  At a uniform probability
     below ``GEOMETRIC_P_CUTOFF`` the draws jump between kept positions of
-    that sequence; otherwise each arc is drawn once.
+    that sequence; otherwise each arc is drawn once.  A graph too large for
+    the sample's 4-byte arrays is refused before anything is drawn.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     offsets, targets, probs, _ = g._engine()
-    scale = _geometric_scale(g)
     n, R = g.base_node_count, replications
-    # kept arcs arrive in flat-id order: counting them per flat id gives offsets
-    counts = [0] * (n * R)
-    kept = array("q")
+    if max(n, len(targets)) * R > SAMPLE_INT_MAX:
+        raise ValueError(
+            f"{R} live graphs of {n} nodes and {len(targets)} arcs need flat ids "
+            f"or arc counts above {SAMPLE_INT_MAX}"
+        )
+    scale = _geometric_scale(g)
+    # kept arcs arrive in flat-id order: starts[x] is the number kept before x
+    starts = array("i")
+    kept = array("i")
     append = kept.append
     rand = rnd.random
 
     if scale is not None:
+        filled = 0
         i = int(log(1.0 - rand()) * scale)
         for u in range(n):
             lo = offsets[u]
@@ -292,17 +304,22 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
             span = d * R
             while i < span:
                 r, k = divmod(i, d)
-                counts[u * R + r] += 1
+                x = u * R + r
+                if x >= filled:
+                    # x's first kept arc: every flat id since the last one starts here
+                    starts.extend(repeat(len(kept), x + 1 - filled))
+                    filled = x + 1
                 append(targets[lo + k] * R + r)
                 i += 1 + int(log(1.0 - rand()) * scale)
             i -= span
     else:
+        start = starts.append
         for u in range(n):
             arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])]
             for r in range(R):
-                x = u * R + r
+                start(len(kept))
                 for v, p in arcs:
                     if rand() < p:
-                        counts[x] += 1
                         append(v * R + r)
-    return LiveSample(n, R, array("q", accumulate(counts, initial=0)), kept)
+    starts.extend(repeat(len(kept), n * R + 1 - len(starts)))
+    return LiveSample(n, R, starts, kept)

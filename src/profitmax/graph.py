@@ -161,6 +161,7 @@ class NodeEconomics:
 def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) -> SocialGraph:
     """Build a :class:`SocialGraph` from (source, target, probability) triples.
 
+    ``edges`` may be any iterable, a generator included; it is read once.
     Probabilities must lie in (0, 1]; self-loops are rejected.  Duplicate
     (source, target) pairs are collapsed keeping the first occurrence, with
     the collapse count recorded on the graph.  For undirected graphs a pair
@@ -198,7 +199,8 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
     targets = []
     probs = []
     for u in range(n):
-        row = rows.get(u)
+        # each row is freed as it is written, so the rows and arrays never both peak
+        row = rows.pop(u, None)
         if row:
             out = sorted(row)
             targets += out

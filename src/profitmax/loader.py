@@ -94,27 +94,38 @@ def preferential_attachment_graph(node_count: int, attach: int, seed: int,
     """Undirected preferential-attachment graph, deterministic for a seed.
 
     Starts from a complete core of ``attach`` + 1 nodes; each later node links
-    to ``attach`` distinct earlier nodes drawn proportionally to degree.
+    to ``attach`` distinct earlier nodes drawn proportionally to degree.  The
+    edges stream into :func:`build_graph` as they are drawn, never held as one
+    list.  Each draw of a stub index below ``m`` takes ``getrandbits(k)`` with
+    ``k = m.bit_length()`` until a value falls below ``m``, the rule
+    ``randrange(m)`` follows, so a seed gives the same edges in the same order.
     """
     if attach < 1:
         raise ValueError("attach must be >= 1")
     core = attach + 1
     if node_count < core:
         raise ValueError(f"need at least {core} nodes for attach={attach}")
-    rnd = RandomSource(seed).stream("preferential-attachment")
-    edges = []
-    stubs = []
-    for u in range(core):
-        for v in range(u):
-            edges.append((u, v, probability))
-            stubs += [u, v]
-    for u in range(core, node_count):
-        chosen = set()
-        while len(chosen) < attach:
-            v = stubs[rnd.randrange(len(stubs))]
-            if v != u:
-                chosen.add(v)
-        for v in sorted(chosen):
-            edges.append((u, v, probability))
-            stubs += [u, v]
-    return build_graph(edges, directed=False)
+    getrandbits = RandomSource(seed).stream("preferential-attachment").getrandbits
+
+    def edges():
+        stubs = []
+        for u in range(core):
+            for v in range(u):
+                yield u, v, probability
+                stubs += [u, v]
+        for u in range(core, node_count):
+            m = len(stubs)
+            k = m.bit_length()
+            chosen = set()
+            while len(chosen) < attach:
+                i = getrandbits(k)
+                while i >= m:
+                    i = getrandbits(k)
+                v = stubs[i]
+                if v != u:
+                    chosen.add(v)
+            for v in sorted(chosen):
+                yield u, v, probability
+                stubs += [u, v]
+
+    return build_graph(edges(), directed=False)

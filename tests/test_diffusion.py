@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from profitmax.diffusion import (
     ENUMERATION_LIMIT,
     GEOMETRIC_P_CUTOFF,
+    SAMPLE_INT_MAX,
     _ArcIndex,
     _gain_samples,
     _geometric_scale,
@@ -199,13 +201,48 @@ def test_a_view_samples_its_base_graph(probs, geometric, directed):
     nested = exclude_nodes(view, {0})
     R = 30
     drawn = sample_live_graphs(base, R, RandomSource(3).stream("snapshots"))
+    assert drawn.offsets.typecode == drawn.targets.typecode == "i"
+    assert (drawn.offsets, drawn.targets) == _per_copy_live_graphs(
+        base, R, RandomSource(3).stream("snapshots"))
     # the removed nodes keep arcs in the base graph's sample
     heads = {y // R for y in drawn.targets}
     tails = {x // R for x in range(6 * R) if drawn.offsets[x] < drawn.offsets[x + 1]}
     assert {0, 1, 4} <= heads | tails
     for g in (view, nested):
         sample = sample_live_graphs(g, R, RandomSource(3).stream("snapshots"))
+        assert sample.offsets.typecode == sample.targets.typecode == "i"
         assert sample.offsets == drawn.offsets and sample.targets == drawn.targets
+
+
+class _FirstDraw(Exception):
+    pass
+
+
+class _StopAtFirstDraw:
+    # a stream that ends the sampler at its first draw; with arcs out of node
+    # 0 that comes before either array holds more than one entry
+    def random(self):
+        raise _FirstDraw
+
+
+@pytest.mark.parametrize("probs", [(0.1,), (0.6,), (0.3, 0.6)],
+                         ids=["geometric", "uniform-high", "mixed"])
+def test_sample_too_large_for_four_bytes_refused_before_drawing(probs):
+    # a complete directed graph on 3 nodes has 6 arcs: at the first count
+    # only its arcs overflow, at the second its nodes too
+    edges = [(u, v, probs[(u + v) % len(probs)]) for u in range(3) for v in range(3) if u != v]
+    g = build_graph(edges, directed=True)
+    view = exclude_nodes(g, {1})
+    for h in (g, view):
+        for R in (SAMPLE_INT_MAX // 6 + 1, SAMPLE_INT_MAX // 3 + 1):
+            rnd = RandomSource(3).stream("snapshots")
+            before = rnd.getstate()
+            with pytest.raises(ValueError, match=f"above {SAMPLE_INT_MAX}$"):
+                sample_live_graphs(h, R, rnd)
+            assert rnd.getstate() == before
+        # the largest count that fits is let through to its first draw
+        with pytest.raises(_FirstDraw):
+            sample_live_graphs(h, SAMPLE_INT_MAX // 6, _StopAtFirstDraw())
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,12 +351,13 @@ def _stepwise_gain_samples(g, value, active0, replications, rnd):
 
 def _per_copy_live_graphs(g, R, rnd):
     # the reference the live-graph sampler must match draw for draw: one
-    # counter per flat id, arcs visited node-major, snapshot, adjacency order
+    # counter per flat id, arcs visited node-major, snapshot, adjacency order,
+    # kept in 8-byte arrays
     offsets, targets, probs, _ = g._engine()
     scale = _geometric_scale(g)
     n = g.base_node_count
     counts = [0] * (n * R)
-    kept = []
+    kept = array("q")
     rand = rnd.random
     if scale is not None:
         i = int(math.log(1.0 - rand()) * scale)
@@ -342,7 +380,7 @@ def _per_copy_live_graphs(g, R, rnd):
                     if rand() < p:
                         counts[x] += 1
                         kept.append(v * R + r)
-    return list(itertools.accumulate(counts, initial=0)), kept
+    return array("q", itertools.accumulate(counts, initial=0)), kept
 
 
 @settings(max_examples=150, deadline=None)
@@ -381,5 +419,6 @@ def test_samplers_draw_as_the_step_loop(seed, probs, initial):
     assert (after(lambda rng: _gain_samples(g, value, active0, R, rng))
             == after(lambda rng: _stepwise_gain_samples(g, value, active0, R, rng)))
     sample, next_draw = after(lambda rng: sample_live_graphs(g, R, rng))
-    assert ((list(sample.offsets), list(sample.targets)), next_draw) == after(
+    assert sample.offsets.typecode == sample.targets.typecode == "i"
+    assert ((sample.offsets, sample.targets), next_draw) == after(
         lambda rng: _per_copy_live_graphs(g, R, rng))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,19 @@ def test_probability_out_of_range_rejected(p):
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         build_graph([(2, 2, 0.5)], directed=True)
+
+
+@pytest.mark.parametrize("bad", [(2, 2, 0.5), (3, -1, 0.5), (1, 3, 1.5)],
+                         ids=["self-loop", "negative-id", "probability"])
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+def test_streamed_bad_edge_raises_as_the_list_does(bad, directed):
+    # the edge is read after good ones have filled rows: a generator is
+    # checked while it streams, and fails with the list's message
+    edges = [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5), bad, (0, 3, 0.5)]
+    with pytest.raises(ValueError) as from_list:
+        build_graph(edges, directed)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(from_list.value))}$"):
+        build_graph((e for e in edges), directed)
 
 
 def test_duplicates_collapse_keeping_first():
@@ -273,9 +287,11 @@ def messy_edge_lists(draw):
 
 @given(messy_edge_lists(), st.booleans())
 def test_build_matches_key_set_reference(edges, directed):
-    g = build_graph(edges, directed)
-    assert (g._offsets, g._targets, g._probs, g._uniform_p, g.duplicates_collapsed,
-            g.base_node_count) == _build_by_key_set(edges, directed)
+    # a list and a one-shot iterator over it build the same graph
+    for given_edges in (edges, iter(edges)):
+        g = build_graph(given_edges, directed)
+        assert (g._offsets, g._targets, g._probs, g._uniform_p, g.duplicates_collapsed,
+                g.base_node_count) == _build_by_key_set(edges, directed)
 
 
 def _among_by_intersection(g):

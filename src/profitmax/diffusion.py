@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate
 from math import log
 
 from .graph import SocialGraph
@@ -289,37 +289,37 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
             f"or arc counts above {SAMPLE_INT_MAX}"
         )
     scale = _geometric_scale(g)
-    # kept arcs arrive in flat-id order: starts[x] is the number kept before x
-    starts = array("i")
+    # kept arcs arrive in flat-id order, so the sample's offsets are the
+    # running count of kept arcs at the end of each flat id
+    ends = array("i", [0])
     kept = array("i")
     append = kept.append
     rand = rnd.random
 
     if scale is not None:
-        filled = 0
         i = int(log(1.0 - rand()) * scale)
         for u in range(n):
             lo = offsets[u]
             d = offsets[u + 1] - lo
             span = d * R
+            # u's kept arcs per snapshot on top of all kept before u: the
+            # running sums are where u's copies end
+            counts = [0] * R
+            counts[0] = len(kept)
             while i < span:
                 r, k = divmod(i, d)
-                x = u * R + r
-                if x >= filled:
-                    # x's first kept arc: every flat id since the last one starts here
-                    starts.extend(repeat(len(kept), x + 1 - filled))
-                    filled = x + 1
+                counts[r] += 1
                 append(targets[lo + k] * R + r)
                 i += 1 + int(log(1.0 - rand()) * scale)
             i -= span
+            ends.fromlist(list(accumulate(counts)))
     else:
-        start = starts.append
+        end = ends.append
         for u in range(n):
             arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])]
             for r in range(R):
-                start(len(kept))
                 for v, p in arcs:
                     if rand() < p:
                         append(v * R + r)
-    starts.extend(repeat(len(kept), n * R + 1 - len(starts)))
-    return LiveSample(n, R, starts, kept)
+                end(len(kept))
+    return LiveSample(n, R, ends, kept)

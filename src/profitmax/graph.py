@@ -34,7 +34,10 @@ class SocialGraph:
     list until the first clustering query fills it.  A restricted view is the
     same class with a non-empty ``removed`` set; it exposes only surviving
     nodes and arcs while sharing the base arrays, their ``uniform_p`` and
-    their ``among`` list.
+    their ``among`` list.  The base keeps three flat lists (``offsets`` of
+    n + 1 row starts, ``targets`` and ``probs`` with one entry per arc, each
+    row sorted by target) and the ``among`` counts: no per-node row dict or
+    neighbour set outlives :func:`build_graph` or the first pair count.
     """
 
     __slots__ = (
@@ -110,7 +113,7 @@ class SocialGraph:
     def arc_count(self) -> int:
         if not self.removed:
             return len(self._targets)
-        return len(self.arc_list())
+        return sum(degrees(self).values())
 
     def _require(self, u, what="node"):
         if not self.has_node(u):
@@ -168,9 +171,17 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
     and its reverse are the same edge, and each surviving edge is stored as
     two directed arcs.  ``original_ids`` and ``self_loops_dropped`` record
     what a loader did to its input before building; they are kept as given.
+
+    While every edge shares the first edge's probability, each node's row is
+    a plain list of targets, duplicates included; it is written out as its
+    sorted distinct targets, and the probabilities as one repeated value.  At
+    the first edge of another probability the rows become target ->
+    probability dicts, and a repeated pair is caught as it arrives.
     """
     rows = {}
-    duplicates = 0
+    duplicates = surplus = 0
+    first = None
+    uniform = True
     for u, v, p in edges:
         if u < 0 or v < 0:
             raise ValueError(f"node ids must be non-negative, got ({u}, {v})")
@@ -178,6 +189,26 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
             raise ValueError(f"self-loop on node {u} is not allowed")
         if not 0.0 < p <= 1.0:
             raise ValueError(f"arc probability must be in (0, 1], got {p}")
+        if uniform:
+            if first is None:
+                first = p
+            if p == first:
+                row = rows.get(u)
+                if row is None:
+                    rows[u] = [v]
+                else:
+                    row.append(v)
+                if not directed:
+                    back = rows.get(v)
+                    if back is None:
+                        rows[v] = [u]
+                    else:
+                        back.append(u)
+                continue
+            uniform = False
+            for w, listed in rows.items():
+                rows[w] = row = dict.fromkeys(listed, first)
+                surplus += len(listed) - len(row)
         row = rows.get(u)
         if row is None:
             row = rows[u] = {}
@@ -202,10 +233,18 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
         # each row is freed as it is written, so the rows and arrays never both peak
         row = rows.pop(u, None)
         if row:
-            out = sorted(row)
+            if uniform:
+                out = sorted(set(row))
+                surplus += len(row) - len(out)
+            else:
+                out = sorted(row)
+                probs += map(row.__getitem__, out)
             targets += out
-            probs += map(row.__getitem__, out)
         offsets[u + 1] = len(targets)
+    # a duplicate left in the target lists sits in both rows of an undirected edge
+    duplicates += surplus if directed else surplus // 2
+    if uniform:
+        probs = [first] * len(targets)
     first = probs[0] if probs else None
     uniform_p = first if probs.count(first) == len(probs) else None
     return SocialGraph(n, directed, offsets, targets, probs, uniform_p, [],
@@ -290,47 +329,64 @@ def degrees(g: SocialGraph) -> dict:
 def _base_among(g: SocialGraph) -> list:
     # ordered neighbour pairs joined by an arc, per node of the base graph.
     # Such a pair and its node form a triangle of the symmetrised graph, so
-    # each triangle is listed once: nodes are ranked by (undirected degree, id),
-    # each edge is kept from its lower-ranked end only, and an edge (a, b)
-    # closes a triangle with each c that both keep.  A corner x with arcs to
+    # each triangle is listed once: nodes are ranked by (undirected degree,
+    # id), and each node keeps only its higher-ranked neighbours, as the set
+    # it has arcs to and the set it has arcs from (one set on an undirected
+    # graph).  Every arc among a triangle's corners sits at its lower-ranked
+    # end, so those sets answer all six arc tests.  A corner x with arcs to
     # its other corners y and z gains [y->z] + [z->y]; on an undirected graph
     # that is 2 at every corner.  Counted on first use and published whole
     # into the list the base shares with its views, so an interrupted count
     # leaves it empty, not truncated.
     among = g._among
     if not among:
-        n, offsets, targets = g.base_node_count, g._offsets, g._targets
-        outs = [set(targets[offsets[u]:offsets[u + 1]]) for u in range(n)]
-        if g.directed:
-            nbrs = [set(out) for out in outs]
-            for u, out in enumerate(outs):
-                for v in out:
-                    nbrs[v].add(u)
+        n, offsets, targets, directed = g.base_node_count, g._offsets, g._targets, g.directed
+        if directed:
+            # a reverse adjacency, built once, gives the symmetrised degree
+            # and the arcs each node has from higher-ranked ones
+            sources = [[] for _ in range(n)]
+            for u in range(n):
+                for v in targets[offsets[u]:offsets[u + 1]]:
+                    sources[v].append(u)
+            size = [len(set(sources[u]).union(targets[offsets[u]:offsets[u + 1]]))
+                    for u in range(n)]
         else:
-            nbrs = outs
+            size = [offsets[u + 1] - offsets[u] for u in range(n)]
         rank = [0] * n
-        for i, u in enumerate(sorted(range(n), key=lambda u: len(nbrs[u]))):
+        for i, u in enumerate(sorted(range(n), key=size.__getitem__)):
             rank[u] = i
-        fwd = []
+        # per node, the higher-ranked neighbours it has an arc to, and those
+        # it has an arc from
+        up, down = [], []
         for u in range(n):
             r = rank[u]
-            fwd.append({v for v in nbrs[u] if rank[v] > r})
+            up.append({v for v in targets[offsets[u]:offsets[u + 1]] if rank[v] > r})
+            if directed:
+                down.append({v for v in sources[u] if rank[v] > r})
+                sources[u] = None  # each reverse row is freed once read
+        if not directed:
+            down = up
         counts = [0] * n
         for a in range(n):
-            fwd_a, out_a = fwd[a], outs[a]
+            to_a, from_a = up[a], down[a]
+            fwd_a = to_a | from_a if directed else to_a
             for b in fwd_a:
-                fwd_b = fwd[b]
-                if fwd_a.isdisjoint(fwd_b):
+                to_b, from_b = up[b], down[b]
+                common = fwd_a & to_b
+                if directed and not fwd_a.isdisjoint(from_b):
+                    common |= fwd_a & from_b
+                if not common:
                     continue
-                out_b = outs[b]
-                for c in fwd_a & fwd_b:
-                    out_c = outs[c]
-                    if b in out_a and c in out_a:
-                        counts[a] += (c in out_b) + (b in out_c)
-                    if a in out_b and c in out_b:
-                        counts[b] += (c in out_a) + (a in out_c)
-                    if a in out_c and b in out_c:
-                        counts[c] += (b in out_a) + (a in out_b)
+                ab, ba = b in to_a, b in from_a
+                for c in common:
+                    ac, ca = c in to_a, c in from_a
+                    bc, cb = c in to_b, c in from_b
+                    if ab and ac:
+                        counts[a] += bc + cb
+                    if ba and bc:
+                        counts[b] += ac + ca
+                    if ca and cb:
+                        counts[c] += ab + ba
         among.extend(counts)
     return among
 
@@ -350,10 +406,11 @@ def clustering_coefficients(g: SocialGraph) -> dict:
 
     The base graph's pair counts are made once and shared with its views.
     They come from listing each triangle once, over the arcs that run from
-    lower to higher (undirected degree, id) rank, in one path for directed
-    graphs (through their symmetrised neighbour sets) and undirected ones.  A
-    view corrects only the nodes with an arc into its removed set, found
-    among the removed nodes' in-neighbours: of the pairs joined by an arc,
+    lower to higher (undirected degree, id) rank, with each node holding only
+    its higher-ranked neighbours: those it has an arc to and those it has an
+    arc from, one set on an undirected graph.  A view corrects only the nodes
+    with an arc into its removed set, found among the removed nodes'
+    in-neighbours: of the pairs joined by an arc,
     those with a removed end leave the count.  That is the arcs out of the
     removed neighbours plus those into them, less those among them, which
     both terms counted.  Each removed node's out- and in-neighbours become a

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,13 +153,17 @@ edge_lists = st.lists(
 ).map(lambda es: [(u, v, p) for u, v, p in es if u != v])
 
 
-@given(edge_lists, st.booleans())
-def test_arc_count_matches_directedness(edges, directed):
+@given(edge_lists, st.booleans(), st.sets(st.integers(0, 7)), st.sets(st.integers(0, 7)))
+def test_arc_count_matches_directedness(edges, directed, removed, more):
     g = build_graph(edges, directed)
     seen = set()
     for u, v, p in edges:
         seen.add((u, v) if directed else (min(u, v), max(u, v)))
     assert g.arc_count == (1 if directed else 2) * len(seen)
+    view = exclude_nodes(g, removed & set(g.nodes))
+    nested = exclude_nodes(view, more & set(view.nodes))
+    for h in (g, view, nested):
+        assert h.arc_count == len(h.arc_list())
 
 
 @given(edge_lists, st.sets(st.integers(0, 7)), st.sets(st.integers(0, 7)))
@@ -270,21 +275,32 @@ def _build_by_key_set(edges, directed):
 
 @st.composite
 def messy_edge_lists(draw):
-    # ids with gaps, pairs repeated as drawn or reversed, mixed probabilities,
-    # and a largest id that only ever appears as a target
+    # ids with gaps, pairs repeated as drawn or reversed, and largest ids
+    # that only ever appear as targets.  Every edge before a drawn position
+    # shares one probability and those after it mix; repeats, reversals and
+    # target-only ids fall on both sides, and a repeat after the position may
+    # be of a pair first seen before it
     ids = draw(st.lists(st.integers(0, 40), min_size=2, max_size=8, unique=True))
-    pairs = [(u, v) for u, v in draw(st.lists(st.tuples(st.sampled_from(ids),
-                                                       st.sampled_from(ids)), max_size=20))
-             if u != v]
-    if pairs:
-        again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=10))
-        pairs = draw(st.permutations(pairs + [(v, u) if flip else (u, v)
-                                              for (u, v), flip in again]))
-    sink = max(ids) + draw(st.integers(1, 3))
-    pairs += [(u, sink) for u in draw(st.lists(st.sampled_from(ids), max_size=2))]
-    return [(u, v, draw(st.sampled_from((0.01, 0.25, 0.5, 1.0)))) for u, v in pairs]
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] != e[1])
+    probability = st.sampled_from((0.01, 0.25, 0.5, 1.0))
+
+    def side(earlier):
+        pairs = draw(st.lists(pair, max_size=10))
+        if earlier + pairs:
+            again = draw(st.lists(st.tuples(st.sampled_from(earlier + pairs), st.booleans()),
+                                  max_size=6))
+            pairs += [(v, u) if flip else (u, v) for (u, v), flip in again]
+        sink = max(ids) + draw(st.integers(1, 3))
+        pairs += [(u, sink) for u in draw(st.lists(st.sampled_from(ids), max_size=2))]
+        return draw(st.permutations(pairs))
+
+    before = side([])
+    after = side(before)
+    shared = draw(probability)
+    return [(u, v, shared) for u, v in before] + [(u, v, draw(probability)) for u, v in after]
 
 
+@settings(max_examples=300)
 @given(messy_edge_lists(), st.booleans())
 def test_build_matches_key_set_reference(edges, directed):
     # a list and a one-shot iterator over it build the same graph
@@ -330,6 +346,24 @@ def test_wiki_size_fixture_pinned():
     again = build_graph(arcs, directed=False)
     assert again.duplicates_collapsed == 106_605
     assert (again._offsets, again._targets, again._probs) == (g._offsets, g._targets, g._probs)
+
+
+def test_wiki_size_build_and_pair_count_memory():
+    # tracemalloc figures are allocator-independent, so these bounds hold
+    # wherever the fixture builds: a build held per-node dicts, and the pair
+    # count full neighbour sets, several times the graph's own size
+    tracemalloc.start()
+    try:
+        g = preferential_attachment_graph(7115, 15, 7)
+        kept, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _base_among(g)
+        count_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 1.5 * kept
+    assert count_peak <= 2 * kept
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),

@@ -356,16 +356,15 @@ def _base_among(g: SocialGraph) -> list:
         for i, u in enumerate(sorted(range(n), key=size.__getitem__)):
             rank[u] = i
         # per node, the higher-ranked neighbours it has an arc to, and those
-        # it has an arc from
-        up, down = [], []
+        # it has an arc from: the same sets on an undirected graph
+        up = []
+        down = [] if directed else up
         for u in range(n):
             r = rank[u]
             up.append({v for v in targets[offsets[u]:offsets[u + 1]] if rank[v] > r})
             if directed:
                 down.append({v for v in sources[u] if rank[v] > r})
                 sources[u] = None  # each reverse row is freed once read
-        if not directed:
-            down = up
         counts = [0] * n
         for a in range(n):
             to_a, from_a = up[a], down[a]

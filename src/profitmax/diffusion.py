@@ -85,7 +85,7 @@ def _cascade(g: SocialGraph, state, frontier, steps, rand):
     in adjacency order, drawing once per arc toward a still-inactive target.
     Returns the newly activated nodes, each step sorted, and the last frontier.
     """
-    offsets, targets, probs, _ = g._engine()
+    offsets, targets, probs, uniform = g._engine()
     reached = []
     for _ in range(steps):
         if not frontier:
@@ -94,7 +94,7 @@ def _cascade(g: SocialGraph, state, frontier, steps, rand):
         for u in frontier:
             for i in range(offsets[u], offsets[u + 1]):
                 v = targets[i]
-                if not state[v] and rand() < probs[i]:
+                if not state[v] and rand() < (uniform or probs[i]):
                     state[v] = 1
                     nxt.append(v)
         nxt.sort()
@@ -281,7 +281,7 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    offsets, targets, probs, _ = g._engine()
+    offsets, targets, probs, uniform = g._engine()
     n, R = g.base_node_count, replications
     if max(n, len(targets)) * R > SAMPLE_INT_MAX:
         raise ValueError(
@@ -316,7 +316,7 @@ def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
     else:
         end = ends.append
         for u in range(n):
-            arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])]
+            arcs = [(targets[i], uniform or probs[i]) for i in range(offsets[u], offsets[u + 1])]
             for r in range(R):
                 for v, p in arcs:
                     if rand() < p:

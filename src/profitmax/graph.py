@@ -1,10 +1,11 @@
 """Social graph with per-arc influence probabilities and node economics.
 
-The graph is immutable after construction and stored in CSR form (flat target
-and probability arrays plus per-node offsets) so that diffusion simulation is
-an index walk.  Restricted views produced by :func:`exclude_nodes` share the
-base storage and filter removed endpoints during traversal; phase-two
-selection builds many such views, so copying is deliberately avoided.
+The graph is immutable after construction and stored in CSR form (a flat
+target array plus per-node offsets, and a flat probability array only where
+the arcs' probabilities differ) so that diffusion simulation is an index
+walk.  Restricted views produced by :func:`exclude_nodes` share the base
+storage and filter removed endpoints during traversal; phase-two selection
+builds many such views, so copying is deliberately avoided.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ class SocialGraph:
     list until the first clustering query fills it.  A restricted view is the
     same class with a non-empty ``removed`` set; it exposes only surviving
     nodes and arcs while sharing the base arrays, their ``uniform_p`` and
-    their ``among`` list.  The base keeps three flat lists (``offsets`` of
-    n + 1 row starts, ``targets`` and ``probs`` with one entry per arc, each
-    row sorted by target) and the ``among`` counts: no per-node row dict or
-    neighbour set outlives :func:`build_graph` or the first pair count.
+    their ``among`` list.  The base keeps flat lists: ``offsets`` of n + 1
+    row starts and ``targets`` with one entry per arc, each row sorted by
+    target, and ``probs`` aligned with ``targets`` only when the arcs'
+    probabilities differ; it is None exactly when ``uniform_p`` is set, and
+    arc i's probability is ``uniform_p or probs[i]``.  With the ``among``
+    counts that is all: no per-node row dict or neighbour set outlives
+    :func:`build_graph` or the first pair count.
     """
 
     __slots__ = (
@@ -88,25 +92,25 @@ class SocialGraph:
     def out_arcs(self, u):
         """List of (target, probability) for surviving arcs out of ``u``."""
         self._require(u)
-        removed = self.removed
+        removed, uniform, probs = self.removed, self._uniform_p, self._probs
         out = []
         for i in range(self._offsets[u], self._offsets[u + 1]):
             v = self._targets[i]
             if v not in removed:
-                out.append((v, self._probs[i]))
+                out.append((v, uniform or probs[i]))
         return out
 
     def arc_list(self):
         """All surviving arcs as (source, target, probability) in source order."""
         arcs = []
-        removed = self.removed
+        removed, uniform, probs = self.removed, self._uniform_p, self._probs
         for u in range(self.base_node_count):
             if u in removed:
                 continue
             for i in range(self._offsets[u], self._offsets[u + 1]):
                 v = self._targets[i]
                 if v not in removed:
-                    arcs.append((u, v, self._probs[i]))
+                    arcs.append((u, v, uniform or probs[i]))
         return arcs
 
     @property
@@ -161,7 +165,7 @@ class NodeEconomics:
             )
 
 
-def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) -> SocialGraph:
+def build_graph(edges, directed: bool) -> SocialGraph:
     """Build a :class:`SocialGraph` from (source, target, probability) triples.
 
     ``edges`` may be any iterable, a generator included; it is read once.
@@ -169,14 +173,16 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
     (source, target) pairs are collapsed keeping the first occurrence, with
     the collapse count recorded on the graph.  For undirected graphs a pair
     and its reverse are the same edge, and each surviving edge is stored as
-    two directed arcs.  ``original_ids`` and ``self_loops_dropped`` record
-    what a loader did to its input before building; they are kept as given.
+    two directed arcs.  A loader that dropped or renamed input records that
+    on the returned graph itself.
 
     While every edge shares the first edge's probability, each node's row is
     a plain list of targets, duplicates included; it is written out as its
-    sorted distinct targets, and the probabilities as one repeated value.  At
-    the first edge of another probability the rows become target ->
-    probability dicts, and a repeated pair is caught as it arrives.
+    sorted distinct targets, and the graph keeps that one probability as
+    ``uniform_p`` with no per-arc list.  At the first edge of another
+    probability the rows become target -> probability dicts, and a repeated
+    pair is caught as it arrives; the per-arc list is kept unless the
+    surviving arcs still share one probability.
     """
     rows = {}
     duplicates = surplus = 0
@@ -244,12 +250,15 @@ def build_graph(edges, directed: bool, original_ids=None, self_loops_dropped=0) 
     # a duplicate left in the target lists sits in both rows of an undirected edge
     duplicates += surplus if directed else surplus // 2
     if uniform:
-        probs = [first] * len(targets)
-    first = probs[0] if probs else None
-    uniform_p = first if probs.count(first) == len(probs) else None
+        # an empty graph shares no probability: its per-arc list is empty
+        uniform_p, probs = first, [] if first is None else None
+    elif probs.count(probs[0]) == len(probs):
+        # the edges of other probabilities all repeated pairs seen before
+        uniform_p, probs = probs[0], None
+    else:
+        uniform_p = None
     return SocialGraph(n, directed, offsets, targets, probs, uniform_p, [],
-                       original_ids=original_ids, duplicates_collapsed=duplicates,
-                       self_loops_dropped=self_loops_dropped)
+                       duplicates_collapsed=duplicates)
 
 
 def seed_cost(econ: NodeEconomics, seeds) -> int:
@@ -330,12 +339,12 @@ def _base_among(g: SocialGraph) -> list:
     # ordered neighbour pairs joined by an arc, per node of the base graph.
     # Such a pair and its node form a triangle of the symmetrised graph, so
     # each triangle is listed once: nodes are ranked by (undirected degree,
-    # id), and each node keeps only its higher-ranked neighbours, as the set
-    # it has arcs to and the set it has arcs from (one set on an undirected
-    # graph).  Every arc among a triangle's corners sits at its lower-ranked
-    # end, so those sets answer all six arc tests.  A corner x with arcs to
-    # its other corners y and z gains [y->z] + [z->y]; on an undirected graph
-    # that is 2 at every corner.  Counted on first use and published whole
+    # id), and each node keeps only its higher-ranked neighbours, as the
+    # tuple it has arcs to and the tuple it has arcs from (one tuple on an
+    # undirected graph).  Every arc among a triangle's corners sits at its
+    # lower-ranked end, so those answer all six arc tests.  A corner x with
+    # arcs to its other corners y and z gains [y->z] + [z->y]; on an
+    # undirected graph that is 2 at every corner.  Counted on first use and published whole
     # into the list the base shares with its views, so an interrupted count
     # leaves it empty, not truncated.
     among = g._among
@@ -356,26 +365,30 @@ def _base_among(g: SocialGraph) -> list:
         for i, u in enumerate(sorted(range(n), key=size.__getitem__)):
             rank[u] = i
         # per node, the higher-ranked neighbours it has an arc to, and those
-        # it has an arc from: the same sets on an undirected graph
+        # it has an arc from: the same tuple on an undirected graph.  Sets are
+        # made only for the node being listed and for a neighbour it shares
+        # a triangle with
         up = []
         down = [] if directed else up
         for u in range(n):
             r = rank[u]
-            up.append({v for v in targets[offsets[u]:offsets[u + 1]] if rank[v] > r})
+            up.append(tuple([v for v in targets[offsets[u]:offsets[u + 1]] if rank[v] > r]))
             if directed:
-                down.append({v for v in sources[u] if rank[v] > r})
+                down.append(tuple([v for v in sources[u] if rank[v] > r]))
                 sources[u] = None  # each reverse row is freed once read
         counts = [0] * n
         for a in range(n):
-            to_a, from_a = up[a], down[a]
+            to_a = set(up[a])
+            from_a = set(down[a]) if directed else to_a
             fwd_a = to_a | from_a if directed else to_a
             for b in fwd_a:
-                to_b, from_b = up[b], down[b]
-                common = fwd_a & to_b
-                if directed and not fwd_a.isdisjoint(from_b):
-                    common |= fwd_a & from_b
+                common = fwd_a.intersection(up[b])
+                if directed:
+                    common.update(fwd_a.intersection(down[b]))
                 if not common:
                     continue
+                to_b = set(up[b])
+                from_b = set(down[b]) if directed else to_b
                 ab, ba = b in to_a, b in from_a
                 for c in common:
                     ac, ca = c in to_a, c in from_a
@@ -407,7 +420,7 @@ def clustering_coefficients(g: SocialGraph) -> dict:
     They come from listing each triangle once, over the arcs that run from
     lower to higher (undirected degree, id) rank, with each node holding only
     its higher-ranked neighbours: those it has an arc to and those it has an
-    arc from, one set on an undirected graph.  A view corrects only the nodes
+    arc from, one tuple on an undirected graph.  A view corrects only the nodes
     with an arc into its removed set, found among the removed nodes'
     in-neighbours: of the pairs joined by an arc,
     those with a removed end leave the count.  That is the arcs out of the

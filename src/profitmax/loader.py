@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import NodeEconomics, SocialGraph, build_graph
 from .rng import RandomSource
@@ -26,35 +28,43 @@ def load_snap_edge_list(path, directed: bool, uniform_probability: float = 0.01)
     ``#`` or ``%`` are comments.  Original ids are remapped to dense 0-based
     ids in order of first appearance; the table is kept on the graph.
     Self-loop lines are dropped with a count, duplicate edges collapse to the
-    first occurrence.  Every arc gets ``uniform_probability``.
+    first occurrence.  Every arc gets ``uniform_probability``, which is
+    checked before the file is read.  The edges stream into
+    :func:`build_graph` as the lines are read, never held as one list.
     """
+    if not 0.0 < uniform_probability <= 1.0:
+        raise ValueError(f"arc probability must be in (0, 1], got {uniform_probability}")
     remap = {}
-    original = []
-    edges = []
     self_loops = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line[0] in "#%":
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: malformed edge line: {line!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed edge line: {line!r}") from None
-            if a == b:
-                self_loops += 1
-                continue
-            for x in (a, b):
-                if x not in remap:
-                    remap[x] = len(remap)
-                    original.append(x)
-            edges.append((remap[a], remap[b], uniform_probability))
-    if not edges:
+
+    def edges():
+        nonlocal self_loops
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line[0] in "#%":
+                    continue
+                parts = line.replace(",", " ").split()
+                if len(parts) < 2:
+                    raise ValueError(f"{path}:{lineno}: malformed edge line: {line!r}")
+                try:
+                    a, b = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed edge line: {line!r}") from None
+                if a == b:
+                    self_loops += 1
+                    continue
+                for x in (a, b):
+                    if x not in remap:
+                        remap[x] = len(remap)
+                yield remap[a], remap[b], uniform_probability
+
+    g = build_graph(edges(), directed)
+    # the remap table lists the original ids in order of first appearance
+    g.original_ids = tuple(remap)
+    g.self_loops_dropped = self_loops
+    if not g.arc_count:
         log.warning("%s: no edges found, building an empty graph", path)
-    g = build_graph(edges, directed, original_ids=tuple(original), self_loops_dropped=self_loops)
     if self_loops:
         log.warning("%s: dropped %d self-loop line(s)", path, self_loops)
     if g.duplicates_collapsed:
@@ -99,6 +109,12 @@ def preferential_attachment_graph(node_count: int, attach: int, seed: int,
     list.  Each draw of a stub index below ``m`` takes ``getrandbits(k)`` with
     ``k = m.bit_length()`` until a value falls below ``m``, the rule
     ``randrange(m)`` follows, so a seed gives the same edges in the same order.
+
+    Stub ``2k`` is edge k's source and stub ``2k + 1`` its target.  Only the
+    targets are kept, as 4-byte ints; the core edges' sources are listed, and
+    each later node's ``2 * attach`` source stubs follow the core's in node
+    order.  Ids reach the rows through one shared list of ints, so the rows
+    hold one int object per node.
     """
     if attach < 1:
         raise ValueError("attach must be >= 1")
@@ -108,24 +124,34 @@ def preferential_attachment_graph(node_count: int, attach: int, seed: int,
     getrandbits = RandomSource(seed).stream("preferential-attachment").getrandbits
 
     def edges():
-        stubs = []
-        for u in range(core):
-            for v in range(u):
+        ids = list(range(node_count))
+        heads = array("i")
+        tails = []
+        for u in islice(ids, core):
+            for v in islice(ids, u):
                 yield u, v, probability
-                stubs += [u, v]
-        for u in range(core, node_count):
-            m = len(stubs)
+                tails.append(u)
+                heads.append(v)
+        core_stubs = m = 2 * len(tails)
+        step = 2 * attach
+        for u in islice(ids, core, None):
             k = m.bit_length()
             chosen = set()
+            # every stub is an earlier node's, so none is u
             while len(chosen) < attach:
                 i = getrandbits(k)
                 while i >= m:
                     i = getrandbits(k)
-                v = stubs[i]
-                if v != u:
-                    chosen.add(v)
+                if i & 1:
+                    chosen.add(heads[i >> 1])
+                elif i < core_stubs:
+                    chosen.add(tails[i >> 1])
+                else:
+                    chosen.add(core + (i - core_stubs) // step)
             for v in sorted(chosen):
+                v = ids[v]
                 yield u, v, probability
-                stubs += [u, v]
+                heads.append(v)
+            m += step
 
     return build_graph(edges(), directed=False)

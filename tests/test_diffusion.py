@@ -298,7 +298,7 @@ def _stepwise_gain_samples(g, value, active0, replications, rnd):
     # the reference the estimator must match draw for draw: the per-arc
     # sampler runs a step-loop cascade per replication and sums what it
     # reached; the geometric one walks every step, the first too, node by node
-    offsets, targets, probs, _ = g._engine()
+    offsets, targets, probs, uniform = g._engine()
     scale = _geometric_scale(g)
     template = g._blocked_template()
     for s in active0:
@@ -317,7 +317,7 @@ def _stepwise_gain_samples(g, value, active0, replications, rnd):
                 for u in frontier:
                     for i in range(offsets[u], offsets[u + 1]):
                         v = targets[i]
-                        if not state[v] and rand() < probs[i]:
+                        if not state[v] and rand() < (uniform or probs[i]):
                             state[v] = 1
                             nxt.append(v)
                 nxt.sort()
@@ -353,7 +353,7 @@ def _per_copy_live_graphs(g, R, rnd):
     # the reference the live-graph sampler must match draw for draw: one
     # counter per flat id, arcs visited node-major, snapshot, adjacency order,
     # kept in 8-byte arrays
-    offsets, targets, probs, _ = g._engine()
+    offsets, targets, probs, uniform = g._engine()
     scale = _geometric_scale(g)
     n = g.base_node_count
     counts = [0] * (n * R)
@@ -373,7 +373,7 @@ def _per_copy_live_graphs(g, R, rnd):
             i -= span
     else:
         for u in range(n):
-            arcs = [(targets[i], probs[i]) for i in range(offsets[u], offsets[u + 1])]
+            arcs = [(targets[i], uniform or probs[i]) for i in range(offsets[u], offsets[u + 1])]
             for r in range(R):
                 x = u * R + r
                 for v, p in arcs:

@@ -243,6 +243,11 @@ def test_cli_inspect(capsys):
     assert "self-loops dropped:   1" in out
 
 
+def test_cli_inspect_refuses_a_bad_probability_on_an_empty_file(capsys):
+    assert main(["inspect", str(DATA / "empty.txt"), "--probability", "7"]) == 1
+    assert "arc probability must be in (0, 1], got 7.0" in capsys.readouterr().err
+
+
 def test_cli_inspect_synthetic(capsys):
     assert main(["inspect", "pa:20:2:1"]) == 0
     assert "nodes:        20" in capsys.readouterr().out

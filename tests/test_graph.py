@@ -303,11 +303,14 @@ def messy_edge_lists(draw):
 @settings(max_examples=300)
 @given(messy_edge_lists(), st.booleans())
 def test_build_matches_key_set_reference(edges, directed):
-    # a list and a one-shot iterator over it build the same graph
+    # a list and a one-shot iterator over it build the same graph; a graph
+    # whose arcs share one probability keeps no per-arc list
+    expected = _build_by_key_set(edges, directed)
     for given_edges in (edges, iter(edges)):
         g = build_graph(given_edges, directed)
-        assert (g._offsets, g._targets, g._probs, g._uniform_p, g.duplicates_collapsed,
-                g.base_node_count) == _build_by_key_set(edges, directed)
+        assert (g._offsets, g._targets, [p for *_, p in g.arc_list()], g._uniform_p,
+                g.duplicates_collapsed, g.base_node_count) == expected
+        assert (g._probs is None) == (expected[3] is not None)
 
 
 def _among_by_intersection(g):
@@ -340,7 +343,7 @@ def test_wiki_size_fixture_pinned():
     assert sum(u < v for u, v, _ in arcs) == 106_605
     assert max(degree(g, u) for u in g.nodes) == 546
     assert sum(among) == 262_464
-    digest = hashlib.sha256(repr((g._offsets, g._targets, g._probs, among)).encode())
+    digest = hashlib.sha256(repr((g._offsets, g._targets, [p for *_, p in arcs], among)).encode())
     assert digest.hexdigest()[:16] == "5b6a675c368c0e44"
     # each edge again as both of its arcs: every second one is a duplicate
     again = build_graph(arcs, directed=False)
@@ -352,7 +355,8 @@ def test_wiki_size_build_and_pair_count_memory():
     # the pa:7115:15:7 stand-in for wiki-Vote, under tracemalloc, which
     # counts the same bytes on every supported Python: per-node row dicts
     # in the build, or every node's full neighbour set in the pair count,
-    # would take several times what the graph keeps
+    # would take several times what the graph keeps, and a per-arc list of
+    # its one probability would keep 1.6 MiB more
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -364,6 +368,7 @@ def test_wiki_size_build_and_pair_count_memory():
         count_peak = tracemalloc.get_traced_memory()[1] - built
     finally:
         tracemalloc.stop()
+    assert kept <= 2.5 * 2 ** 20
     assert build_peak <= 1.5 * kept
     assert count_peak <= 2 * kept
 

@@ -1,8 +1,10 @@
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from profitmax.graph import degree
+from profitmax.graph import build_graph, degree
 from profitmax.loader import (
     AttributeSpec,
     generate_attributes,
@@ -53,6 +55,39 @@ def test_malformed_line_reports_line_number():
 def test_empty_file_gives_empty_graph():
     g = load_snap_edge_list(DATA / "empty.txt", directed=False)
     assert g.node_count == 0 and g.arc_count == 0
+
+
+@pytest.mark.parametrize("p", [7.0, 0.0, -0.5])
+def test_probability_checked_before_the_file_is_read(p, tmp_path):
+    # an empty file builds no arc, so only a check made up front refuses it,
+    # with the message a bad edge gets from build_graph
+    with pytest.raises(ValueError) as from_build:
+        build_graph([(0, 1, p)], directed=False)
+    message = f"^{re.escape(str(from_build.value))}$"
+    for path in (DATA / "empty.txt", tmp_path / "missing.txt"):
+        with pytest.raises(ValueError, match=message):
+            load_snap_edge_list(path, directed=False, uniform_probability=p)
+
+
+def test_wiki_size_load_streams_its_edges(tmp_path):
+    # pa:7115:15:7's 106,605 edges as an edge file, loaded under tracemalloc:
+    # holding every (source, target, probability) tuple until the build
+    # starts would take about three times what the graph keeps
+    g = preferential_attachment_graph(7115, 15, 7)
+    lines = [f"{u}\t{v}\n" for u, v, _ in g.arc_list() if u < v]
+    assert len(lines) == 106_605
+    path = tmp_path / "pa.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    del g, lines
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_snap_edge_list(path, directed=False)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.arc_count == 213_210 and len(loaded.original_ids) == 7115
+    assert peak - start <= 1.5 * (end - start)
 
 
 def test_loading_twice_is_identical():

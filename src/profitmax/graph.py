@@ -366,8 +366,8 @@ def _base_among(g: SocialGraph) -> list:
             rank[u] = i
         # per node, the higher-ranked neighbours it has an arc to, and those
         # it has an arc from: the same tuple on an undirected graph.  Sets are
-        # made only for the node being listed and for a neighbour it shares
-        # a triangle with
+        # made only for the node being listed and, on a directed graph, for a
+        # neighbour it shares a triangle with
         up = []
         down = [] if directed else up
         for u in range(n):
@@ -387,8 +387,12 @@ def _base_among(g: SocialGraph) -> list:
                     common.update(fwd_a.intersection(down[b]))
                 if not common:
                     continue
-                to_b = set(up[b])
-                from_b = set(down[b]) if directed else to_b
+                if directed:
+                    to_b, from_b = set(up[b]), set(down[b])
+                else:
+                    # every corner in common is in b's tuple, so common
+                    # answers b's arc tests
+                    to_b = from_b = common
                 ab, ba = b in to_a, b in from_a
                 for c in common:
                     ac, ca = c in to_a, c in from_a

@@ -344,9 +344,9 @@ def _base_among(g: SocialGraph) -> list:
     # undirected graph).  Every arc among a triangle's corners sits at its
     # lower-ranked end, so those answer all six arc tests.  A corner x with
     # arcs to its other corners y and z gains [y->z] + [z->y]; on an
-    # undirected graph that is 2 at every corner.  Counted on first use and published whole
-    # into the list the base shares with its views, so an interrupted count
-    # leaves it empty, not truncated.
+    # undirected graph that is 2 at every corner.  Counted on first use and
+    # published whole into the list the base shares with its views, so an
+    # interrupted count leaves it empty, not truncated.
     among = g._among
     if not among:
         n, offsets, targets, directed = g.base_node_count, g._offsets, g._targets, g.directed

@@ -1,16 +1,19 @@
 """Social graph with per-arc influence probabilities and node economics.
 
-The graph is immutable after construction and stored in CSR form (a flat
-target array plus per-node offsets, and a flat probability array only where
-the arcs' probabilities differ) so that diffusion simulation is an index
-walk.  Restricted views produced by :func:`exclude_nodes` share the base
-storage and filter removed endpoints during traversal; phase-two selection
-builds many such views, so copying is deliberately avoided.
+The graph is a frozen dataclass, never assigned to once built, stored in
+CSR form (a flat target array plus per-node offsets, and a flat probability
+array only where the arcs' probabilities differ) so that diffusion
+simulation is an index walk.  Restricted views produced by
+:func:`exclude_nodes` are copies made by :func:`dataclasses.replace` that
+share the base storage and filter removed endpoints during traversal;
+phase-two selection builds many such views, so the arrays are never copied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from itertools import chain
 
 __all__ = [
     "SocialGraph",
@@ -25,18 +28,21 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class SocialGraph:
     """Directed or undirected influence graph over dense 0-based node ids.
 
-    Undirected input edges are stored as two directed arcs with equal
-    probability.  ``uniform_p`` is the probability every arc shares, or None;
-    :func:`build_graph` works it out once per base graph.  ``among`` is the
-    base graph's per-node count of neighbour pairs joined by an arc, an empty
-    list until the first clustering query fills it.  A restricted view is the
-    same class with a non-empty ``removed`` set; it exposes only surviving
-    nodes and arcs while sharing the base arrays, their ``uniform_p`` and
-    their ``among`` list.  The base keeps flat lists: ``offsets`` of n + 1
-    row starts and ``targets`` with one entry per arc, each row sorted by
+    Frozen, and equal and hashed by identity.  Undirected input edges are
+    stored as two directed arcs with equal probability.  ``uniform_p`` is
+    the probability every arc shares, or None; :func:`build_graph` works it
+    out once per base graph.  ``among`` is the base graph's per-node count
+    of neighbour pairs joined by an arc, an empty list until the first
+    clustering query fills it.  A restricted view, and a loaded graph with
+    its id table and self-loop count, is a :func:`dataclasses.replace` copy:
+    a view has a non-empty ``removed`` set, exposes only surviving nodes and
+    arcs, and shares the base arrays, their ``uniform_p`` and their
+    ``among`` list.  The base keeps flat lists: ``offsets`` of n + 1 row
+    starts and ``targets`` with one entry per arc, each row sorted by
     target, and ``probs`` aligned with ``targets`` only when the arcs'
     probabilities differ; it is None exactly when ``uniform_p`` is set, and
     arc i's probability is ``uniform_p or probs[i]``.  With the ``among``
@@ -44,34 +50,17 @@ class SocialGraph:
     :func:`build_graph` or the first pair count.
     """
 
-    __slots__ = (
-        "base_node_count",
-        "directed",
-        "removed",
-        "original_ids",
-        "duplicates_collapsed",
-        "self_loops_dropped",
-        "_offsets",
-        "_targets",
-        "_probs",
-        "_uniform_p",
-        "_among",
-    )
-
-    def __init__(self, base_node_count, directed, offsets, targets, probs, uniform_p,
-                 among, removed=frozenset(), original_ids=None, duplicates_collapsed=0,
-                 self_loops_dropped=0):
-        self.base_node_count = base_node_count
-        self.directed = directed
-        self.removed = frozenset(removed)
-        self.original_ids = original_ids
-        self.duplicates_collapsed = duplicates_collapsed
-        self.self_loops_dropped = self_loops_dropped
-        self._offsets = offsets
-        self._targets = targets
-        self._probs = probs
-        self._uniform_p = uniform_p
-        self._among = among
+    base_node_count: int
+    directed: bool
+    _offsets: list
+    _targets: list
+    _probs: list | None
+    _uniform_p: float | None
+    _among: list
+    removed: frozenset = frozenset()
+    original_ids: tuple | None = None
+    duplicates_collapsed: int = 0
+    self_loops_dropped: int = 0
 
     # -- node and arc access ------------------------------------------------
 
@@ -104,9 +93,7 @@ class SocialGraph:
         """All surviving arcs as (source, target, probability) in source order."""
         arcs = []
         removed, uniform, probs = self.removed, self._uniform_p, self._probs
-        for u in range(self.base_node_count):
-            if u in removed:
-                continue
+        for u in self.nodes:
             for i in range(self._offsets[u], self._offsets[u + 1]):
                 v = self._targets[i]
                 if v not in removed:
@@ -174,7 +161,7 @@ def build_graph(edges, directed: bool) -> SocialGraph:
     the collapse count recorded on the graph.  For undirected graphs a pair
     and its reverse are the same edge, and each surviving edge is stored as
     two directed arcs.  A loader that dropped or renamed input records that
-    on the returned graph itself.
+    on a :func:`dataclasses.replace` copy of the returned graph.
 
     While every edge shares the first edge's probability, each node's row is
     a plain list of targets, duplicates included; it is written out as its
@@ -284,11 +271,7 @@ def exclude_nodes(g: SocialGraph, removed) -> SocialGraph:
         g._require(u)
     if not removed:
         return g
-    return SocialGraph(
-        g.base_node_count, g.directed, g._offsets, g._targets, g._probs, g._uniform_p, g._among,
-        removed=g.removed | removed, original_ids=g.original_ids,
-        duplicates_collapsed=g.duplicates_collapsed, self_loops_dropped=g.self_loops_dropped,
-    )
+    return replace(g, removed=g.removed | removed)
 
 
 def degree(g: SocialGraph, u) -> int:
@@ -339,70 +322,62 @@ def _base_among(g: SocialGraph) -> list:
     # ordered neighbour pairs joined by an arc, per node of the base graph.
     # Such a pair and its node form a triangle of the symmetrised graph, so
     # each triangle is listed once: nodes are ranked by (undirected degree,
-    # id), and each node keeps only its higher-ranked neighbours, as the
-    # tuple it has arcs to and the tuple it has arcs from (one tuple on an
-    # undirected graph).  Every arc among a triangle's corners sits at its
-    # lower-ranked end, so those answer all six arc tests.  A corner x with
-    # arcs to its other corners y and z gains [y->z] + [z->y]; on an
-    # undirected graph that is 2 at every corner.  Counted on first use and
+    # id), and each node keeps one tuple, its higher-ranked neighbours in
+    # either direction.  A triangle is found at its lowest-ranked corner a,
+    # from a neighbour b of a and a neighbour c of b in a's tuple.  A corner
+    # x with arcs to its other corners y and z gains [y->z] + [z->y], so an
+    # undirected triangle adds 2 at each corner; a directed one reads its
+    # six arc tests off the sorted base rows.  Counted on first use and
     # published whole into the list the base shares with its views, so an
     # interrupted count leaves it empty, not truncated.
     among = g._among
     if not among:
         n, offsets, targets, directed = g.base_node_count, g._offsets, g._targets, g.directed
+        # per node, the in-neighbours it has no arc to: with its own row,
+        # each of its symmetrised neighbours once
+        extra = [()] * n
         if directed:
-            # a reverse adjacency, built once, gives the symmetrised degree
-            # and the arcs each node has from higher-ranked ones
-            sources = [[] for _ in range(n)]
+            extra = [[] for _ in range(n)]
             for u in range(n):
                 for v in targets[offsets[u]:offsets[u + 1]]:
-                    sources[v].append(u)
-            size = [len(set(sources[u]).union(targets[offsets[u]:offsets[u + 1]]))
-                    for u in range(n)]
-        else:
-            size = [offsets[u + 1] - offsets[u] for u in range(n)]
+                    extra[v].append(u)
+            for u in range(n):
+                # each reverse row is freed as it is read
+                extra[u] = tuple(set(extra[u]).difference(targets[offsets[u]:offsets[u + 1]]))
         rank = [0] * n
-        for i, u in enumerate(sorted(range(n), key=size.__getitem__)):
+        for i, u in enumerate(sorted(range(n), key=lambda v: offsets[v + 1] - offsets[v]
+                                     + len(extra[v]))):
             rank[u] = i
-        # per node, the higher-ranked neighbours it has an arc to, and those
-        # it has an arc from: the same tuple on an undirected graph.  Sets are
-        # made only for the node being listed and, on a directed graph, for a
-        # neighbour it shares a triangle with
         up = []
-        down = [] if directed else up
         for u in range(n):
             r = rank[u]
-            up.append(tuple([v for v in targets[offsets[u]:offsets[u + 1]] if rank[v] > r]))
-            if directed:
-                down.append(tuple([v for v in sources[u] if rank[v] > r]))
-                sources[u] = None  # each reverse row is freed once read
+            up.append(tuple([v for v in chain(targets[offsets[u]:offsets[u + 1]], extra[u])
+                             if rank[v] > r]))
+            extra[u] = ()  # freed once read, so the two never both peak
+
+        def arc(x, y):
+            end = offsets[x + 1]
+            i = bisect_left(targets, y, offsets[x], end)
+            return i < end and targets[i] == y
+
         counts = [0] * n
         for a in range(n):
-            to_a = set(up[a])
-            from_a = set(down[a]) if directed else to_a
-            fwd_a = to_a | from_a if directed else to_a
-            for b in fwd_a:
-                common = fwd_a.intersection(up[b])
-                if directed:
-                    common.update(fwd_a.intersection(down[b]))
-                if not common:
-                    continue
-                if directed:
-                    to_b, from_b = set(up[b]), set(down[b])
-                else:
-                    # every corner in common is in b's tuple, so common
-                    # answers b's arc tests
-                    to_b = from_b = common
-                ab, ba = b in to_a, b in from_a
-                for c in common:
-                    ac, ca = c in to_a, c in from_a
-                    bc, cb = c in to_b, c in from_b
-                    if ab and ac:
-                        counts[a] += bc + cb
-                    if ba and bc:
-                        counts[b] += ac + ca
-                    if ca and cb:
-                        counts[c] += ab + ba
+            up_a = set(up[a])
+            for b in up[a]:
+                for c in up_a.intersection(up[b]):
+                    if directed:
+                        ab, ba, ac, ca, bc, cb = (arc(a, b), arc(b, a), arc(a, c), arc(c, a),
+                                                  arc(b, c), arc(c, b))
+                        if ab and ac:
+                            counts[a] += bc + cb
+                        if ba and bc:
+                            counts[b] += ac + ca
+                        if ca and cb:
+                            counts[c] += ab + ba
+                    else:
+                        counts[a] += 2
+                        counts[b] += 2
+                        counts[c] += 2
         among.extend(counts)
     return among
 
@@ -421,17 +396,17 @@ def clustering_coefficients(g: SocialGraph) -> dict:
     """:func:`clustering_coefficient` of every surviving node, keyed by node id.
 
     The base graph's pair counts are made once and shared with its views.
-    They come from listing each triangle once, over the arcs that run from
-    lower to higher (undirected degree, id) rank, with each node holding only
-    its higher-ranked neighbours: those it has an arc to and those it has an
-    arc from, one tuple on an undirected graph.  A view corrects only the nodes
-    with an arc into its removed set, found among the removed nodes'
-    in-neighbours: of the pairs joined by an arc,
-    those with a removed end leave the count.  That is the arcs out of the
-    removed neighbours plus those into them, less those among them, which
-    both terms counted.  Each removed node's out- and in-neighbours become a
-    set once per call, and a corrected node intersects its own neighbour set
-    with those, so no removed hub's row is walked once per neighbour.
+    They come from listing each triangle once, over the edges that run from
+    lower to higher (undirected degree, id) rank, with each node holding one
+    tuple of its higher-ranked neighbours in either direction; a directed
+    triangle's arcs are read off the sorted base rows.  A view corrects only
+    the nodes with an arc into its removed set, found among the removed
+    nodes' in-neighbours: of the pairs joined by an arc, those with a
+    removed end leave the count.  That is the arcs out of the removed
+    neighbours plus those into them, less those among them, which both terms
+    counted.  Each removed node's out- and in-neighbours become a set once
+    per call, and a corrected node intersects its own neighbour set with
+    those, so no removed hub's row is walked once per neighbour.
     """
     among = _base_among(g)
     offsets, targets, directed, removed = g._offsets, g._targets, g.directed, g.removed

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 from .graph import NodeEconomics, SocialGraph, build_graph
@@ -61,8 +61,7 @@ def load_snap_edge_list(path, directed: bool, uniform_probability: float = 0.01)
 
     g = build_graph(edges(), directed)
     # the remap table lists the original ids in order of first appearance
-    g.original_ids = tuple(remap)
-    g.self_loops_dropped = self_loops
+    g = replace(g, original_ids=tuple(remap), self_loops_dropped=self_loops)
     if not g.arc_count:
         log.warning("%s: no edges found, building an empty graph", path)
     if self_loops:

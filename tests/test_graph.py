@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
+import pickle
+import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from profitmax.diffusion import _geometric_scale
 from profitmax.graph import (
     NodeEconomics,
+    SocialGraph,
     _base_among,
     build_graph,
     clustering_coefficient,
@@ -17,7 +22,9 @@ from profitmax.graph import (
     exclude_nodes,
     seed_cost,
 )
-from profitmax.loader import preferential_attachment_graph
+from profitmax.loader import load_snap_edge_list, preferential_attachment_graph
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_empty_graph():
@@ -127,6 +134,35 @@ def test_view_keeps_base_sampling_mode():
         # where its surviving arcs all share one probability
         view = exclude_nodes(g, {0})
         assert _geometric_scale(view) == _geometric_scale(g)
+
+
+def test_a_graph_is_frozen():
+    # nothing assigns to a graph once it is built: a view and a loaded
+    # graph's id table and self-loop count come from dataclasses.replace
+    g = _path3()
+    loaded = load_snap_edge_list(DATA / "mini_undirected.txt", directed=False)
+    view = exclude_nodes(loaded, {0})
+    for h in (g, exclude_nodes(g, {1}), loaded, view):
+        for field in dataclasses.fields(h):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, field.name, getattr(h, field.name))
+    assert view.original_ids == (10, 20, 30, 40, 50)
+    assert (view.self_loops_dropped, view.duplicates_collapsed) == (1, 1)
+
+
+def test_a_graph_survives_a_pickle_round_trip():
+    # a spawn or forkserver pool pickles the graph it hands each worker.
+    # The base goes before its table is counted and the view after, so
+    # both an empty and a full shared table make the trip
+    base = preferential_attachment_graph(200, 3, 7)
+    hubs = sorted(base.nodes, key=lambda u: (-degree(base, u), u))[:5]
+    loaded = load_snap_edge_list(DATA / "mini_undirected.txt", directed=False)
+    for g in (base, exclude_nodes(base, hubs), loaded):
+        copy = pickle.loads(pickle.dumps(g))
+        assert type(copy) is SocialGraph and copy is not g
+        for field in dataclasses.fields(g):
+            assert getattr(copy, field.name) == getattr(g, field.name), field.name
+        assert clustering_coefficients(copy) == clustering_coefficients(g)
 
 
 def test_degree_and_clustering_examples():
@@ -371,6 +407,31 @@ def test_wiki_size_build_and_pair_count_memory():
     assert kept <= 2.5 * 2 ** 20
     assert build_peak <= 1.5 * kept
     assert count_peak <= 2 * kept
+
+
+def test_wiki_size_directed_pair_count_pinned():
+    # a directed 60% arc subsample of the pa:7115:15:7 stand-in, under
+    # tracemalloc; the digest was taken from the count that kept per-pair arc
+    # sets.  Every node's full neighbour set would take several times what
+    # the graph keeps
+    base = preferential_attachment_graph(7115, 15, 7)
+    keep = random.Random(5).random
+    arcs = [arc for arc in base.arc_list() if keep() < 0.6]
+    del base
+    assert len(arcs) == 127_991
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = build_graph(arcs, directed=True)
+        built = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        among = _base_among(g)
+        count_peak = tracemalloc.get_traced_memory()[1] - built
+    finally:
+        tracemalloc.stop()
+    assert sum(among) == 55_834
+    assert hashlib.sha256(repr(among).encode()).hexdigest()[:16] == "962aa96a4d0210dc"
+    assert count_peak <= 2.5 * (built - start)
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),

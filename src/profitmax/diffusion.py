@@ -272,12 +272,13 @@ class LiveSample:
 def sample_live_graphs(g: SocialGraph, replications: int, rnd) -> LiveSample:
     """Draw ``replications`` independent live graphs of the base graph ``g`` shares.
 
-    A view gives its base's sample from the same stream; ``blocked_copies``
-    restricts that to the view.  Arcs are visited node-major: each node, each
-    snapshot, each out-arc in adjacency order.  At a uniform probability
-    below ``GEOMETRIC_P_CUTOFF`` the draws jump between kept positions of
-    that sequence; otherwise each arc is drawn once.  A graph too large for
-    the sample's 4-byte arrays is refused before anything is drawn.
+    A view gives its base's sample from the same stream; the
+    :class:`~profitmax.profit.SnapshotCoverage` built for the view restricts
+    that to it.  Arcs are visited node-major: each node, each snapshot, each
+    out-arc in adjacency order.  At a uniform probability below
+    ``GEOMETRIC_P_CUTOFF`` the draws jump between kept positions of that
+    sequence; otherwise each arc is drawn once.  A graph too large for the
+    sample's 4-byte arrays is refused before anything is drawn.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")

@@ -21,8 +21,9 @@ coverage term minus a modular cost.  For double greedy's shrinking set,
 :func:`last_coverers` marks each copy with the last scan position that covers
 it, so a scanned node's loss is read off the walk that gives its gain; a
 selection builds it only once a gain cannot decide on its own.  A
-sample is of a base graph and serves every view of it: :func:`blocked_copies`
-marks the copies of the view's removed nodes, and no walk enters them.
+sample is of a base graph and serves every view of it: a coverage built for
+a view starts with the copies of the view's removed nodes covered, and no
+walk enters them; one built with free seeds starts with their reach covered.
 :func:`gain_bounds` gives every node's gain into an empty seed set on a
 sample; blocking can only take reach away, so on any view of the sample that
 gain bounds the node's gain from above.  The sample keeps the bounds once
@@ -48,7 +49,6 @@ __all__ = [
     "SnapshotCoverage",
     "last_coverers",
     "gain_bounds",
-    "blocked_copies",
 ]
 
 
@@ -161,47 +161,42 @@ def _walk(sample, lo, hi, stop):
     return seen
 
 
-def blocked_copies(sample, g: SocialGraph) -> bytearray:
-    """Flat-id mask of ``sample`` that marks all copies of ``g``'s removed nodes.
-
-    ``sample`` is a sample of the base graph the view ``g`` shares: a walk
-    never enters a marked copy, so it keeps only the arcs between surviving
-    nodes.  This is the one way a sample is restricted to a view.
-    """
-    if sample.node_count != g.base_node_count:
-        raise ValueError(f"sample of {sample.node_count} nodes does not fit a graph of "
-                         f"{g.base_node_count} nodes")
-    R = sample.replications
-    blocked = bytearray(sample.node_count * R)
-    for r in g.removed:
-        blocked[r * R:(r + 1) * R] = b"\x01" * R
-    return blocked
-
-
 class SnapshotCoverage:
     """Benefit that a growing seed set covers on every live graph of a sample.
 
-    ``total / replications - seed_cost`` is the set's mean profit on the
-    sample.  A node's gain can only shrink as seeds join, and with integer
-    benefits every gain is an exact integer.  The copies that ``blocked``
-    marks start out covered, so they are never entered and never counted.
+    ``sample`` is a sample of the base graph the view ``view`` shares; a
+    sample of another base graph is refused.  The view's removed copies
+    start out covered, so no walk enters them or counts them: this is the
+    one way a sample is restricted to a view.  The ``free`` nodes (an
+    observed frontier) are added before any gain is read, so a copy they
+    reach earns no seed anything.  Each seed's :meth:`gain`, read before its
+    :meth:`add`, summed and divided by ``replications``, less ``seed_cost``,
+    is the set's mean profit on the sample.  A node's gain can only shrink as
+    seeds join, and with integer benefits every gain is an exact integer.
     """
 
-    __slots__ = ("sample", "value", "covered", "total")
+    __slots__ = ("sample", "value", "covered")
 
-    def __init__(self, sample, value, blocked=None):
+    def __init__(self, sample, value, view: SocialGraph = None, free=()):
+        R = sample.replications
         self.sample = sample
         self.value = value
-        self.covered = bytearray(sample.node_count * sample.replications if blocked is None
-                                 else blocked)
-        self.total = 0
+        self.covered = covered = bytearray(sample.node_count * R)
+        if view is not None:
+            if sample.node_count != view.base_node_count:
+                raise ValueError(f"sample of {sample.node_count} nodes does not fit a graph of "
+                                 f"{view.base_node_count} nodes")
+            for r in view.removed:
+                covered[r * R:(r + 1) * R] = b"\x01" * R
+        for v in free:
+            self.add(v)
 
     def gain(self, u):
         """Benefit, summed over snapshots, that adding ``u`` would newly cover."""
         return self.benefit(u, self.reach(u))
 
     def add(self, u, reached=None):
-        """Add ``u`` to the seed set; returns its gain.
+        """Add ``u`` to the seed set: cover its copies and what it reaches.
 
         A caller that holds ``reach(u)`` passes it as ``reached`` and saves the walk.
         """
@@ -209,12 +204,9 @@ class SnapshotCoverage:
         covered = self.covered
         if reached is None:
             reached = self.reach(u)
-        gained = self.benefit(u, reached)
         covered[u * R:(u + 1) * R] = b"\x01" * R
         for y in reached:
             covered[y] = 1
-        self.total += gained
-        return gained
 
     def reach(self, u):
         """The uncovered flat ids that ``u`` reaches, its own copies aside.
@@ -276,7 +268,7 @@ def gain_bounds(sample, value) -> array:
     Entry ``u`` is the benefit, summed over snapshots, that ``u`` covers alone
     on the unblocked sample.  A view blocks its removed nodes' copies, which
     can only take reach away, so the entry bounds from above
-    ``SnapshotCoverage(sample, value, blocked).gain(u)`` for every surviving
+    ``SnapshotCoverage(sample, value, view).gain(u)`` for every surviving
     ``u`` of every view, and equals it when nothing is blocked.  Built on the
     first call for ``value`` and kept on the sample until a call for other
     benefits replaces it.

@@ -10,17 +10,18 @@ graph's other nodes.
 
 The greedy selectors draw nothing.  They are handed a sample of R live graphs
 of the base graph their view shares (a cell's, from
-:func:`~profitmax.twophase.cell_sample`), block the view's removed nodes on
-it (:func:`~profitmax.profit.blocked_copies`), cover the frontier's reach on
-it before rating any candidate, and score every candidate exactly there:
-benefit is weighted coverage, so a gain is coverage gained minus the node's
-cost.  Both take the sample itself.  Single greedy evaluates lazily (CELF):
-it reads the sample's :func:`~profitmax.profit.gain_bounds`, whose
-whole-sample gains bound every gain on a view from above and are built once
-per sample, and starts each candidate's ratio from that bound; a ratio
-computed in an earlier round bounds the current one from above too, so only
-candidates that reach the top of the queue are evaluated, and the seeds equal
-those of the eager loop on the same sample.  Its trace holds one
+:func:`~profitmax.twophase.cell_sample`), start one
+:class:`~profitmax.profit.SnapshotCoverage` on it that blocks the view's
+removed nodes and covers the frontier's reach before rating any candidate,
+and score every candidate exactly there: benefit is weighted coverage, so a
+gain is coverage gained minus the node's cost.  Both take the sample itself.
+Single greedy evaluates lazily (CELF): it reads the sample's
+:func:`~profitmax.profit.gain_bounds`, whose whole-sample gains bound every
+gain on a view from above and are built once per sample, and starts each
+candidate's ratio from that bound; a ratio computed in an earlier round
+bounds the current one from above too, so only candidates that reach the top
+of the queue are evaluated, and the seeds equal those of the eager loop on
+the same sample.  Its trace holds one
 ``evaluated`` entry per ratio computed, ``unaffordable`` when a candidate
 leaves the pool for good, and the round's ``accepted`` node or the final
 ``rejected_gain`` one.  Every other selector is one budget-first scan of an
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 from .diffusion import LiveSample
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degrees, seed_cost
-from .profit import SnapshotCoverage, blocked_copies, gain_bounds, last_coverers, marginal_profit_gain
+from .profit import SnapshotCoverage, gain_bounds, last_coverers, marginal_profit_gain
 # unused here, but the benchmark's tracer patches these names on this module
 from .graph import clustering_coefficient, degree  # noqa: F401
 from .profit import estimate_profit  # noqa: F401
@@ -94,16 +95,6 @@ def _candidates(g, econ, budget, free):
     return [u for u in g.nodes if u not in free]
 
 
-def _precovered(sample, econ, g, free) -> SnapshotCoverage:
-    # the view's removed copies are blocked, and the frontier's reach is
-    # covered before any candidate is rated: a copy the free seeds reach
-    # earns no candidate anything
-    cover = SnapshotCoverage(sample, econ.benefit, blocked_copies(sample, g))
-    for v in free:
-        cover.add(v)
-    return cover
-
-
 def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
                   free=frozenset()) -> SelectionOutcome:
     """Iterated best gain-per-cost selection until gains turn non-positive.
@@ -121,7 +112,7 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
     candidates = _candidates(g, econ, budget, free)
     cost = econ.cost
     replications = sample.replications
-    cover = _precovered(sample, econ, g, free)
+    cover = SnapshotCoverage(sample, econ.benefit, g, free)
     bound = gain_bounds(sample, econ.benefit)
 
     def ratio(u, gain):
@@ -204,7 +195,7 @@ def double_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
     candidates = _candidates(g, econ, budget, free)
     cost = econ.cost
     replications = sample.replications
-    grow = _precovered(sample, econ, g, free)
+    grow = SnapshotCoverage(sample, econ.benefit, g, free)
     # the reverse pass, built when the first gain cannot decide, over the
     # candidates from there on: at position idx, T less u covers a copy that
     # S leaves uncovered exactly when a later candidate covers it too.  Built

@@ -110,31 +110,31 @@ class TwoPhaseResult:
     total_seed_count: int
 
 
-# the last cell's draw: (cfg, g, econ, what cell_sample returned)
+# the last cell's draw: (cfg, g, what cell_sample returned)
 _last_cell = None
 
 
-def cell_sample(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
+def cell_sample(cfg: PhaseConfig, g: SocialGraph):
     """What every selection of the cell scores on: R live graphs of ``g``.
 
     Drawn from the cell's ``snapshots`` stream as a ``LiveSample`` for a cell
     whose algorithm is in ``SNAPSHOT_SELECTORS``; None for a baseline cell,
-    which draws nothing.  Single greedy's gain bounds are built on the
-    sample by the first selection that reads them, and go with it.  The
-    module keeps one cell's draw at a time: a call with the same ``g`` and
-    ``econ`` objects and an equal ``cfg`` returns it again, and any other
-    call releases it before drawing its own.
+    which draws nothing.  The draw depends on no economics: single greedy's
+    gain bounds are built on the sample by the first selection that reads
+    them, for its benefits, and go with it.  The module keeps one cell's
+    draw at a time: a call with the same ``g`` object and an equal ``cfg``
+    returns it again, and any other call releases it before drawing its own.
     """
     global _last_cell
     last = _last_cell
-    if last is not None and last[1] is g and last[2] is econ and last[0] == cfg:
-        return last[3]
+    if last is not None and last[1] is g and last[0] == cfg:
+        return last[2]
     _last_cell = last = None  # the old draw goes before the new one is made
     drawn = None
     if cfg.algorithm in SNAPSHOT_SELECTORS:
         drawn = sample_live_graphs(g, cfg.selection_replications,
                                    RandomSource(cfg.master_seed).stream("snapshots"))
-    _last_cell = (cfg, g, econ, drawn)
+    _last_cell = (cfg, g, drawn)
     return drawn
 
 
@@ -147,7 +147,7 @@ def run_phase1(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     """
     source = RandomSource(cfg.master_seed)
     outcome = select(cfg.algorithm, g, econ, cfg.budget_phase1, cfg.selection_replications,
-                     source.child("phase1-select"), cell_sample(cfg, g, econ))
+                     source.child("phase1-select"), cell_sample(cfg, g))
     observations = [
         observe_until(g, outcome.seeds, cfg.observation_step, source.stream("phase1-observe", i))
         for i in range(cfg.phase1_observations)
@@ -175,7 +175,7 @@ def run_phase2(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics,
     budget = cfg.budget_phase2 + phase1_outcome.remaining_budget
     source = RandomSource(cfg.master_seed).child("phase2", index)
     view = exclude_nodes(g, already - newly)
-    sample = cell_sample(cfg, g, econ)
+    sample = cell_sample(cfg, g)
     if memo is None or sample is None:
         memo = {}
     key = (already, newly)
@@ -244,7 +244,7 @@ def run_single_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
     """
     source = RandomSource(cfg.master_seed)
     outcome = select(cfg.algorithm, g, econ, cfg.total_budget, cfg.selection_replications,
-                     source.child("single-phase-select"), cell_sample(cfg, g, econ))
+                     source.child("single-phase-select"), cell_sample(cfg, g))
     replications = cfg.phase1_observations * cfg.phase2_runs_per_observation
     est = estimate_profit(g, econ, outcome.seeds, replications,
                           source.stream("single-phase-evaluate"))

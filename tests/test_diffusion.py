@@ -193,7 +193,7 @@ def test_geometric_sampler_only_below_the_cutoff():
                          ids=["uniform-low", "uniform-high", "mixed"])
 def test_a_view_samples_its_base_graph(probs, geometric, directed):
     # whatever a view removes, its sample is its base graph's, drawn from the
-    # same stream; blocked_copies alone restricts it to the view
+    # same stream; only the coverage built for the view restricts it to the view
     edges = [(u, v, probs[(u + v) % len(probs)]) for u in range(6) for v in range(u + 1, 6)]
     base = build_graph(edges, directed=directed)
     assert (_geometric_scale(base) is not None) == geometric

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from profitmax import experiment, twophase
+from profitmax import cli, experiment, twophase
 from profitmax.cli import main
 from profitmax.experiment import (
     RESULT_COLUMNS,
@@ -93,6 +93,22 @@ def test_parse_config_errors(tmp_path):
     empty.write_text("dataset =\nalgorithms = random\nbudgets = 5\n")
     with pytest.raises(ValueError, match=r"empty\.txt:1: bad value for 'dataset': ''"):
         parse_config(empty)
+
+    no_equals = tmp_path / "equals.txt"
+    no_equals.write_text("dataset = x\nalgorithms random\nbudgets = 5\n")
+    with pytest.raises(ValueError,
+                       match=r"equals\.txt:2: expected key = value, got 'algorithms random'"):
+        parse_config(no_equals)
+
+    no_workers = tmp_path / "workers.txt"
+    no_workers.write_text("dataset = x\nalgorithms = random\nbudgets = 5\nworkers = 0\n")
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        parse_config(no_workers)
+
+    no_cells = tmp_path / "cells.txt"
+    no_cells.write_text("dataset = x\nalgorithms = ,\nbudgets = 5\n")
+    with pytest.raises(ValueError, match="at least one algorithm and one budget are required"):
+        parse_config(no_cells)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -224,6 +240,15 @@ def test_cli_run(tmp_path, capsys):
     assert "4 result rows" in capsys.readouterr().out
 
 
+def test_cli_run_workers_override_the_config(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_batch", lambda cfg: ran.append(cfg) or [])
+    path = write_config(tmp_path / "c.txt", workers="3")
+    assert main(["run", str(path), "--workers", "2"]) == 0
+    assert main(["run", str(path)]) == 0
+    assert [cfg.workers for cfg in ran] == [2, 3]
+
+
 def test_cli_run_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("dataset = missing.txt\nalgorithms = random\nbudgets = 5\n")
@@ -294,6 +319,14 @@ def test_cli_oracle_refuses_before_printing(capsys, bad):
 def test_cli_oracle_missing_file(capsys):
     assert main(["oracle", "nope.txt", "--seeds", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_oracle_refuses_economics_of_another_size(capsys):
+    assert main(["oracle", str(DATA / "mini_directed.txt"), "--seeds", "0",
+                 "--costs", "1,2", "--benefits", "1,2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "economics table covers 2 nodes, graph has 4" in err
 
 
 def _check_golden(tmp_path, config, golden):

@@ -150,6 +150,14 @@ def test_a_graph_is_frozen():
     assert (view.self_loops_dropped, view.duplicates_collapsed) == (1, 1)
 
 
+def test_a_graph_repr_names_its_kind_size_and_removed_count():
+    undirected = build_graph([(0, 1, 0.5), (1, 2, 0.5)], directed=False)
+    assert repr(undirected) == "SocialGraph(undirected, nodes=3, arcs=4)"
+    assert repr(exclude_nodes(undirected, {1})) == \
+        "SocialGraph(undirected, nodes=2, arcs=0, removed=1)"
+    assert repr(_path3()) == "SocialGraph(directed, nodes=3, arcs=2)"
+
+
 def test_a_graph_survives_a_pickle_round_trip():
     # a spawn or forkserver pool pickles the graph it hands each worker.
     # The base goes before its table is counted and the view after, so

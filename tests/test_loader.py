@@ -52,6 +52,13 @@ def test_malformed_line_reports_line_number():
         assert ":2:" in str(exc)
 
 
+def test_non_integer_id_reports_line_number(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.write_text("0 1\nx 2\n")
+    with pytest.raises(ValueError, match=r"ids\.txt:2: malformed edge line: 'x 2'$"):
+        load_snap_edge_list(path, directed=True)
+
+
 def test_empty_file_gives_empty_graph():
     g = load_snap_edge_list(DATA / "empty.txt", directed=False)
     assert g.node_count == 0 and g.arc_count == 0

@@ -13,7 +13,6 @@ from profitmax.profit import (
     exact_profit,
     marginal_profit_gain,
     SnapshotCoverage,
-    blocked_copies,
     gain_bounds,
 )
 from profitmax.rng import RandomSource
@@ -184,19 +183,31 @@ def test_replication_count_must_be_positive():
         estimate_profit(g, econ, {0}, 0, RandomSource(0).stream("p"))
     with pytest.raises(ValueError, match="replications must be >= 1"):
         marginal_profit_gain(g, econ, set(), 0, 0, RandomSource(0).child("g"))
+    with pytest.raises(ValueError, match="replications must be >= 1, got 0$"):
+        sample_live_graphs(g, 0, RandomSource(0).stream("snapshots"))
 
 
-def test_blocked_copies_mark_a_views_removed_nodes():
+def test_coverage_starts_with_a_views_removed_nodes_and_the_free_reach_covered():
     g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], directed=True)
     sample = sample_live_graphs(g, 3, RandomSource(0).stream("snapshots"))
+    value = (1, 1, 1, 1)
     view = exclude_nodes(g, {1, 3})
-    assert blocked_copies(sample, g) == bytearray(12)
-    assert blocked_copies(sample, view) == bytearray([0] * 3 + [1] * 3 + [0] * 3 + [1] * 3)
+    assert SnapshotCoverage(sample, value).covered == bytearray(12)
+    assert SnapshotCoverage(sample, value, g).covered == bytearray(12)
+    assert SnapshotCoverage(sample, value, view).covered == \
+        bytearray([0] * 3 + [1] * 3 + [0] * 3 + [1] * 3)
+    # free seeds cover their reach on the view: 0 reaches nothing past the
+    # removed 1, and 2's reach is the removed 3
+    assert SnapshotCoverage(sample, value, g, [0]).covered == bytearray([1] * 12)
+    assert SnapshotCoverage(sample, value, view, [0]).covered == \
+        bytearray([1] * 6 + [0] * 3 + [1] * 3)
+    assert SnapshotCoverage(sample, value, view, [2]).covered == \
+        bytearray([0] * 3 + [1] * 9)
     # a sample of another base graph does not fit, whatever the view removes
     smaller = build_graph([(0, 1, 1.0), (1, 2, 1.0)], directed=True)
     for other in (smaller, exclude_nodes(smaller, {0})):
         with pytest.raises(ValueError, match="does not fit"):
-            blocked_copies(sample, other)
+            SnapshotCoverage(sample, value, other)
 
 
 def _snapshot_profit(g, view, econ, seeds, replications, rng):
@@ -205,14 +216,17 @@ def _snapshot_profit(g, view, econ, seeds, replications, rng):
     The live graphs are of the base graph ``g``; the view's removed copies are blocked.
     """
     sample = sample_live_graphs(g, replications, rng)
-    cover = SnapshotCoverage(sample, econ.benefit, blocked_copies(sample, view))
+    cover = SnapshotCoverage(sample, econ.benefit, view)
+    total = 0
     for u in seeds:
-        cover.add(u)
+        reached = cover.reach(u)
+        total += cover.benefit(u, reached)
+        cover.add(u, reached)
     per_snapshot = [sum(econ.benefit[u] for u in view.nodes
                         if cover.covered[u * replications + r])
                     for r in range(replications)]
     mean = sum(per_snapshot) / replications
-    assert mean == cover.total / replications
+    assert mean == total / replications
     var = sum((x - mean) ** 2 for x in per_snapshot) / (replications - 1)
     return mean - seed_cost(econ, seeds), math.sqrt(var / replications)
 
@@ -271,8 +285,8 @@ def _gain_table_instance(seed, replications):
     return rnd, g, value, sample
 
 
-def _coverage_gains(sample, value, blocked, nodes):
-    return [SnapshotCoverage(sample, value, blocked).gain(u) for u in nodes]
+def _coverage_gains(sample, value, view, nodes):
+    return [SnapshotCoverage(sample, value, view).gain(u) for u in nodes]
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,7 +304,7 @@ def test_gain_table_bounds_coverage_on_views(seed, replications):
     # blocking a view's removed copies only takes reach away, and a view
     # that removes nothing loses none
     for view in views:
-        gains = _coverage_gains(sample, value, blocked_copies(sample, view), view.nodes)
+        gains = _coverage_gains(sample, value, view, view.nodes)
         if not view.removed:
             assert gains == [bounds[u] for u in view.nodes]
         else:

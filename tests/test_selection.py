@@ -11,7 +11,6 @@ from profitmax.diffusion import LiveSample, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
 from profitmax.profit import (
     SnapshotCoverage,
-    blocked_copies,
     last_coverers,
     marginal_profit_gain,
 )
@@ -137,7 +136,7 @@ def _eager_single_greedy(g, econ, budget, sample):
     # sample, with g's removed nodes blocked
     cost = econ.cost
     R = sample.replications
-    cover = SnapshotCoverage(sample, econ.benefit, blocked_copies(sample, g))
+    cover = SnapshotCoverage(sample, econ.benefit, g)
     pool, accepted, remaining = g.nodes, [], budget
     while True:
         pool = [u for u in pool if cost[u] <= remaining]
@@ -171,11 +170,16 @@ def test_lazy_single_greedy_matches_eager_loop(seed, replications):
         assert out.seeds == tuple(sorted(u for u, _ in accepted))
 
 
-def _coverage(sample, value, members, blocked=None):
-    cover = SnapshotCoverage(sample, value, blocked)
+def _coverage(sample, value, members, view=None):
+    # the members' gains, each taken before it joins, summed: the benefit
+    # their union covers
+    cover = SnapshotCoverage(sample, value, view)
+    total = 0
     for u in members:
-        cover.add(u)
-    return cover.total
+        reached = cover.reach(u)
+        total += cover.benefit(u, reached)
+        cover.add(u, reached)
+    return total
 
 
 def _covers(sample, u, blocked):
@@ -205,7 +209,7 @@ def _scan_instance(seed, replications):
     sample = _sample(g, replications, RandomSource(seed))
     if rnd.random() < 0.5:
         g = exclude_nodes(g, rnd.sample(g.nodes, rnd.randint(0, g.node_count)))
-    return rnd, g, econ, budget, sample, blocked_copies(sample, g)
+    return rnd, g, econ, budget, sample, SnapshotCoverage(sample, econ.benefit, g).covered
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,16 +234,16 @@ def test_shrink_loss_equals_coverage_difference(seed, replications):
     last = last_coverers(sample, order, blocked)
     for k, u in enumerate(order):
         grown = set(rnd.sample(order[:k], rnd.randint(0, k)))
-        grow = SnapshotCoverage(sample, value, blocked)
+        grow = SnapshotCoverage(sample, value, g)
         for s in grown:
             grow.add(s)
         reached = grow.reach(u)
         shrunk = grown | set(order[k:])
         assert grow.benefit(u, reached) == \
-            _coverage(sample, value, grown | {u}, blocked) - grow.total
+            _coverage(sample, value, grown | {u}, g) - _coverage(sample, value, grown, g)
         assert grow.benefit(u, reached, last, k + 2) == \
-            _coverage(sample, value, shrunk, blocked) - \
-            _coverage(sample, value, shrunk - {u}, blocked)
+            _coverage(sample, value, shrunk, g) - \
+            _coverage(sample, value, shrunk - {u}, g)
 
 
 def _two_walk_double_greedy(g, econ, budget, sample, free=frozenset()):
@@ -251,7 +255,6 @@ def _two_walk_double_greedy(g, econ, budget, sample, free=frozenset()):
     cost, value = econ.cost, econ.benefit
     nodes = [u for u in g.nodes if u not in free]
     R = sample.replications
-    blocked = blocked_copies(sample, g)
     free = set(free)
     shrink = set(nodes)
     selected, remaining, trace = [], budget, []
@@ -262,10 +265,10 @@ def _two_walk_double_greedy(g, econ, budget, sample, free=frozenset()):
             trace.append(TraceEntry(idx, u, "unaffordable"))
             continue
         grown = free.union(selected)
-        gain = _coverage(sample, value, grown | {u}, blocked) - \
-            _coverage(sample, value, grown, blocked)
-        loss = _coverage(sample, value, free | shrink, blocked) - \
-            _coverage(sample, value, free | (shrink - {u}), blocked)
+        gain = _coverage(sample, value, grown | {u}, g) - \
+            _coverage(sample, value, grown, g)
+        loss = _coverage(sample, value, free | shrink, g) - \
+            _coverage(sample, value, free | (shrink - {u}), g)
         add_ratio = (gain / R - c) / c
         remove_ratio = (c - loss / R) / c
         # add_ratio >= remove_ratio, in integers: the floats can split a tie

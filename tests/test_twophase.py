@@ -91,6 +91,13 @@ def test_phase2_everything_already_active():
     assert rec.phase2_profit.mean == 0.0
 
 
+def test_phase2_refuses_a_frontier_outside_the_active_set():
+    outcome, _ = run_phase1(cfg(), chain3(), ECON3)
+    obs = PartialObservation(frozenset({0}), frozenset({0, 1}))
+    with pytest.raises(ValueError, match="frontier not contained in active set"):
+        run_phase2(cfg(), chain3(), ECON3, outcome, obs, 0)
+
+
 def test_phase2_dead_phase_is_zero():
     c = cfg(total_budget=0)
     outcome, _ = run_phase1(c, chain3(), ECON3)
@@ -213,7 +220,7 @@ def _phase2_view(g, rec):
 def test_replay_accepts_shared_sample_phase2_outcome():
     c, g, econ = _repeating_cell("single_greedy")
     result = run_two_phase(c, g, econ)
-    shared = cell_sample(c, g, econ)
+    shared = cell_sample(c, g)
     assert any(rec.newly_active for rec in result.observations)
     for rec in result.observations:
         outcome = rec.phase2_selection
@@ -256,7 +263,7 @@ def _check_cell_draws(monkeypatch, algorithm):
     # the same bounds array for every read of one build
     assert len({id(b) for b in bounds}) == (algorithm == "single_greedy")
     monkeypatch.undo()
-    shared = cell_sample(c, g, econ)
+    shared = cell_sample(c, g)
     if not greedy:
         assert shared is None
         # a baseline cell keeps no memo: it selects once per observation
@@ -288,19 +295,35 @@ def test_double_greedy_cell_draws_one_sample_and_no_table(monkeypatch):
 
 
 def test_cell_sample_is_kept_for_the_same_cell_only(monkeypatch):
-    # a hit needs the same graph and economics objects and an equal config
+    # a hit needs the same graph object and an equal config
     c, g, econ = _repeating_cell("double_greedy")
-    _, twin, twin_econ = _repeating_cell("double_greedy")
+    _, twin, _ = _repeating_cell("double_greedy")
     counts = Counter()
     _count_calls(monkeypatch, counts, twophase, "sample_live_graphs")
-    sample = cell_sample(c, g, econ)
-    assert cell_sample(replace(c), g, econ) is sample
+    sample = cell_sample(c, g)
+    assert cell_sample(replace(c), g) is sample
     assert counts["profitmax.twophase.sample_live_graphs"] == 1
-    for other in ((c, twin, econ), (c, g, twin_econ), (replace(c, master_seed=12), g, econ)):
-        cell_sample(c, g, econ)
+    for other in ((c, twin), (replace(c, master_seed=12), g)):
+        cell_sample(c, g)
         counts.clear()
         cell_sample(*other)
         assert counts["profitmax.twophase.sample_live_graphs"] == 1
+    # the draw reads no economics: a cell with other benefits gets the same
+    # sample back, and single greedy on it selects by those benefits, as on
+    # a fresh draw that holds no gain bounds yet
+    c = replace(c, algorithm="single_greedy")
+    reversed_econ = NodeEconomics(econ.cost, econ.benefit[::-1])
+    sample = cell_sample(c, g)
+    chosen, _ = run_phase1(c, g, econ)
+    counts.clear()
+    rechosen, _ = run_phase1(c, g, reversed_econ)
+    assert cell_sample(c, g) is sample
+    assert counts["profitmax.twophase.sample_live_graphs"] == 0
+    fresh = diffusion.sample_live_graphs(g, c.selection_replications,
+                                         RandomSource(c.master_seed).stream("snapshots"))
+    assert fresh == sample and not fresh.bounds
+    assert rechosen == selection.single_greedy(g, reversed_econ, c.budget_phase1, fresh)
+    assert rechosen.seeds != chosen.seeds
 
 
 @pytest.mark.parametrize("next_algorithm", ["double_greedy", "single_greedy", "high_degree"])
@@ -309,7 +332,7 @@ def test_cell_sample_releases_the_last_cell_before_drawing(monkeypatch, next_alg
     # once cell B asks, before B's own draw starts
     c, g, econ = _repeating_cell("single_greedy")
     run_phase1(c, g, econ)
-    sample = cell_sample(c, g, econ)
+    sample = cell_sample(c, g)
     gone = [weakref.ref(sample), weakref.ref(profit.gain_bounds(sample, econ.benefit))]
     del sample
     alive_at_draw = []
@@ -321,7 +344,7 @@ def test_cell_sample_releases_the_last_cell_before_drawing(monkeypatch, next_alg
         return draw(*args)
 
     monkeypatch.setattr(twophase, "sample_live_graphs", watched)
-    cell_sample(replace(c, algorithm=next_algorithm, master_seed=12), g, econ)
+    cell_sample(replace(c, algorithm=next_algorithm, master_seed=12), g)
     gc.collect()
     assert all(ref() is None for ref in gone)
     assert not any(alive_at_draw)
@@ -466,4 +489,11 @@ def test_exact_two_phase_oracle_refuses_big_graphs():
     g = build_graph([(i, i + 1, 0.5) for i in range(25)], directed=True)
     econ = NodeEconomics((1,) * 26, (1,) * 26)
     with pytest.raises(ValueError):
+        exact_two_phase_profit(g, econ, [0], 1, 3)
+    # certain arcs: seed 0 always activates 1, which leaves 17 of 19 nodes
+    # to brute-force in phase two
+    g = build_graph([(2 * k, 2 * k + 1, 1.0) for k in range(9)] + [(17, 18, 1.0)],
+                    directed=True)
+    econ = NodeEconomics((1,) * 19, (1,) * 19)
+    with pytest.raises(ValueError, match="too many phase-two candidates"):
         exact_two_phase_profit(g, econ, [0], 1, 3)

@@ -29,6 +29,7 @@ from .rng import RandomSource
 from .selection import (
     SELECTORS,
     SelectionOutcome,
+    Trace,
     TraceEntry,
     baseline_clustering_coefficient,
     baseline_high_degree,

@@ -4,9 +4,12 @@ The two greedy selectors pick by profit gain per unit cost; the four baselines
 order candidates by randomness, degree, clustering coefficient, or discounted
 degree.  Every selector works on whatever (possibly restricted) graph it is
 handed, never picks a node twice, and returns an audit trace of each examined
-candidate.  ``free`` nodes of that graph (phase two's observed frontier)
-seed every cascade at no cost and earn nothing: the candidates are the
-graph's other nodes.
+candidate: a :class:`Trace`, which reads as the tuple of its
+:class:`TraceEntry` items but keeps them as columns (two 4-byte arrays of
+rounds and nodes, a byte of decision each, and a map of the entries that
+carry a ratio), written as the scan goes.  ``free`` nodes of that graph
+(phase two's observed frontier) seed every cascade at no cost and earn
+nothing: the candidates are the graph's other nodes.
 
 The greedy selectors draw nothing.  They are handed a sample of R live graphs
 of the base graph their view shares (a cell's, from
@@ -38,6 +41,8 @@ the loss, off the walk around its growing set's cover that gives the gain.
 """
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
@@ -51,6 +56,7 @@ from .profit import estimate_profit  # noqa: F401
 
 __all__ = [
     "TraceEntry",
+    "Trace",
     "SelectionOutcome",
     "single_greedy",
     "double_greedy",
@@ -72,17 +78,81 @@ class TraceEntry(NamedTuple):
     remove_ratio: float = None
 
 
+# a trace keeps each decision as its index here
+_DECISIONS = ("unaffordable", "evaluated", "accepted", "rejected_gain")
+_UNAFFORDABLE, _EVALUATED, _ACCEPTED, _REJECTED = range(len(_DECISIONS))
+
+
+class Trace(Sequence):
+    """A read-only sequence of :class:`TraceEntry`, kept as columns.
+
+    Rounds and nodes sit in two ``array("i")``, decisions in a ``bytearray``
+    of codes, and ratios in a map from position to ``(ratio, remove_ratio)``
+    that holds only the entries with a ratio, so a listed candidate costs
+    about 10 bytes.  A ``Trace`` behaves as the tuple of its entries: it
+    compares equal to that tuple, hashes and prints like it, and a slice of
+    it is one.  ``Trace(entries)`` builds one from entries or their plain
+    tuples.
+    """
+
+    def __init__(self, entries=()):
+        self._rounds, self._nodes = array("i"), array("i")
+        self._decisions, self._ratios = bytearray(), {}
+        rounds, nodes, decide, ratios = self._writers()
+        for i, entry in enumerate(entries):
+            round_no, node, decision, *pair = TraceEntry(*entry)
+            rounds(round_no), nodes(node), decide(_DECISIONS.index(decision))
+            if pair != [None, None]:
+                ratios[i] = tuple(pair)
+
+    def _writers(self):
+        # what a selector records with, as it scans: each column's append and
+        # the ratio map, keyed by the entry's position
+        return self._rounds.append, self._nodes.append, self._decisions.append, self._ratios
+
+    def __len__(self):
+        return len(self._decisions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        node = self._nodes[index]
+        if index < 0:
+            index += len(self)
+        return TraceEntry(self._rounds[index], node, _DECISIONS[self._decisions[index]],
+                          *self._ratios.get(index, ()))
+
+    def __eq__(self, other):
+        if isinstance(other, (Trace, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class SelectionOutcome:
+    """A selection's seeds, spend and audit trace.
+
+    ``trace`` lists every examined candidate in scan order, one or more
+    entries each.  Its nodes and rounds sit in 4-byte arrays (``array("i")``),
+    so it holds ids and rounds up to
+    :data:`~profitmax.diffusion.SAMPLE_INT_MAX`, 2**31 - 1.
+    """
+
     seeds: tuple
     spent: int
     remaining_budget: int
-    trace: tuple
+    trace: Trace
 
 
 def _outcome(econ, budget, selected, trace) -> SelectionOutcome:
     spent = seed_cost(econ, selected)
-    return SelectionOutcome(tuple(sorted(selected)), spent, budget - spent, tuple(trace))
+    return SelectionOutcome(tuple(sorted(selected)), spent, budget - spent, trace)
 
 
 def _candidates(g, econ, budget, free):
@@ -122,11 +192,12 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
     # view's blocked copies and the frontier's cover can only lower, stale
     # from round -1: a node is rated exactly only when its stale ratio
     # reaches the top
-    trace = []
+    trace = Trace()
+    rounds, nodes, decide, ratios = trace._writers()
     queue = []
     for u in candidates:
         if cost[u] > budget:
-            trace.append(TraceEntry(0, u, "unaffordable"))
+            rounds(0), nodes(u), decide(_UNAFFORDABLE)
         else:
             queue.append((-ratio(u, bound[u]), u, -1))
     heapify(queue)
@@ -137,17 +208,20 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
         neg_ratio, u, evaluated_in = queue[0]
         if cost[u] > remaining:
             heappop(queue)
-            trace.append(TraceEntry(round_no, u, "unaffordable"))
+            rounds(round_no), nodes(u), decide(_UNAFFORDABLE)
         elif evaluated_in != round_no:
             r = ratio(u, cover.gain(u))
-            trace.append(TraceEntry(round_no, u, "evaluated", r))
+            ratios[len(trace)] = (r, None)
+            rounds(round_no), nodes(u), decide(_EVALUATED)
             heapreplace(queue, (-r, u, round_no))
         elif neg_ratio >= 0.0:
-            trace.append(TraceEntry(round_no, u, "rejected_gain", -neg_ratio))
+            ratios[len(trace)] = (-neg_ratio, None)
+            rounds(round_no), nodes(u), decide(_REJECTED)
             break
         else:
             heappop(queue)
-            trace.append(TraceEntry(round_no, u, "accepted", -neg_ratio))
+            ratios[len(trace)] = (-neg_ratio, None)
+            rounds(round_no), nodes(u), decide(_ACCEPTED)
             cover.add(u)
             selected.append(u)
             remaining -= cost[u]
@@ -157,21 +231,28 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
 
 def _scan(econ, budget, order, gate=None) -> SelectionOutcome:
     # a node that does not fit the remaining budget is never gated; a gate
-    # returns (taken, ratio[, remove_ratio]) and, before ``order`` yields the
-    # next node, updates any state of its own that follows the taken nodes
+    # returns (taken, ratio, remove_ratio) and, before ``order`` yields the
+    # next node, updates any state of its own that follows the taken nodes.
+    # The i-th node scanned is the trace's i-th entry, of round i
     cost = econ.cost
     selected = []
     remaining = budget
-    trace = []
+    trace = Trace()
+    rounds, nodes, decide, ratios = trace._writers()
     for i, u in enumerate(order):
+        rounds(i), nodes(u)
         if cost[u] > remaining:
-            trace.append(TraceEntry(i, u, "unaffordable"))
+            decide(_UNAFFORDABLE)
             continue
-        taken, *ratios = gate(i, u, selected) if gate else (True,)
+        if gate is None:
+            taken = True
+        else:
+            taken, ratio, remove_ratio = gate(i, u, selected)
+            ratios[i] = ratio, remove_ratio
         if taken:
             selected.append(u)
             remaining -= cost[u]
-        trace.append(TraceEntry(i, u, "accepted" if taken else "rejected_gain", *ratios))
+        decide(_ACCEPTED if taken else _REJECTED)
     return _outcome(econ, budget, selected, trace)
 
 
@@ -244,7 +325,7 @@ def _gain_gate(g, econ, replications, source, free):
     def gate(i, u, selected):
         gain = marginal_profit_gain(g, econ, selected, u, replications,
                                     source.child("evaluate", i), free_seeds=free)
-        return gain >= 0.0, gain / cost[u]
+        return gain >= 0.0, gain / cost[u], None
 
     return gate
 

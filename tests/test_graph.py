@@ -22,7 +22,14 @@ from profitmax.graph import (
     exclude_nodes,
     seed_cost,
 )
-from profitmax.loader import load_snap_edge_list, preferential_attachment_graph
+from profitmax.loader import (
+    AttributeSpec,
+    generate_attributes,
+    load_snap_edge_list,
+    preferential_attachment_graph,
+)
+from profitmax.rng import RandomSource
+from profitmax.selection import baseline_random
 
 DATA = Path(__file__).parent / "data"
 
@@ -415,6 +422,26 @@ def test_wiki_size_build_and_pair_count_memory():
     assert kept <= 2.5 * 2 ** 20
     assert build_peak <= 1.5 * kept
     assert count_peak <= 2 * kept
+
+
+def test_wiki_size_trace_memory():
+    # the pa:7115:15:7 stand-in with the benchmark's attributes, under
+    # tracemalloc: a budget of 500 fits a handful of nodes, so nearly every
+    # one of the 7,115 entries is an unaffordable candidate.  A tuple of
+    # entry objects, each pinning its own round and node ints, keeps about
+    # 154 bytes an entry; the columns keep 10
+    g = preferential_attachment_graph(7115, 15, 7)
+    econ = generate_attributes(g, AttributeSpec(cost_range=(50, 100), benefit_range=(800, 1000),
+                                                attribute_seed=11))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = baseline_random(g, econ, 500, RandomSource(3))
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(out.trace) == 7115
+    assert kept <= 16 * len(out.trace)
 
 
 def test_wiki_size_directed_pair_count_pinned():

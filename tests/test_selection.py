@@ -1,7 +1,9 @@
+import pickle
 import random
 from array import array
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from profitmax.selection import (
     SELECTORS,
     SNAPSHOT_SELECTORS,
     SelectionOutcome,
+    Trace,
     TraceEntry,
     baseline_clustering_coefficient,
     baseline_high_degree,
@@ -712,6 +715,86 @@ def test_every_selector_emits_only_the_four_decisions(seed, replications):
         assert {e.node for e in out.trace if e.decision == "accepted"} == set(out.seeds)
         assert all(e.ratio is None and e.remove_ratio is None
                    for e in out.trace if e.decision == "unaffordable")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(1, 6))
+def test_every_selector_records_its_trace_in_columns(seed, replications):
+    # a selector writes its trace's columns and makes no entry while it
+    # scans; the trace it returns reads back as the tuple of its entries
+    def refuse(*entry):
+        raise AssertionError(f"an entry was made while recording: {entry}")
+
+    rnd = random.Random(seed)
+    g, econ, budget = _small_instance(rnd, directed=rnd.random() < 0.5)
+    free = _frontier(rnd, g)
+    for name in SELECTORS:
+        source = RandomSource(seed).child(name)
+        shared = _shared(name, g, replications, source)
+        with mock.patch.object(selection, "TraceEntry", refuse):
+            out = select(name, g, econ, budget, replications, source, shared, free)
+        assert type(out.trace) is Trace
+        entries = tuple(out.trace)
+        assert all(type(e) is TraceEntry for e in entries)
+        assert out.trace == entries and out == replace(out, trace=entries)
+        assert out.trace == Trace(entries) and repr(out.trace) == repr(entries)
+
+
+_ratios = st.none() | st.floats(allow_nan=False)
+_entries = st.lists(st.builds(TraceEntry, st.integers(0, 2 ** 31 - 2), st.integers(0, 2 ** 31 - 2),
+                              st.sampled_from(sorted(DECISIONS)), _ratios, _ratios),
+                    max_size=12)
+
+
+def _altered(entry, field):
+    # the entry with one field changed
+    value = getattr(entry, field)
+    if field == "decision":
+        value = min(DECISIONS - {value})
+    elif field in ("round", "node"):
+        value += 1
+    else:
+        value = 0.5 if value is None else None
+    return entry._replace(**{field: value})
+
+
+@given(_entries, st.data())
+def test_a_trace_is_the_tuple_of_its_entries(entries, data):
+    entries = tuple(entries)
+    trace = Trace(entries)
+    assert trace == entries and entries == trace
+    assert not (trace != entries or entries != trace)
+    assert hash(trace) == hash(entries) and repr(trace) == repr(entries)
+    assert len(trace) == len(entries) and tuple(iter(trace)) == entries
+    # every None and every float reads back exactly, -0.0 included
+    assert [repr(e) for e in trace] == [repr(e) for e in entries]
+    assert all(type(e) is TraceEntry for e in trace)
+    # a plain tuple per entry builds the same trace
+    assert Trace(tuple(e) for e in entries) == trace
+    n = len(entries)
+    for index in (0, -1, n - 1, -n):
+        if n:
+            assert type(trace[index]) is TraceEntry and trace[index] == entries[index]
+    for index in (n, -n - 1, n + 5):
+        with pytest.raises(IndexError):
+            trace[index]
+    cut = data.draw(st.slices(n + 2))
+    assert type(trace[cut]) is tuple and trace[cut] == entries[cut]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(trace, protocol))
+        assert type(back) is Trace and back == trace and back == entries
+        assert repr(back) == repr(entries)
+    outcome = SelectionOutcome((), 0, 0, trace)
+    assert outcome == SelectionOutcome((), 0, 0, entries) == outcome
+    assert hash(outcome) == hash(SelectionOutcome((), 0, 0, entries))
+    if n:
+        k = data.draw(st.integers(0, n - 1))
+        field = data.draw(st.sampled_from(TraceEntry._fields))
+        other = entries[:k] + (_altered(entries[k], field),) + entries[k + 1:]
+        assert trace != other and other != trace and not trace == other
+        assert Trace(other) != trace
+        assert outcome != SelectionOutcome((), 0, 0, other)
+    assert trace != list(entries) and trace != entries + (TraceEntry(0, 0, "accepted"),)
 
 
 def test_free_seeds_must_be_nodes_of_the_view():

@@ -130,7 +130,11 @@ class SocialGraph:
 
 @dataclass(frozen=True)
 class NodeEconomics:
-    """Per-node incentive cost and earnable benefit, indexed by node id."""
+    """Per-node incentive cost and earnable benefit, indexed by node id.
+
+    Both are integers of at least 1 (``type(x) is int``, so no float or
+    bool): the greedy selectors count gains exactly in integers.
+    """
 
     cost: tuple
     benefit: tuple
@@ -139,11 +143,11 @@ class NodeEconomics:
         if len(self.cost) != len(self.benefit):
             raise ValueError("cost and benefit tables must cover the same nodes")
         for u, c in enumerate(self.cost):
-            if c < 1:
-                raise ValueError(f"cost of node {u} must be >= 1, got {c}")
+            if type(c) is not int or c < 1:
+                raise ValueError(f"cost of node {u} must be an integer >= 1, got {c!r}")
         for u, b in enumerate(self.benefit):
-            if b < 1:
-                raise ValueError(f"benefit of node {u} must be >= 1, got {b}")
+            if type(b) is not int or b < 1:
+                raise ValueError(f"benefit of node {u} must be an integer >= 1, got {b!r}")
 
     def check_covers(self, g: SocialGraph):
         if len(self.cost) != g.base_node_count:

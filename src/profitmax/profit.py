@@ -17,7 +17,9 @@ the cascade newly reaches earn.
 The greedy selectors estimate on a fixed sample of live graphs instead, one
 per cell (:class:`SnapshotCoverage`): there benefit is exact weighted
 coverage, so a seed set's mean profit over the sample is a submodular
-coverage term minus a modular cost.  For double greedy's shrinking set,
+coverage term minus a modular cost.  A node is rated and added off one walk:
+its gain is ``benefit(u, reach(u))``, and ``add(u, reached)`` covers that
+same reach.  For double greedy's shrinking set,
 :func:`last_coverers` marks each copy with the last scan position that covers
 it, so a scanned node's loss is read off the walk that gives its gain; a
 selection builds it only once a gain cannot decide on its own.  A
@@ -169,10 +171,12 @@ class SnapshotCoverage:
     start out covered, so no walk enters them or counts them: this is the
     one way a sample is restricted to a view.  The ``free`` nodes (an
     observed frontier) are added before any gain is read, so a copy they
-    reach earns no seed anything.  Each seed's :meth:`gain`, read before its
-    :meth:`add`, summed and divided by ``replications``, less ``seed_cost``,
-    is the set's mean profit on the sample.  A node's gain can only shrink as
-    seeds join, and with integer benefits every gain is an exact integer.
+    reach earns no seed anything.  A node is rated and added off one walk:
+    ``reached = reach(u)``, its gain ``benefit(u, reached)``, then
+    ``add(u, reached)``.  Each seed's gain, read before its add, summed and
+    divided by ``replications``, less ``seed_cost``, is the set's mean profit
+    on the sample.  A node's gain can only shrink as seeds join, and with
+    integer benefits every gain is an exact integer.
     """
 
     __slots__ = ("sample", "value", "covered")
@@ -189,21 +193,12 @@ class SnapshotCoverage:
             for r in view.removed:
                 covered[r * R:(r + 1) * R] = b"\x01" * R
         for v in free:
-            self.add(v)
+            self.add(v, self.reach(v))
 
-    def gain(self, u):
-        """Benefit, summed over snapshots, that adding ``u`` would newly cover."""
-        return self.benefit(u, self.reach(u))
-
-    def add(self, u, reached=None):
-        """Add ``u`` to the seed set: cover its copies and what it reaches.
-
-        A caller that holds ``reach(u)`` passes it as ``reached`` and saves the walk.
-        """
+    def add(self, u, reached):
+        """Add ``u`` to the seed set: cover its copies and ``reached``, its :meth:`reach`."""
         R = self.sample.replications
         covered = self.covered
-        if reached is None:
-            reached = self.reach(u)
         covered[u * R:(u + 1) * R] = b"\x01" * R
         for y in reached:
             covered[y] = 1
@@ -267,14 +262,15 @@ def gain_bounds(sample, value) -> array:
 
     Entry ``u`` is the benefit, summed over snapshots, that ``u`` covers alone
     on the unblocked sample.  A view blocks its removed nodes' copies, which
-    can only take reach away, so the entry bounds from above
-    ``SnapshotCoverage(sample, value, view).gain(u)`` for every surviving
-    ``u`` of every view, and equals it when nothing is blocked.  Built on the
+    can only take reach away, so the entry bounds from above ``u``'s gain
+    on ``SnapshotCoverage(sample, value, view)`` for every surviving ``u``
+    of every view, and equals it when nothing is blocked.  Built on the
     first call for ``value`` and kept on the sample until a call for other
     benefits replaces it.
     """
     kept = sample.bounds
     if not kept or kept[0] != value:
         empty = SnapshotCoverage(sample, value)
-        kept[:] = value, array("q", [empty.gain(u) for u in range(sample.node_count)])
+        kept[:] = value, array("q", [empty.benefit(u, empty.reach(u))
+                                     for u in range(sample.node_count)])
     return kept[1]

@@ -24,7 +24,10 @@ gain on a view from above and are built once per sample, and starts each
 candidate's ratio from that bound; a ratio computed in an earlier round
 bounds the current one from above too, so only candidates that reach the top
 of the queue are evaluated, and the seeds equal those of the eager loop on
-the same sample.  Its trace holds one
+the same sample.  Each rated node is walked once, around the cover as it
+stands, and the round's accepted node joins the cover off the walk it was
+rated with; double greedy too adds a node off the walk that gave its gain.
+Its trace holds one
 ``evaluated`` entry per ratio computed, ``unaffordable`` when a candidate
 leaves the pool for good, and the round's ``accepted`` node or the final
 ``rejected_gain`` one.  Every other selector is one budget-first scan of an
@@ -204,13 +207,17 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
     selected = []
     remaining = budget
     round_no = 0
+    # this round's walks: a node is accepted only once rated this round, so
+    # its add reuses the walk it was rated with
+    fresh = {}
     while queue:
         neg_ratio, u, evaluated_in = queue[0]
         if cost[u] > remaining:
             heappop(queue)
             rounds(round_no), nodes(u), decide(_UNAFFORDABLE)
         elif evaluated_in != round_no:
-            r = ratio(u, cover.gain(u))
+            fresh[u] = reached = cover.reach(u)
+            r = ratio(u, cover.benefit(u, reached))
             ratios[len(trace)] = (r, None)
             rounds(round_no), nodes(u), decide(_EVALUATED)
             heapreplace(queue, (-r, u, round_no))
@@ -222,7 +229,8 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
             heappop(queue)
             ratios[len(trace)] = (-neg_ratio, None)
             rounds(round_no), nodes(u), decide(_ACCEPTED)
-            cover.add(u)
+            cover.add(u, fresh[u])
+            fresh.clear()
             selected.append(u)
             remaining -= cost[u]
             round_no += 1

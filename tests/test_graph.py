@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profitmax.diffusion import _geometric_scale
+from profitmax.diffusion import _geometric_scale, sample_live_graphs
 from profitmax.graph import (
     NodeEconomics,
     SocialGraph,
@@ -29,7 +29,7 @@ from profitmax.loader import (
     preferential_attachment_graph,
 )
 from profitmax.rng import RandomSource
-from profitmax.selection import baseline_random
+from profitmax.selection import baseline_random, single_greedy
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,6 +99,17 @@ def test_economics_validation():
         NodeEconomics((1, 1), (1, 0))
     with pytest.raises(ValueError):
         NodeEconomics((1,), (1, 1))
+
+
+def test_economics_must_be_integers():
+    # a float benefit would reach the selectors' integer gain arrays, and a
+    # float cost their exact integer rule; a bool is no count either
+    with pytest.raises(ValueError, match=r"cost of node 1 must be an integer >= 1, got 1\.5$"):
+        NodeEconomics((2, 1.5), (3, 3))
+    with pytest.raises(ValueError, match=r"benefit of node 0 must be an integer >= 1, got 2\.0$"):
+        NodeEconomics((2, 2), (2.0, 3))
+    with pytest.raises(ValueError, match=r"cost of node 2 must be an integer >= 1, got True$"):
+        NodeEconomics((2, 2, True), (3, 3, 3))
 
 
 def _path3():
@@ -495,3 +506,26 @@ def test_wiki_size_view_queries_pinned():
     assert len(degree_table) == 7075 and sum(degree_table.values()) == 186_074
     assert digest(degree_table) == "1cf8f3cad8ae8e20"
     assert digest(clustering_coefficients(view)) == "c7baa5b58358b0a5"
+
+
+def test_wiki_size_single_greedy_pinned():
+    # single greedy on the pa:7115:15:7 stand-in with the benchmark's
+    # attributes and one R=100 sample of master seed 5's snapshots stream:
+    # on the whole graph at B=500, and, as phase two selects, without the 40
+    # highest-degree nodes and with 10 of their neighbours as the frontier at
+    # B=1000.  The seeds and trace digests were taken when an accepted node's
+    # reach was walked again for its add
+    g = preferential_attachment_graph(7115, 15, 7)
+    econ = generate_attributes(g, AttributeSpec(cost_range=(50, 100), benefit_range=(800, 1000),
+                                                attribute_seed=11))
+    sample = sample_live_graphs(g, 100, RandomSource(5).stream("snapshots"))
+    hubs = sorted(g.nodes, key=lambda u: (-degree(g, u), u))[:40]
+    frontier = frozenset(sorted({v for h in hubs for v, _ in g.out_arcs(h)} - set(hubs))[:10])
+    digest = lambda trace: hashlib.sha256(repr(trace).encode()).hexdigest()[:16]
+    whole = single_greedy(g, econ, 500, sample)
+    assert whole.seeds == (0, 2, 3, 4, 8, 9, 20, 22)
+    assert digest(whole.trace) == "dc25525021451a2b"
+    phase_two = single_greedy(exclude_nodes(g, hubs), econ, 1000, sample, frontier)
+    assert phase_two.seeds == (49, 56, 63, 64, 65, 69, 80, 82, 87, 110, 116, 128, 129, 130,
+                               209, 213, 254)
+    assert digest(phase_two.trace) == "78c8ae3ca6684444"

@@ -286,7 +286,8 @@ def _gain_table_instance(seed, replications):
 
 
 def _coverage_gains(sample, value, view, nodes):
-    return [SnapshotCoverage(sample, value, view).gain(u) for u in nodes]
+    cover = SnapshotCoverage(sample, value, view)
+    return [cover.benefit(u, cover.reach(u)) for u in nodes]
 
 
 @settings(max_examples=150, deadline=None)

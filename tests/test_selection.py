@@ -13,6 +13,7 @@ from profitmax.diffusion import LiveSample, sample_live_graphs
 from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
 from profitmax.profit import (
     SnapshotCoverage,
+    gain_bounds,
     last_coverers,
     marginal_profit_gain,
 )
@@ -145,11 +146,11 @@ def _eager_single_greedy(g, econ, budget, sample):
         pool = [u for u in pool if cost[u] <= remaining]
         if not pool:
             break
-        scored = [((cover.gain(u) / R - cost[u]) / cost[u], u) for u in pool]
+        scored = [((cover.benefit(u, cover.reach(u)) / R - cost[u]) / cost[u], u) for u in pool]
         ratio, best = max(scored, key=lambda t: (t[0], -t[1]))
         if ratio <= 0.0:
             break
-        cover.add(best)
+        cover.add(best, cover.reach(best))
         accepted.append((best, ratio))
         remaining -= cost[best]
         pool.remove(best)
@@ -239,7 +240,7 @@ def test_shrink_loss_equals_coverage_difference(seed, replications):
         grown = set(rnd.sample(order[:k], rnd.randint(0, k)))
         grow = SnapshotCoverage(sample, value, g)
         for s in grown:
-            grow.add(s)
+            grow.add(s, grow.reach(s))
         reached = grow.reach(u)
         shrunk = grown | set(order[k:])
         assert grow.benefit(u, reached) == \
@@ -534,6 +535,33 @@ def test_double_greedy_walks_only_affordable_nodes(monkeypatch):
         assert walks == [e.node for e in out.trace if e.decision != "unaffordable"]
         unaffordable += sum(e.decision == "unaffordable" for e in out.trace)
     assert unaffordable
+
+
+def test_single_greedy_walks_each_rated_node_once(monkeypatch):
+    # one reach walk per free seed as the cover starts, then one per rating:
+    # the accepted node joins the cover off the walk it was rated with
+    walks = []
+    reach = SnapshotCoverage.reach
+
+    def counted(self, u):
+        walks.append(u)
+        return reach(self, u)
+
+    monkeypatch.setattr(SnapshotCoverage, "reach", counted)
+    accepted = 0
+    for seed in range(40):
+        rnd, g, econ, budget, sample, _ = _scan_instance(seed, 3)
+        free = frozenset(rnd.sample(g.nodes, min(2, g.node_count)))
+        gain_bounds(sample, econ.benefit)
+        walks.clear()
+        out = single_greedy(g, econ, budget, sample, free)
+        decisions = [e.decision for e in out.trace]
+        assert len(walks) == decisions.count("evaluated") + len(free)
+        assert sorted(walks[:len(free)]) == sorted(free)
+        assert walks[len(free):] == [e.node for e in out.trace if e.decision == "evaluated"]
+        if free:
+            accepted += decisions.count("accepted")
+    assert accepted
 
 
 def test_double_greedy_skips_a_money_losing_node():

@@ -115,11 +115,14 @@ class SocialGraph:
     def _engine(self):
         return self._offsets, self._targets, self._probs, self._uniform_p
 
-    def _blocked_template(self) -> bytearray:
-        # a fresh array, removed nodes pre-marked active: they never fire or count
+    def _blocked_template(self, active=()) -> bytearray:
+        # a cascade's start state, a fresh array: the ``active`` nodes, and the
+        # removed ones, which never fire or count, pre-marked active
         tmpl = bytearray(self.base_node_count)
         for r in self.removed:
             tmpl[r] = 1
+        for s in active:
+            tmpl[s] = 1
         return tmpl
 
     def __repr__(self):

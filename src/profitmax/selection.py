@@ -14,12 +14,12 @@ nothing: the candidates are the graph's other nodes.
 The greedy selectors draw nothing.  They are handed a sample of R live graphs
 of the base graph their view shares (a cell's, from
 :func:`~profitmax.twophase.cell_sample`), start one
-:class:`~profitmax.profit.SnapshotCoverage` on it that blocks the view's
+:class:`~profitmax.diffusion.SnapshotCoverage` on it that blocks the view's
 removed nodes and covers the frontier's reach before rating any candidate,
 and score every candidate exactly there: benefit is weighted coverage, so a
 gain is coverage gained minus the node's cost.  Both take the sample itself.
 Single greedy evaluates lazily (CELF): it reads the sample's
-:func:`~profitmax.profit.gain_bounds`, whose whole-sample gains bound every
+:func:`~profitmax.diffusion.gain_bounds`, whose whole-sample gains bound every
 gain on a view from above and are built once per sample, and starts each
 candidate's ratio from that bound; a ratio computed in an earlier round
 bounds the current one from above too, so only candidates that reach the top
@@ -50,9 +50,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
-from .diffusion import LiveSample
+from .diffusion import LiveSample, SnapshotCoverage, gain_bounds, last_coverers
 from .graph import NodeEconomics, SocialGraph, clustering_coefficients, degrees, seed_cost
-from .profit import SnapshotCoverage, gain_bounds, last_coverers, marginal_profit_gain
+from .profit import marginal_profit_gain
 # unused here, but the benchmark's tracer patches these names on this module
 from .graph import clustering_coefficient, degree  # noqa: F401
 from .profit import estimate_profit  # noqa: F401
@@ -177,7 +177,7 @@ def single_greedy(g: SocialGraph, econ: NodeEconomics, budget: int, sample,
     lowest id.  Candidates whose cost exceeds the remaining budget can never
     become affordable again and leave the pool permanently, which also
     guarantees termination.  ``sample`` is a ``LiveSample`` of the base graph
-    ``g`` shares; its :func:`~profitmax.profit.gain_bounds` for ``econ``'s
+    ``g`` shares; its :func:`~profitmax.diffusion.gain_bounds` for ``econ``'s
     benefits are the upper bounds each candidate's lazy evaluation starts
     from.  ``free`` nodes of ``g`` (an observed frontier) are covered before
     any candidate is rated, and are neither charged nor selected.

@@ -254,35 +254,6 @@ def run_single_phase(cfg: PhaseConfig, g: SocialGraph, econ: NodeEconomics):
 # -- exact oracle for the two-phase objective ---------------------------------
 
 
-def _observe_on_mask(out_idx, arc_targets, mask, seeds, d):
-    """Deterministic observation of live graph ``mask``: d-step reach from seeds.
-
-    Returns (active set, step-d frontier, tuple of examined (arc, state))
-    where examined arcs are those fired by nodes active before the horizon
-    toward then-inactive targets — exactly the information the observation
-    reveals about the world.
-    """
-    active = set(seeds)
-    newly = sorted(seeds)
-    examined = []
-    for _ in range(d):
-        nxt = []
-        for u in newly:
-            for i in out_idx[u]:
-                v = arc_targets[i]
-                if v in active:
-                    continue
-                bit = mask >> i & 1
-                examined.append((i, bit))
-                if bit:
-                    active.add(v)
-                    nxt.append(v)
-        newly = sorted(nxt)
-        if not newly:
-            break
-    return active, newly, tuple(examined)
-
-
 def exact_two_phase_profit(g: SocialGraph, econ: NodeEconomics, phase1_seeds,
                            observation_step: int, budget_phase2: int) -> float:
     """Exact expected two-phase profit of a phase-one seed set.
@@ -307,8 +278,7 @@ def exact_two_phase_profit(g: SocialGraph, econ: NodeEconomics, phase1_seeds,
     for mask, prob in worlds:
         if prob == 0.0:
             continue
-        active, frontier, examined = _observe_on_mask(index.out, index.targets, mask, seeds,
-                                                      observation_step)
+        active, frontier, examined = index.observe(mask, seeds, observation_step)
         entry = groups.get(examined)
         if entry is None:
             groups[examined] = entry = (frozenset(active), frozenset(frontier), [])

@@ -394,11 +394,18 @@ def test_triangle_count_matches_intersection(arcs, directed, hub):
     assert _base_among(g) == _among_by_intersection(g)
 
 
-def test_wiki_size_fixture_pinned():
+@pytest.fixture(scope="module")
+def wiki_size():
+    # the pa:7115:15:7 stand-in for wiki-Vote, built once for the tests that
+    # only read it
+    return preferential_attachment_graph(7115, 15, 7)
+
+
+def test_wiki_size_fixture_pinned(wiki_size):
     # the pa:7115:15:7 stand-in for wiki-Vote; the digest of its arrays and
     # per-node pair counts was taken from the key-set build and the per-node
     # intersection count
-    g = preferential_attachment_graph(7115, 15, 7)
+    g = wiki_size
     among = _base_among(g)
     arcs = g.arc_list()
     assert len(arcs) == 213_210 and g.duplicates_collapsed == 0
@@ -435,13 +442,13 @@ def test_wiki_size_build_and_pair_count_memory():
     assert count_peak <= 2 * kept
 
 
-def test_wiki_size_trace_memory():
+def test_wiki_size_trace_memory(wiki_size):
     # the pa:7115:15:7 stand-in with the benchmark's attributes, under
     # tracemalloc: a budget of 500 fits a handful of nodes, so nearly every
     # one of the 7,115 entries is an unaffordable candidate.  A tuple of
     # entry objects, each pinning its own round and node ints, keeps about
     # 154 bytes an entry; the columns keep 10
-    g = preferential_attachment_graph(7115, 15, 7)
+    g = wiki_size
     econ = generate_attributes(g, AttributeSpec(cost_range=(50, 100), benefit_range=(800, 1000),
                                                 attribute_seed=11))
     tracemalloc.start()
@@ -455,15 +462,13 @@ def test_wiki_size_trace_memory():
     assert kept <= 16 * len(out.trace)
 
 
-def test_wiki_size_directed_pair_count_pinned():
+def test_wiki_size_directed_pair_count_pinned(wiki_size):
     # a directed 60% arc subsample of the pa:7115:15:7 stand-in, under
     # tracemalloc; the digest was taken from the count that kept per-pair arc
     # sets.  Every node's full neighbour set would take several times what
     # the graph keeps
-    base = preferential_attachment_graph(7115, 15, 7)
     keep = random.Random(5).random
-    arcs = [arc for arc in base.arc_list() if keep() < 0.6]
-    del base
+    arcs = [arc for arc in wiki_size.arc_list() if keep() < 0.6]
     assert len(arcs) == 127_991
     tracemalloc.start()
     try:
@@ -494,11 +499,11 @@ def test_degrees_match_per_node_degree(pairs, directed, removed, more):
             assert degrees(h) == {u: degree(h, u) for u in h.nodes}
 
 
-def test_wiki_size_view_queries_pinned():
+def test_wiki_size_view_queries_pinned(wiki_size):
     # pa:7115:15:7 without its 40 highest-degree nodes, the hubs a
     # high-degree phase one seeds; the digests were taken from the per-node
     # degree and the whole-arc-scan clustering correction
-    g = preferential_attachment_graph(7115, 15, 7)
+    g = wiki_size
     hubs = sorted(g.nodes, key=lambda u: (-degree(g, u), u))[:40]
     view = exclude_nodes(g, hubs)
     digest = lambda table: hashlib.sha256(repr(table).encode()).hexdigest()[:16]
@@ -508,14 +513,14 @@ def test_wiki_size_view_queries_pinned():
     assert digest(clustering_coefficients(view)) == "c7baa5b58358b0a5"
 
 
-def test_wiki_size_single_greedy_pinned():
+def test_wiki_size_single_greedy_pinned(wiki_size):
     # single greedy on the pa:7115:15:7 stand-in with the benchmark's
     # attributes and one R=100 sample of master seed 5's snapshots stream:
     # on the whole graph at B=500, and, as phase two selects, without the 40
     # highest-degree nodes and with 10 of their neighbours as the frontier at
     # B=1000.  The seeds and trace digests were taken when an accepted node's
     # reach was walked again for its add
-    g = preferential_attachment_graph(7115, 15, 7)
+    g = wiki_size
     econ = generate_attributes(g, AttributeSpec(cost_range=(50, 100), benefit_range=(800, 1000),
                                                 attribute_seed=11))
     sample = sample_live_graphs(g, 100, RandomSource(5).stream("snapshots"))

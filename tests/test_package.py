@@ -46,3 +46,18 @@ def test_runtime_imports_only_the_standard_library(path):
             continue
         for top in tops:
             assert top in allowed, f"{path.name}:{node.lineno} imports {top!r} from outside the standard library"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "diffusion"],
+                         ids=lambda p: p.name)
+def test_only_diffusion_reads_a_live_graph_format(path):
+    # a sample's flat arrays (offsets, targets) and an enumerated world's
+    # bitmask over the arc index (out, targets) are written in diffusion, and
+    # every walk over them lives beside that code
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in {"offsets", "targets", "out"}, (
+                f"{path.name}:{node.lineno} reads .{node.attr} of a live-graph format")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift):
+            assert not (isinstance(node.left, ast.Name) and node.left.id == "mask"), (
+                f"{path.name}:{node.lineno} decodes a live-graph bitmask")

@@ -4,16 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profitmax.diffusion import (GEOMETRIC_P_CUTOFF, _geometric_scale, _live_worlds,
-                                 sample_live_graphs)
+from profitmax.diffusion import (GEOMETRIC_P_CUTOFF, SnapshotCoverage, _geometric_scale,
+                                 _live_worlds, gain_bounds, sample_live_graphs)
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes, seed_cost
 from profitmax.profit import (
     estimate_profit,
     exact_benefit,
     exact_profit,
     marginal_profit_gain,
-    SnapshotCoverage,
-    gain_bounds,
 )
 from profitmax.rng import RandomSource
 

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from profitmax import selection
-from profitmax.diffusion import LiveSample, sample_live_graphs
-from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
-from profitmax.profit import (
+from profitmax.diffusion import (
+    LiveSample,
     SnapshotCoverage,
     gain_bounds,
     last_coverers,
-    marginal_profit_gain,
+    sample_live_graphs,
 )
+from profitmax.graph import NodeEconomics, build_graph, degree, exclude_nodes, seed_cost
+from profitmax.loader import AttributeSpec, generate_attributes, preferential_attachment_graph
+from profitmax.profit import marginal_profit_gain
 from profitmax.rng import RandomSource
 from profitmax.selection import (
     SELECTORS,
@@ -873,3 +875,51 @@ def test_all_selectors_respect_budget_and_uniqueness(seed, budget):
         assert out.spent == seed_cost(econ, out.seeds)
         assert out.remaining_budget == budget - out.spent
         assert len(set(out.seeds)) == len(out.seeds)
+
+
+def _relabel(g, econ, sample, perm):
+    """``g``, ``econ`` and ``sample`` with node ``u`` renamed ``perm[u]``.
+
+    The sample keeps every snapshot: flat id ``u * R + r`` becomes
+    ``perm[u] * R + r``, and the offsets are rebuilt for the new order.
+    """
+    R = sample.replications
+    graph = build_graph([(perm[u], perm[v], p) for u, v, p in g.arc_list()], g.directed)
+    costs, benefits = [0] * len(perm), [0] * len(perm)
+    for u, (c, b) in enumerate(zip(econ.cost, econ.benefit)):
+        costs[perm[u]], benefits[perm[u]] = c, b
+    old = [0] * len(perm)
+    for u, image in enumerate(perm):
+        old[image] = u
+    offsets, targets = array("i", [0]), array("i")
+    for x in range(sample.node_count * R):
+        u, r = divmod(x, R)
+        y = old[u] * R + r
+        targets.extend(perm[z // R] * R + z % R
+                       for z in sample.targets[sample.offsets[y]:sample.offsets[y + 1]])
+        offsets.append(len(targets))
+    return (graph, NodeEconomics(tuple(costs), tuple(benefits)),
+            LiveSample(sample.node_count, R, offsets, targets))
+
+
+@pytest.mark.parametrize("selector", [
+    single_greedy,
+    pytest.param(double_greedy, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 13: double greedy scans candidates in node-id "
+                            "order, so renaming the nodes moves its seeds")),
+], ids=["single_greedy", "double_greedy"])
+def test_a_greedy_selection_does_not_ride_on_node_ids(selector):
+    # pa:60:2:7 at p=0.05 with the benchmark's attributes, and the same sample
+    # and economics renamed by a shuffle: a selector that reads only the
+    # sample and the economics must select the image of its seeds
+    g = preferential_attachment_graph(60, 2, 7, probability=0.05)
+    econ = generate_attributes(g, AttributeSpec(cost_range=(50, 100), benefit_range=(800, 1000),
+                                                attribute_seed=11))
+    sample = sample_live_graphs(g, 20, RandomSource(5).stream("snapshots"))
+    perm = list(range(g.base_node_count))
+    random.Random(99).shuffle(perm)
+    renamed = _relabel(g, econ, sample, perm)
+    for budget in (300, 600):
+        seeds = selector(g, econ, budget, sample).seeds
+        assert sorted(selector(*renamed[:2], budget, renamed[2]).seeds) == \
+            sorted(perm[u] for u in seeds)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from profitmax import diffusion, profit, selection, twophase
+from profitmax import diffusion, selection, twophase
 from profitmax.diffusion import PartialObservation
 from profitmax.graph import NodeEconomics, build_graph, exclude_nodes
 from profitmax.loader import AttributeSpec, generate_attributes, preferential_attachment_graph
@@ -251,7 +251,7 @@ def _check_cell_draws(monkeypatch, algorithm):
     # draw and bounds, whoever draws or builds them
     draws, bounds = [], []
     _record_everywhere(monkeypatch, diffusion.sample_live_graphs, draws)
-    _record_everywhere(monkeypatch, profit.gain_bounds, bounds)
+    _record_everywhere(monkeypatch, diffusion.gain_bounds, bounds)
     counts = Counter()
     _count_calls(monkeypatch, counts, twophase, "select")
     c, g, econ = _repeating_cell(algorithm)
@@ -333,7 +333,7 @@ def test_cell_sample_releases_the_last_cell_before_drawing(monkeypatch, next_alg
     c, g, econ = _repeating_cell("single_greedy")
     run_phase1(c, g, econ)
     sample = cell_sample(c, g)
-    gone = [weakref.ref(sample), weakref.ref(profit.gain_bounds(sample, econ.benefit))]
+    gone = [weakref.ref(sample), weakref.ref(diffusion.gain_bounds(sample, econ.benefit))]
     del sample
     alive_at_draw = []
     draw = twophase.sample_live_graphs
